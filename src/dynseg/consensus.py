@@ -60,10 +60,7 @@ def consensus_sum_graph(
     network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
 ) -> Partition:
     start, end = segment
-    g = sum_graph(network, start, end)
-    if not g.nodes:
-        raise ValueError("segment has no nodes")
-    return cluster(g, clusterer)
+    return cluster(sum_graph(network, start, end), clusterer)
 
 
 def consensus_average_louvain(
@@ -71,8 +68,6 @@ def consensus_average_louvain(
 ) -> Partition:
     start, end = segment
     nodes = network.segment_nodes(start, end)
-    if not nodes:
-        raise ValueError("segment has no nodes")
     graphs = []
     for j in range(start, end + 1):
         g = network[j]
@@ -96,9 +91,7 @@ def co_occurrence_weights(
         g = network[j]
         if not g.nodes:
             continue
-        spec_j = ClustererSpec(
-            clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j), clusterer.walk_length
-        )
+        spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
         # the initialized variant chains each snapshot from its predecessor
         p = cluster(WeightedGraph.from_snapshot(g), spec_j, init=prev)
         prev = p
@@ -122,26 +115,27 @@ def consensus_matrix(
 ) -> Partition:
     start, end = segment
     nodes = network.segment_nodes(start, end)
-    if not nodes:
-        raise ValueError("segment has no nodes")
     weights = co_occurrence_weights(network, segment, clusterer)
     m_graph = WeightedGraph(nodes, weights)
-    final_spec = ClustererSpec(
-        clusterer.kind, derive_seed(clusterer.seed, "cm-final"), clusterer.walk_length
-    )
+    final_spec = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-final"))
     return cluster(m_graph, final_spec)
 
 
 def segment_partition(
     network: DynamicNetwork, segment: tuple[int, int], spec: ConsensusSpec
 ) -> Partition:
-    """Consensus partition of one segment under a deterministic derived seed."""
+    """Consensus partition of one segment under a deterministic derived seed.
+
+    A segment whose snapshots are all empty gets the empty partition.
+    """
     start, end = segment
+    if not any(network[j].nodes for j in range(start, end + 1)):
+        return Partition({})
     seg_seed = derive_seed(spec.seed, "segment", start, end)
     if spec.method == "sum-graph":
-        sub = ClustererSpec(spec.clusterer.kind, seg_seed, spec.clusterer.walk_length)
+        sub = ClustererSpec(spec.clusterer.kind, seg_seed)
         return consensus_sum_graph(network, segment, sub)
     if spec.method == "average-louvain":
         return consensus_average_louvain(network, segment, seg_seed)
-    sub = ClustererSpec(spec.clusterer.kind, seg_seed, spec.clusterer.walk_length)
+    sub = ClustererSpec(spec.clusterer.kind, seg_seed)
     return consensus_matrix(network, segment, sub)

@@ -193,14 +193,6 @@ class ChangePointSet:
         return i
 
 
-def segmentation_from_change_points(change_points: ChangePointSet) -> Segmentation:
-    return change_points.segmentation()
-
-
-def seg_index(j: int, change_points: ChangePointSet) -> int:
-    return change_points.seg_index(j)
-
-
 class Partition:
     """Assignment of every node in a domain to exactly one cluster."""
 

@@ -75,12 +75,6 @@ class PartitionGraph:
     def num_layers(self) -> int:
         return len(self.layer_sizes)
 
-    def out_degree(self, layer: int, u: int) -> int:
-        return sum(1 for a, _, _ in self.transitions[layer] if a == u)
-
-    def in_degree(self, layer: int, v: int) -> int:
-        return sum(1 for _, b, _ in self.transitions[layer] if b == v)
-
 
 def sample_change_points(k: int, l: int, rng: np.random.Generator) -> ChangePointSet:
     """l-1 distinct time points drawn uniformly from [1, k-1], sorted."""
@@ -287,13 +281,9 @@ def build_partition_graph(cfg: GeneratorConfig, rng: np.random.Generator) -> Par
 
 
 def derive_segment_partitions(
-    graph: PartitionGraph, n: int, c_min: int, rng: np.random.Generator
+    graph: PartitionGraph, n: int, rng: np.random.Generator
 ) -> list[Partition]:
-    """Deal node labels through the partition graph, layer by layer.
-
-    The c_min floor is already baked into the planned piece sizes; the
-    argument is kept for interface symmetry with the builder.
-    """
+    """Deal node labels through the partition graph, layer by layer."""
     members: list[list[int]] = []
     order = [int(u) for u in rng.permutation(n)]
     pos = 0
@@ -355,9 +345,7 @@ def generate(cfg: GeneratorConfig) -> tuple[DynamicNetwork, ScdOutput]:
         cfg.k, cfg.l, rng_for(cfg.seed, "change-points")
     )
     graph = build_partition_graph(cfg, rng_for(cfg.seed, "partition-graph"))
-    partitions = derive_segment_partitions(
-        graph, cfg.n, cfg.c_min, rng_for(cfg.seed, "memberships")
-    )
+    partitions = derive_segment_partitions(graph, cfg.n, rng_for(cfg.seed, "memberships"))
     truth = ScdOutput(change_points, tuple(partitions))
     network = generate_snapshots(truth, cfg, rng_for(cfg.seed, "snapshots"))
     return network, truth

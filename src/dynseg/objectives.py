@@ -157,30 +157,6 @@ def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
 # Blockmodel likelihood and information criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockModelEstimate:
-    """Per-segment blockmodel MLE: edge and pair counts plus their ratio.
-
-    Keys are unordered cluster-id pairs (a, b) with a <= b.  theta_hat is
-    edge_counts / pair_counts where pair_counts > 0, else 0.
-    """
-
-    partition: Partition
-    edge_counts: dict[tuple[int, int], int]
-    pair_counts: dict[tuple[int, int], int]
-
-    def theta(self, a: int, b: int) -> float:
-        key = (a, b) if a <= b else (b, a)
-        n = self.pair_counts.get(key, 0)
-        if n == 0:
-            return 0.0
-        return self.edge_counts.get(key, 0) / n
-
-
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _segment_counts(
     network: DynamicNetwork, start: int, end: int, p: Partition
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
@@ -196,22 +172,13 @@ def _segment_counts(
         for idx, a in enumerate(cids):
             pair_counts[(a, a)] = pair_counts.get((a, a), 0) + sizes[a] * (sizes[a] - 1) // 2
             for b in cids[idx + 1:]:
-                key = _pair_key(a, b)
-                pair_counts[key] = pair_counts.get(key, 0) + sizes[a] * sizes[b]
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + sizes[a] * sizes[b]
         assign = restricted.assignment
         for u, v in g.edges:
-            key = _pair_key(assign[u], assign[v])
+            a, b = assign[u], assign[v]
+            key = (a, b) if a <= b else (b, a)
             edge_counts[key] = edge_counts.get(key, 0) + 1
     return edge_counts, pair_counts
-
-
-def estimate_block_matrix(
-    network: DynamicNetwork, segment: tuple[int, int], p: Partition
-) -> BlockModelEstimate:
-    """MLE of the segment blockmodel: counts accumulated over its snapshots."""
-    start, end = segment
-    edge_counts, pair_counts = _segment_counts(network, start, end, p)
-    return BlockModelEstimate(p, edge_counts, pair_counts)
 
 
 def segment_log_likelihood(
@@ -244,9 +211,14 @@ def log_likelihood(output: ScdOutput, network: DynamicNetwork) -> float:
     return total
 
 
+def segment_num_parameters(p: Partition) -> int:
+    """Blockmodel parameters of one segment: one theta entry per cluster pair."""
+    return p.num_clusters * (p.num_clusters + 1) // 2
+
+
 def num_parameters(output: ScdOutput) -> int:
-    """Blockmodel parameter count: one theta entry per cluster pair per segment."""
-    return sum(p.num_clusters * (p.num_clusters + 1) // 2 for p in output.partitions)
+    """Blockmodel parameter count of a whole output, summed over its segments."""
+    return sum(segment_num_parameters(p) for p in output.partitions)
 
 
 def num_observations(network: DynamicNetwork) -> int:
@@ -254,10 +226,10 @@ def num_observations(network: DynamicNetwork) -> int:
     return sum(g.num_nodes * (g.num_nodes - 1) // 2 for g in network.snapshots)
 
 
-def penalty_weight(network: DynamicNetwork, criterion: Criterion) -> float:
+def penalty_weight(n_o: int, criterion: Criterion) -> float:
+    """Weight of the parameter count given n_o observed node pairs."""
     if criterion is Criterion.AIC:
         return 1.0
-    n_o = num_observations(network)
     if n_o == 0:
         raise ValueError("BIC undefined: network has no node pairs")
     return 0.5 * math.log(n_o)
@@ -265,10 +237,5 @@ def penalty_weight(network: DynamicNetwork, criterion: Criterion) -> float:
 
 def q_b(output: ScdOutput, network: DynamicNetwork, criterion: Criterion) -> float:
     """Penalized log-likelihood; natural logarithm throughout."""
-    return log_likelihood(output, network) - penalty_weight(network, criterion) * num_parameters(output)
-
-
-def evaluate(output: ScdOutput, network: DynamicNetwork, spec: ObjectiveSpec) -> float:
-    if spec.family == "qp":
-        return q_p(output, network, spec.fit)
-    return q_b(output, network, spec.criterion)
+    weight = penalty_weight(num_observations(network), criterion)
+    return log_likelihood(output, network) - weight * num_parameters(output)

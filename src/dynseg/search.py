@@ -11,7 +11,6 @@ most 4k-5 for bottom-up merging.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import objectives
@@ -68,12 +67,7 @@ class CscdTable:
 
     def selection_score(self, l: int, criterion: Criterion) -> float:
         e = self.entry(l)
-        if criterion is Criterion.AIC:
-            weight = 1.0
-        else:
-            if self.num_observations == 0:
-                raise ValueError("BIC undefined: network has no node pairs")
-            weight = 0.5 * math.log(self.num_observations)
+        weight = objectives.penalty_weight(self.num_observations, criterion)
         return e.log_likelihood - weight * e.num_parameters
 
     def select(self, criterion: Criterion) -> int:
@@ -86,14 +80,27 @@ class CscdTable:
         return best_l
 
 
+@dataclass
+class _Segment:
+    """Memoized terms of one segment: its consensus partition, additive
+    score, blockmodel log-likelihood (None until needed) and parameter count."""
+
+    partition: Partition
+    score: float
+    log_likelihood: float | None
+    num_parameters: int
+
+
 class _SegmentScorer:
-    """Memoizes per-segment consensus partitions and additive scores.
+    """The one place a segment's terms are computed, memoized by (start, end).
 
     The per-segment score composes additively across a segmentation: for
     fit-based objectives it is the plain sum of per-snapshot fits (the 1/k
     normalization is constant per network and argmax-invariant); for
     criterion-based objectives it is the segment log-likelihood minus the
-    penalty weight times the segment's parameter count.
+    penalty weight times the segment's parameter count.  Fit objectives
+    need the log-likelihood only for segments that end up in table entries,
+    so there it is computed on first use.
     """
 
     def __init__(self, network: DynamicNetwork, spec: SearchSpec):
@@ -102,59 +109,58 @@ class _SegmentScorer:
             spec.consensus.method, spec.consensus.clusterer, spec.seed
         )
         self.objective = spec.objective
+        self.num_observations = objectives.num_observations(network)
         if self.objective.family == "qb":
-            self.weight = objectives.penalty_weight(network, self.objective.criterion)
+            self.weight = objectives.penalty_weight(
+                self.num_observations, self.objective.criterion
+            )
         else:
             self.weight = None
         self.calls = 0
-        self._partitions: dict[tuple[int, int], Partition] = {}
-        self._scores: dict[tuple[int, int], float] = {}
+        self._memo: dict[tuple[int, int], _Segment] = {}
 
-    def partition(self, start: int, end: int) -> Partition:
+    def _segment(self, start: int, end: int) -> _Segment:
         key = (start, end)
-        if key not in self._partitions:
-            self._partitions[key] = segment_partition(self.network, key, self.consensus)
+        seg = self._memo.get(key)
+        if seg is None:
+            p = segment_partition(self.network, key, self.consensus)
             self.calls += 1
-        return self._partitions[key]
-
-    def score(self, start: int, end: int) -> float:
-        key = (start, end)
-        if key not in self._scores:
-            p = self.partition(start, end)
-            if self.objective.family == "qp":
+            n_par = objectives.segment_num_parameters(p)
+            if self.weight is None:
                 s = sum(
                     objectives.snapshot_fit(self.objective.fit, p, self.network[j])
                     for j in range(start, end + 1)
                 )
+                seg = _Segment(p, s, None, n_par)
             else:
                 ll = objectives.segment_log_likelihood(self.network, start, end, p)
-                n_par = p.num_clusters * (p.num_clusters + 1) // 2
-                s = ll - self.weight * n_par
-            self._scores[key] = s
-        return self._scores[key]
+                seg = _Segment(p, ll - self.weight * n_par, ll, n_par)
+            self._memo[key] = seg
+        return seg
 
-    def output_for(self, points: tuple[int, ...]) -> ScdOutput:
-        cps = ChangePointSet(points, self.network.k)
-        parts = tuple(self.partition(s, e) for s, e in cps.segmentation())
-        return ScdOutput(cps, parts)
-
-    def raw_score(self, points: tuple[int, ...]) -> float:
-        """Canonical additive score of a change point set, left to right."""
-        cps = ChangePointSet(points, self.network.k)
-        total = 0.0
-        for s, e in cps.segmentation():
-            total += self.score(s, e)
-        return total
+    def score(self, start: int, end: int) -> float:
+        return self._segment(start, end).score
 
     def entry_for(self, points: tuple[int, ...]) -> CscdEntry:
-        out = self.output_for(points)
-        raw = self.raw_score(points)
-        score = raw / self.network.k if self.objective.family == "qp" else raw
+        """Table entry of a change point set, summed left to right from the memo."""
+        cps = ChangePointSet(points, self.network.k)
+        parts: list[Partition] = []
+        raw, ll, n_par = 0.0, 0.0, 0
+        for start, end in cps.segmentation():
+            seg = self._segment(start, end)
+            if seg.log_likelihood is None:
+                seg.log_likelihood = objectives.segment_log_likelihood(
+                    self.network, start, end, seg.partition
+                )
+            parts.append(seg.partition)
+            raw += seg.score
+            ll += seg.log_likelihood
+            n_par += seg.num_parameters
         return CscdEntry(
-            output=out,
-            score=score,
-            log_likelihood=objectives.log_likelihood(out, self.network),
-            num_parameters=objectives.num_parameters(out),
+            output=ScdOutput(cps, tuple(parts)),
+            score=raw / self.network.k if self.weight is None else raw,
+            log_likelihood=ll,
+            num_parameters=n_par,
         )
 
     def table(self, per_l_points: dict[int, tuple[int, ...]]) -> CscdTable:
@@ -162,7 +168,7 @@ class _SegmentScorer:
         return CscdTable(
             entries=entries,
             consensus_calls=self.calls,
-            num_observations=objectives.num_observations(self.network),
+            num_observations=self.num_observations,
             objective=self.objective,
         )
 

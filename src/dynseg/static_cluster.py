@@ -59,15 +59,12 @@ class ClustererSpec:
 
     kind: str  # louvain | stabilized-louvain | label-propagation | walktrap
     seed: int = 0
-    walk_length: int = 4
 
     KINDS = ("louvain", "stabilized-louvain", "label-propagation", "walktrap")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown clusterer kind {self.kind!r}")
-        if self.walk_length < 1:
-            raise ValueError("walk_length must be positive")
 
 
 def _index_nodes(nodes) -> tuple[list[str], dict[str, int]]:
@@ -99,30 +96,6 @@ class _LevelGraph:
         self.loop = loop
         self.deg = [sum(nbrs.values()) + 2.0 * loop[i] for i, nbrs in enumerate(adj)]
         self.two_m = sum(self.deg)
-
-
-def _level_modularity(lg: _LevelGraph, comm: list[int]) -> float:
-    if lg.two_m == 0:
-        return 0.0
-    tot: dict[int, float] = {}
-    inner: dict[int, float] = {}
-    for u, d in enumerate(lg.deg):
-        c = comm[u]
-        tot[c] = tot.get(c, 0.0) + d
-        inner[c] = inner.get(c, 0.0) + 2.0 * lg.loop[u]
-    for u, nbrs in enumerate(lg.adj):
-        cu = comm[u]
-        for v, w in nbrs.items():
-            if u < v and comm[v] == cu:
-                inner[cu] = inner.get(cu, 0.0) + 2.0 * w
-    q = 0.0
-    for c, t in tot.items():
-        q += inner.get(c, 0.0) / lg.two_m - (t / lg.two_m) ** 2
-    return q
-
-
-def _avg_modularity(graphs: list[_LevelGraph], comm: list[int], num_graphs: int) -> float:
-    return sum(_level_modularity(lg, comm) for lg in graphs) / num_graphs
 
 
 def _one_level(
@@ -218,24 +191,22 @@ def _louvain_core(
     n: int,
     seed: int,
     init: list[int] | None = None,
-) -> tuple[list[int], list[float]]:
-    """Shared driver; returns (community per node, modularity at phase bounds)."""
+) -> list[int]:
+    """Shared driver; returns the community of each node."""
     num_graphs = len(adjs)
     graphs = [_LevelGraph(adj, [0.0] * n) for adj in adjs]
     membership = list(range(n))
     comm = list(init) if init is not None else list(range(n))
     rng = rng_for(seed, "louvain")
-    history = [_avg_modularity(graphs, comm, num_graphs)]
     while True:
         moved = _one_level(graphs, comm, rng, num_graphs)
-        history.append(_avg_modularity(graphs, comm, num_graphs))
         if not moved:
             break
         graphs, renum = _contract(graphs, comm)
         membership = [renum[comm[membership[orig]]] for orig in range(n)]
         comm = list(range(len(renum)))
     final = [comm[membership[orig]] for orig in range(n)]
-    return final, history
+    return final
 
 
 def _multi_adjacency(
@@ -256,7 +227,7 @@ def louvain_multi(
     labels, index = _index_nodes(universe)
     adjs = _multi_adjacency(graphs, labels, index)
     init_ids = _init_ids(init, labels) if init is not None else None
-    final, _ = _louvain_core(adjs, len(labels), seed, init_ids)
+    final = _louvain_core(adjs, len(labels), seed, init_ids)
     return Partition({labels[i]: c for i, c in enumerate(final)}).canonical()
 
 
@@ -286,16 +257,6 @@ def louvain(graph: WeightedGraph, seed: int) -> Partition:
 def stabilized_louvain(graph: WeightedGraph, init: Partition, seed: int) -> Partition:
     """Louvain seeded from a previous partition instead of all-singletons."""
     return louvain_multi([graph], seed, init=init.restrict(graph.nodes))
-
-
-def louvain_with_history(graph: WeightedGraph, seed: int) -> tuple[Partition, list[float]]:
-    """Like louvain() but also reports modularity at each phase boundary."""
-    labels, index = _index_nodes(graph.nodes)
-    if not labels:
-        raise ValueError("no nodes to cluster")
-    adj = _adjacency(graph, index, len(labels))
-    final, history = _louvain_core([adj], len(labels), seed)
-    return Partition({labels[i]: c for i, c in enumerate(final)}).canonical(), history
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +299,10 @@ def label_propagation(graph: WeightedGraph, seed: int, max_sweeps: int = 100) ->
 # Random-walk agglomerative clustering
 # ---------------------------------------------------------------------------
 
-def walktrap(graph: WeightedGraph, walk_length: int = 4) -> Partition:
+WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
+
+
+def walktrap(graph: WeightedGraph) -> Partition:
     """Agglomerate communities by distance between short random-walk profiles.
 
     Adjacent community pairs merge in order of the smallest approximate
@@ -363,7 +327,7 @@ def walktrap(graph: WeightedGraph, walk_length: int = 4) -> Partition:
             A[pos[u], pos[v]] = w
     deg = A.sum(axis=1)
     P = A / deg[:, None]
-    Pt = np.linalg.matrix_power(P, walk_length)
+    Pt = np.linalg.matrix_power(P, WALK_LENGTH)
     inv_d = 1.0 / deg  # distance terms are weighted by 1/degree
     two_m = float(deg.sum())
 
@@ -470,4 +434,4 @@ def cluster(graph: WeightedGraph, spec: ClustererSpec, init: Partition | None = 
         return stabilized_louvain(graph, init, spec.seed)
     if spec.kind == "label-propagation":
         return label_propagation(graph, spec.seed)
-    return walktrap(graph, spec.walk_length)
+    return walktrap(graph)

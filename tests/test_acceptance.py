@@ -30,6 +30,7 @@ from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
     ObjectiveSpec,
+    num_observations,
     penalty_weight,
     segment_log_likelihood,
 )
@@ -82,7 +83,7 @@ def _enumerate_best_scores(network, spec):
     """Literal enumeration over all 2^(k-1) change point sets."""
     k = network.k
     consensus = ConsensusSpec(spec.consensus.method, spec.consensus.clusterer, spec.seed)
-    weight = penalty_weight(network, Criterion.BIC)
+    weight = penalty_weight(num_observations(network), Criterion.BIC)
     best = {}
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):

@@ -1,6 +1,7 @@
 import pytest
 
 from dynseg.cli import main
+from dynseg.dyngraph import dump_output, load_dynamic_network, load_output
 
 
 def run(capsys, *argv):
@@ -134,6 +135,25 @@ class TestDetect:
         assert code == 0
         assert kv(stdout)["chosen_l"] == ["3"]
         assert out.read_text().count("segment ") == 3
+
+    @pytest.mark.parametrize("search", ["exhaustive", "topdown", "bottomup"])
+    def test_empty_snapshot(self, tmp_path, capsys, search):
+        # time index 1 is skipped, so snapshot 1 is empty
+        net = tmp_path / "gap.txt"
+        net.write_text("0 a b\n0 b c\n2 a b\n3 a c\n")
+        network = load_dynamic_network(net.read_text())
+        out = tmp_path / "sol.txt"
+        code, _, _ = run(capsys, "detect", "--input", str(net),
+                         "--search", search, "--output", str(out))
+        assert code == 0
+        code, _, _ = run(capsys, "detect", "--input", str(net), "--search", search,
+                         "--segments", "4", "--output", str(out))
+        assert code == 0
+        text = out.read_text()
+        assert "\nsegment 1 1\nsegment 2 2\n" in text
+        solution = load_output(text)
+        solution.validate_for(network)
+        assert dump_output(solution) == text
 
     @pytest.mark.parametrize("flags", [
         ("--objective", "modularity"),

@@ -9,7 +9,7 @@ from dynseg.consensus import (
     segment_partition,
     sum_graph,
 )
-from dynseg.dyngraph import DynamicNetwork, Snapshot
+from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
 from dynseg.static_cluster import ClustererSpec, WeightedGraph, louvain
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
@@ -189,6 +189,16 @@ class TestSegmentPartition:
         p2 = segment_partition(net, (0, 2), spec)
         assert p1.assignment == p2.assignment
         assert p1.domain == net.segment_nodes(0, 2)
+
+    @pytest.mark.parametrize("spec", [
+        ConsensusSpec("sum-graph", ClustererSpec("walktrap")),
+        ConsensusSpec("average-louvain"),
+        ConsensusSpec("consensus-matrix", ClustererSpec("louvain")),
+    ])
+    def test_empty_segment_gets_empty_partition(self, spec):
+        net = DynamicNetwork([TRIANGLES, Snapshot(), Snapshot(), TRIANGLES])
+        assert segment_partition(net, (1, 2), spec) == Partition({})
+        assert segment_partition(net, (0, 1), spec).domain == TRIANGLES.nodes
 
     def test_per_segment_seeds_differ(self):
         # two different segments of identical content may differ, but the same

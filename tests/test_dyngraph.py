@@ -13,8 +13,6 @@ from dynseg.dyngraph import (
     dump_output,
     load_dynamic_network,
     load_output,
-    seg_index,
-    segmentation_from_change_points,
 )
 
 
@@ -91,15 +89,15 @@ class TestSnapshot:
 
 class TestSegmentation:
     def test_from_change_points(self):
-        seg = segmentation_from_change_points(ChangePointSet((4, 7), 10))
+        seg = ChangePointSet((4, 7), 10).segmentation()
         assert tuple(seg) == ((0, 3), (4, 6), (7, 9))
 
     def test_no_change_points(self):
-        seg = segmentation_from_change_points(ChangePointSet((), 5))
+        seg = ChangePointSet((), 5).segmentation()
         assert tuple(seg) == ((0, 4),)
 
     def test_maximal(self):
-        seg = segmentation_from_change_points(ChangePointSet((1, 2, 3), 4))
+        seg = ChangePointSet((1, 2, 3), 4).segmentation()
         assert tuple(seg) == ((0, 0), (1, 1), (2, 2), (3, 3))
 
     def test_invalid_points(self):
@@ -129,15 +127,15 @@ class TestSegmentation:
 class TestSegIndex:
     def test_examples(self):
         cps = ChangePointSet((4, 7), 10)
-        assert seg_index(0, cps) == 0
-        assert seg_index(4, cps) == 1
-        assert seg_index(9, cps) == 2
+        assert cps.seg_index(0) == 0
+        assert cps.seg_index(4) == 1
+        assert cps.seg_index(9) == 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            seg_index(10, ChangePointSet((4, 7), 10))
+            ChangePointSet((4, 7), 10).seg_index(10)
         with pytest.raises(ValueError):
-            seg_index(-1, ChangePointSet((), 3))
+            ChangePointSet((), 3).seg_index(-1)
 
     def test_matches_ranges_exhaustively(self):
         for k in range(1, 13):

@@ -16,6 +16,16 @@ from dynseg.generator import (
 DEFAULT = dict(k=16, l=4, n=50, c_min=5, c_in=20, c_out=4)
 
 
+def _degrees(edges):
+    """Out-degree of each left supernode and in-degree of each right one."""
+    d_out: dict[int, int] = {}
+    d_in: dict[int, int] = {}
+    for u, v, _ in edges:
+        d_out[u] = d_out.get(u, 0) + 1
+        d_in[v] = d_in.get(v, 0) + 1
+    return d_out, d_in
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,19 +104,18 @@ class TestPartitionGraph:
                 assert {u for u, _, _ in edges} == set(range(p))
                 assert {v for _, v, _ in edges} == set(range(q))
                 # each edge is part of exactly one merge/split/continuation
+                d_out, d_in = _degrees(edges)
                 for u, v, _ in edges:
-                    d_out = graph.out_degree(layer, u)
-                    d_in = graph.in_degree(layer, v)
-                    assert (d_out == 1) or (d_out > 1 and d_in == 1)
+                    assert (d_out[u] == 1) or (d_out[u] > 1 and d_in[v] == 1)
 
     def test_not_a_perfect_matching(self):
         cfg = GeneratorConfig(**DEFAULT)
         for seed in range(20):
             graph = build_partition_graph(cfg, rng_for(seed, "g"))
-            for layer, edges in enumerate(graph.transitions):
+            for edges in graph.transitions:
+                d_out, d_in = _degrees(edges)
                 all_continuations = all(
-                    graph.out_degree(layer, u) == 1 and graph.in_degree(layer, v) == 1
-                    for u, v, _ in edges
+                    d_out[u] == 1 and d_in[v] == 1 for u, v, _ in edges
                 )
                 assert not all_continuations
 
@@ -123,7 +132,7 @@ class TestDerivePartitions:
     def test_single_layer_partition(self):
         cfg = GeneratorConfig(k=4, l=1, n=50, c_min=5, c_in=20, c_out=4)
         graph = build_partition_graph(cfg, rng_for(3, "g"))
-        parts = derive_segment_partitions(graph, cfg.n, cfg.c_min, rng_for(3, "m"))
+        parts = derive_segment_partitions(graph, cfg.n, rng_for(3, "m"))
         assert len(parts) == 1
         sizes = sorted(len(m) for m in parts[0].clusters().values())
         assert sum(sizes) == 50
@@ -134,20 +143,19 @@ class TestDerivePartitions:
         cfg = GeneratorConfig(**DEFAULT)
         for seed in range(10):
             graph = build_partition_graph(cfg, rng_for(seed, "g"))
-            parts = derive_segment_partitions(graph, cfg.n, cfg.c_min, rng_for(seed, "m"))
+            parts = derive_segment_partitions(graph, cfg.n, rng_for(seed, "m"))
             for layer, edges in enumerate(graph.transitions):
                 prev = parts[layer].clusters()
                 nxt = parts[layer + 1].clusters()
                 incoming: dict[int, set] = {}
+                d_out, d_in = _degrees(edges)
                 for u, v, _ in edges:
-                    d_out = graph.out_degree(layer, u)
-                    d_in = graph.in_degree(layer, v)
-                    if d_out == 1:
+                    if d_out[u] == 1:
                         incoming.setdefault(v, set()).update(prev[u])
-                        if d_in == 1:  # continuation: same members
+                        if d_in[v] == 1:  # continuation: same members
                             assert nxt[v] == prev[u]
                 for v, members in incoming.items():
-                    if graph.in_degree(layer, v) > 1:  # pure merge target
+                    if d_in[v] > 1:  # pure merge target
                         assert set(nxt[v]) == members
 
     def test_adjacent_partitions_never_identical(self):

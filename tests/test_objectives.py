@@ -15,7 +15,7 @@ from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
     FitMeasure,
-    estimate_block_matrix,
+    _segment_counts,
     log_likelihood,
     loss_fit,
     modularity,
@@ -23,6 +23,7 @@ from dynseg.objectives import (
     num_parameters,
     q_b,
     q_p,
+    segment_log_likelihood,
     snapshot_fit,
 )
 
@@ -197,6 +198,8 @@ class TestQp:
 
 
 class TestBlockEstimate:
+    """Segment blockmodel counts and the log-likelihood of their MLE."""
+
     def test_cross_pair_ratio(self):
         nodes_a = [f"a{i}" for i in range(5)]
         nodes_b = ["b0", "b1"]
@@ -204,34 +207,41 @@ class TestBlockEstimate:
         g = Snapshot(nodes_a + nodes_b, cross)
         net = DynamicNetwork([g, g])
         p = Partition.from_clusters([nodes_a, nodes_b])
-        est = estimate_block_matrix(net, (0, 1), p)
-        ca = p.assignment["a0"]
-        cb = p.assignment["b0"]
-        assert est.theta(ca, cb) == pytest.approx(6 / 20)
+        edges, pairs = _segment_counts(net, 0, 1, p)
+        assert edges == {(0, 1): 6}
+        assert pairs == {(0, 0): 20, (0, 1): 20, (1, 1): 2}
+        # theta = 6/20 on the cross block; the intra blocks are empty
+        assert segment_log_likelihood(net, 0, 1, p) == pytest.approx(
+            6 * math.log(0.3) + 14 * math.log(0.7)
+        )
 
     def test_full_clique_theta_one(self):
         nodes = ["a", "b", "c", "d"]
         g = Snapshot(nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
         net = DynamicNetwork([g, g, g])
         p = Partition.from_clusters([nodes])
-        est = estimate_block_matrix(net, (0, 2), p)
-        assert est.theta(0, 0) == 1.0
+        edges, pairs = _segment_counts(net, 0, 2, p)
+        assert edges == pairs == {(0, 0): 18}
+        assert segment_log_likelihood(net, 0, 2, p) == 0.0
 
     def test_no_edges_theta_zero(self):
         g = Snapshot(["a", "b", "c"], [])
         net = DynamicNetwork([g])
         p = Partition.from_clusters([["a", "b"], ["c"]])
-        est = estimate_block_matrix(net, (0, 0), p)
-        assert est.theta(0, 1) == 0.0
-        assert est.theta(0, 0) == 0.0
+        edges, pairs = _segment_counts(net, 0, 0, p)
+        assert edges == {}
+        assert pairs == {(0, 0): 1, (0, 1): 2, (1, 1): 0}
+        assert segment_log_likelihood(net, 0, 0, p) == 0.0
 
     def test_zero_pair_count_defined_zero(self):
         # cluster with one node has no intra pairs
         g = Snapshot(["a", "b"], [("a", "b")])
         net = DynamicNetwork([g])
         p = Partition.from_clusters([["a"], ["b"]])
-        est = estimate_block_matrix(net, (0, 0), p)
-        assert est.theta(0, 0) == 0.0
+        edges, pairs = _segment_counts(net, 0, 0, p)
+        assert pairs[(0, 0)] == 0
+        assert edges.get((0, 0), 0) == 0
+        assert segment_log_likelihood(net, 0, 0, p) == 0.0
 
 
 class TestLogLikelihood:
@@ -277,10 +287,10 @@ class TestLogLikelihood:
             assert ll <= 0.0
             est_extreme = True
             for p, (s, e) in zip(truth.partitions, truth.segmentation()):
-                est = estimate_block_matrix(net, (s, e), p)
-                for key, npair in est.pair_counts.items():
-                    theta = est.theta(*key)
-                    if npair > 0 and 0.0 < theta < 1.0:
+                edges, pairs = _segment_counts(net, s, e, p)
+                for key, npair in pairs.items():
+                    # theta = m / npair lies strictly inside (0, 1)
+                    if 0 < edges.get(key, 0) < npair:
                         est_extreme = False
             assert (ll == 0.0) == est_extreme
 

@@ -9,7 +9,12 @@ from dynseg.objectives import (
     Criterion,
     FitMeasure,
     ObjectiveSpec,
+    log_likelihood,
+    num_observations,
+    num_parameters,
     penalty_weight,
+    q_b,
+    q_p,
     segment_log_likelihood,
     snapshot_fit,
 )
@@ -48,7 +53,7 @@ def brute_force_scores(network, spec):
     k = network.k
     consensus = ConsensusSpec(spec.consensus.method, spec.consensus.clusterer, spec.seed)
     if spec.objective.family == "qb":
-        weight = penalty_weight(network, spec.objective.criterion)
+        weight = penalty_weight(num_observations(network), spec.objective.criterion)
     best: dict[int, float] = {}
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):
@@ -254,3 +259,31 @@ class TestDeterminism:
         for strategy in ("exhaustive", "topdown", "bottomup"):
             out = solve_scd(net, _spec(strategy=strategy, seed=9))
             out.validate_for(net)
+
+
+class TestTableFromMemo:
+    """Table entries summed from the per-segment memo agree with the
+    whole-output definitions in ``objectives``."""
+
+    OBJECTIVES = [
+        ObjectiveSpec.qb(Criterion.BIC),
+        ObjectiveSpec.qb(Criterion.AIC),
+        ObjectiveSpec.qp(FitMeasure.MODULARITY),
+        ObjectiveSpec.qp(FitMeasure.CONDUCTANCE),
+    ]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=lambda o: (o.criterion or o.fit).value)
+    def test_entries_match_reference(self, strategy, objective):
+        net = _network(k=5, seed=8, l=2)
+        table = build_table(net, _spec(strategy=strategy, objective=objective, seed=4))
+        assert sorted(table.entries) == list(range(1, net.k + 1))
+        for entry in table.entries.values():
+            out = entry.output
+            assert entry.log_likelihood == log_likelihood(out, net)
+            assert entry.num_parameters == num_parameters(out)
+            if objective.family == "qb":
+                expected = q_b(out, net, objective.criterion)
+            else:
+                expected = q_p(out, net, objective.fit)
+            assert entry.score == pytest.approx(expected)

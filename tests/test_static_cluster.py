@@ -8,7 +8,6 @@ from dynseg.static_cluster import (
     cluster,
     label_propagation,
     louvain,
-    louvain_with_history,
     stabilized_louvain,
     walktrap,
 )
@@ -114,7 +113,7 @@ class TestLouvain:
             p2 = louvain(TWO_TRIANGLES, seed)
             assert p1.assignment == p2.assignment
 
-    def test_modularity_history_non_decreasing(self):
+    def test_never_below_singletons(self):
         rng = np.random.default_rng(12)
         for trial in range(10):
             n = 12
@@ -126,10 +125,10 @@ class TestLouvain:
                         edges[(nodes[i], nodes[j])] = float(rng.integers(1, 4))
             if not edges:
                 continue
-            p, history = louvain_with_history(WeightedGraph(nodes, edges), trial)
-            assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
-            assert history[-1] == pytest.approx(weighted_modularity(
-                WeightedGraph(nodes, edges), p))
+            g = WeightedGraph(nodes, edges)
+            found = weighted_modularity(g, louvain(g, trial))
+            start = weighted_modularity(g, Partition.singletons(nodes))
+            assert found >= start - 1e-12
 
 
 class TestStabilizedLouvain:
@@ -182,7 +181,7 @@ class TestLabelPropagation:
 
 class TestWalktrap:
     def test_two_triangles(self):
-        p = walktrap(TWO_TRIANGLES, 4)
+        p = walktrap(TWO_TRIANGLES)
         assert p.groups() == frozenset([frozenset("abc"), frozenset("def")])
         assert weighted_modularity(TWO_TRIANGLES, p) == pytest.approx(
             brute_force_best_modularity(TWO_TRIANGLES)
@@ -193,25 +192,25 @@ class TestWalktrap:
             ("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1,
             ("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 1,
         })
-        p = walktrap(g, 4)
+        p = walktrap(g)
         for members in p.clusters().values():
             assert members <= {"a", "b", "c"} or members <= {"x", "y", "z"}
 
     def test_single_clique(self):
-        assert walktrap(K4, 4).num_clusters == 1
+        assert walktrap(K4).num_clusters == 1
 
     def test_isolated_nodes_stay_singletons(self):
         g = WeightedGraph(["lonely"], {("a", "b"): 1.0})
-        p = walktrap(g, 4)
+        p = walktrap(g)
         assert p.assignment.keys() == {"lonely", "a", "b"}
         assert {"lonely"} in [set(m) for m in p.clusters().values()]
 
     def test_edgeless(self):
         g = WeightedGraph(["u", "v"], {})
-        assert walktrap(g, 2).num_clusters == 2
+        assert walktrap(g).num_clusters == 2
 
     def test_determinism(self):
-        assert walktrap(TWO_TRIANGLES, 4).assignment == walktrap(TWO_TRIANGLES, 4).assignment
+        assert walktrap(TWO_TRIANGLES).assignment == walktrap(TWO_TRIANGLES).assignment
 
 
 class TestCommonContracts:
@@ -219,7 +218,7 @@ class TestCommonContracts:
         lambda g: louvain(g, 13),
         lambda g: stabilized_louvain(g, Partition.singletons(g.nodes), 13),
         lambda g: label_propagation(g, 13),
-        lambda g: walktrap(g, 4),
+        lambda g: walktrap(g),
     ]
 
     @pytest.mark.parametrize("method_idx", range(4))
@@ -270,5 +269,3 @@ class TestCommonContracts:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ClustererSpec("metis")
-        with pytest.raises(ValueError):
-            ClustererSpec("walktrap", walk_length=0)
