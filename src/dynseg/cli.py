@@ -146,17 +146,15 @@ def _add_generator_flags(p: argparse.ArgumentParser, include_l: bool = True) -> 
 def cmd_detect(args) -> int:
     with open(args.input) as fh:
         network = load_dynamic_network(fh)
+    if args.segments is not None and not 1 <= args.segments <= network.k:
+        raise ValueError(f"--segments {args.segments} out of range [1, {network.k}]")
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
     started = time.perf_counter()
     table = build_table(network, spec)
-    if args.segments is not None:
-        chosen = args.segments
-        if not 1 <= chosen <= network.k:
-            raise ValueError(f"--segments {chosen} out of range [1, {network.k}]")
-    else:
-        chosen = table.select(spec.selection)
+    chosen = args.segments if args.segments is not None else table.select(spec.selection)
     elapsed = time.perf_counter() - started
     output = table.entry(chosen).output
+    output.validate_for(network)
     if args.output:
         _write(args.output, dump_output(output))
     report = [

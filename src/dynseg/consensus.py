@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._seeds import derive_seed
 from .dyngraph import DynamicNetwork, Partition
 from .static_cluster import ClustererSpec, WeightedGraph, cluster, louvain_multi
@@ -46,14 +48,22 @@ class ConsensusSpec:
 
 def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
     """Weighted union of the segment's snapshots; weight = occurrence count."""
-    weights: dict[tuple[str, str], float] = {}
-    nodes: set[str] = set()
-    for j in range(start, end + 1):
-        g = network[j]
-        nodes |= g.nodes
-        for e in g.edges:
-            weights[e] = weights.get(e, 0.0) + 1.0
-    return WeightedGraph(nodes, weights)
+    arrays = network.arrays
+    present = np.zeros(len(arrays.labels), dtype=bool)
+    present[arrays.segment_node_ids(start, end)] = True
+    seg_ids = np.flatnonzero(present)
+    n = len(seg_ids)
+    local = np.cumsum(present) - 1  # global id -> id within the segment
+    u, v = arrays.segment_edges(start, end)
+    keys = np.sort(local[u] * n + local[v])
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
+    counts = np.diff(firsts, append=len(keys)).astype(float)
+    a, b = np.divmod(keys[firsts], n)
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for x, y, w in zip(a.tolist(), b.tolist(), counts.tolist()):
+        adj[x][y] = adj[y][x] = w
+    labels = arrays.labels
+    return WeightedGraph.from_adjacency(tuple(labels[i] for i in seg_ids.tolist()), adj)
 
 
 def consensus_sum_graph(
@@ -129,7 +139,7 @@ def segment_partition(
     A segment whose snapshots are all empty gets the empty partition.
     """
     start, end = segment
-    if not any(network[j].nodes for j in range(start, end + 1)):
+    if not network.arrays.segment_node_ids(start, end).size:
         return Partition({})
     seg_seed = derive_seed(spec.seed, "segment", start, end)
     if spec.method == "sum-graph":

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
+import numpy as np
+
 
 class FormatError(ValueError):
     """Raised when an input file violates one of the text formats."""
@@ -63,9 +65,6 @@ class Snapshot:
             self._adj = {u: frozenset(vs) for u, vs in adj.items()}
         return self._adj
 
-    def degree(self, u: str) -> int:
-        return len(self.adjacency()[u])
-
     def has_edge(self, u: str, v: str) -> bool:
         return _canonical_edge(u, v) in self.edges
 
@@ -83,15 +82,85 @@ class Snapshot:
         return f"Snapshot(|V|={len(self.nodes)}, |E|={len(self.edges)})"
 
 
+class IdArrays:
+    """A dynamic network's snapshots with node labels interned as integer ids.
+
+    ``labels`` is the sorted label table and ``label_index`` maps a label to
+    its id, so ids order like labels.  Snapshot j's node ids are
+    ``node_ids[node_offsets[j]:node_offsets[j + 1]]`` and its edges are the
+    same slice of ``edge_u``/``edge_v`` under ``edge_offsets``, with u < v;
+    within a snapshot both are in ascending order.  A segment's nodes and
+    edges are therefore one contiguous slice, and an empty snapshot costs
+    one entry per offset array.
+    """
+
+    __slots__ = (
+        "labels", "label_index",
+        "node_ids", "node_offsets", "edge_u", "edge_v", "edge_offsets",
+    )
+
+    def __init__(self, snapshots: Sequence[Snapshot]):
+        universe: set[str] = set()
+        for g in snapshots:
+            universe.update(g.nodes)
+        self.labels: tuple[str, ...] = tuple(sorted(universe))
+        index = {u: i for i, u in enumerate(self.labels)}
+        self.label_index: dict[str, int] = index
+        node_ids: list[int] = []
+        edge_ends: list[int] = []
+        for g in snapshots:
+            if g.nodes:
+                node_ids.extend(sorted(index[u] for u in g.nodes))
+                for u, v in sorted(g.edges):
+                    edge_ends += (index[u], index[v])
+        self.node_ids = _frozen(node_ids)
+        self.edge_u = _frozen(edge_ends[0::2])
+        self.edge_v = _frozen(edge_ends[1::2])
+        k = len(snapshots)
+        self.node_offsets = _offsets((len(g.nodes) for g in snapshots), k)
+        self.edge_offsets = _offsets((len(g.edges) for g in snapshots), k)
+
+    def segment_node_ids(self, start: int, end: int) -> np.ndarray:
+        """Node ids of snapshots start..end, snapshot by snapshot."""
+        return self.node_ids[self.node_offsets[start]:self.node_offsets[end + 1]]
+
+    def segment_edges(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint ids (u, v), u < v, of every edge of snapshots start..end."""
+        lo, hi = self.edge_offsets[start], self.edge_offsets[end + 1]
+        return self.edge_u[lo:hi], self.edge_v[lo:hi]
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _offsets(counts: Iterator[int], k: int) -> np.ndarray:
+    """Prefix sums 0, c0, c0+c1, ... of k per-snapshot counts."""
+    out = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(counts, dtype=np.intp, count=k), out=out[1:])
+    out.flags.writeable = False
+    return out
+
+
 class DynamicNetwork:
     """Ordered sequence of snapshots sharing one label universe."""
 
-    __slots__ = ("snapshots",)
+    __slots__ = ("snapshots", "_arrays")
 
     def __init__(self, snapshots: Sequence[Snapshot]):
         if len(snapshots) < 1:
             raise ValueError("a dynamic network needs at least one snapshot")
         self.snapshots: tuple[Snapshot, ...] = tuple(snapshots)
+        self._arrays: IdArrays | None = None
+
+    @property
+    def arrays(self) -> IdArrays:
+        """The integer-indexed snapshots, built on first use."""
+        if self._arrays is None:
+            self._arrays = IdArrays(self.snapshots)
+        return self._arrays
 
     @property
     def k(self) -> int:
@@ -344,8 +413,10 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
             edges_by_t.setdefault(t, set()).add(_canonical_edge(u, v))
     if max_t < 0:
         raise FormatError("no snapshot records found")
+    # every skipped time index shares one empty snapshot
+    empty = Snapshot()
     snapshots = [
-        Snapshot(nodes_by_t.get(t, ()), edges_by_t.get(t, ()))
+        Snapshot(nodes_by_t[t], edges_by_t.get(t, ())) if t in nodes_by_t else empty
         for t in range(max_t + 1)
     ]
     return DynamicNetwork(snapshots)

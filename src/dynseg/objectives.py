@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .dyngraph import DynamicNetwork, Partition, ScdOutput, Snapshot
 
 
@@ -159,26 +161,39 @@ def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
 
 def _segment_counts(
     network: DynamicNetwork, start: int, end: int, p: Partition
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    edge_counts: dict[tuple[int, int], int] = {}
-    pair_counts: dict[tuple[int, int], int] = {}
-    for j in range(start, end + 1):
-        g = network[j]
-        restricted = p.restrict(g.nodes)
-        if len(restricted.assignment) != len(g.nodes):
-            raise ValueError(f"partition does not cover snapshot {j}")
-        sizes = {cid: len(m) for cid, m in restricted.clusters().items()}
-        cids = sorted(sizes)
-        for idx, a in enumerate(cids):
-            pair_counts[(a, a)] = pair_counts.get((a, a), 0) + sizes[a] * (sizes[a] - 1) // 2
-            for b in cids[idx + 1:]:
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + sizes[a] * sizes[b]
-        assign = restricted.assignment
-        for u, v in g.edges:
-            a, b = assign[u], assign[v]
-            key = (a, b) if a <= b else (b, a)
-            edge_counts[key] = edge_counts.get(key, 0) + 1
-    return edge_counts, pair_counts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blockmodel counts of snapshots start..end under p, from the id arrays.
+
+    Cluster a is the a-th smallest cluster id of p.  Returns the C x C edge
+    and node-pair counts, upper triangular (a <= b), and the per-snapshot
+    cluster sizes (one row per snapshot).  Labels of p outside the network
+    are ignored.
+    """
+    cids = sorted(set(p.assignment.values()))
+    code = {cid: a for a, cid in enumerate(cids)}
+    arrays = network.arrays
+    index = arrays.label_index
+    known = [(index[u], code[cid]) for u, cid in p.assignment.items() if u in index]
+    z = np.full(len(arrays.labels), -1, dtype=np.intp)
+    if known:
+        ids, codes = zip(*known)
+        z[list(ids)] = codes
+    nc, span = len(cids), end - start + 1
+
+    zn = z[arrays.segment_node_ids(start, end)]
+    # snapshot (0-based within the segment) of every entry of zn
+    snap = np.repeat(np.arange(span), np.diff(arrays.node_offsets[start:end + 2]))
+    missing = np.flatnonzero(zn < 0)
+    if len(missing):
+        raise ValueError(f"partition does not cover snapshot {start + snap[missing[0]]}")
+    sizes = np.bincount(snap * nc + zn, minlength=span * nc).reshape(span, nc)
+    pairs = np.triu(sizes.T @ sizes, 1)
+    np.fill_diagonal(pairs, (sizes * (sizes - 1) // 2).sum(axis=0))
+
+    u, v = arrays.segment_edges(start, end)
+    a, b = z[u], z[v]
+    edges = np.bincount(np.minimum(a, b) * nc + np.maximum(a, b), minlength=nc * nc)
+    return edges.reshape(nc, nc), pairs, sizes
 
 
 def segment_log_likelihood(
@@ -188,18 +203,24 @@ def segment_log_likelihood(
 
     Since theta is the MLE on the same counts, log 0 can only pair with a
     zero count; such terms contribute 0 and the result is always finite.
+    The nonzero terms are added by the first snapshot holding both clusters
+    of the pair, then by the pair's cluster ids: the order of the reference
+    loop in tests/test_segment_core.py, so the float sum equals it exactly.
     """
-    edge_counts, pair_counts = _segment_counts(network, start, end, p)
+    edges, pairs, sizes = _segment_counts(network, start, end, p)
+    flat = np.flatnonzero((edges > 0) & (edges < pairs))  # a * C + b of each term
+    a, b = np.divmod(flat, len(edges))
+    # first snapshot holding both clusters: the smallest j with both sizes > 0
+    seen = np.where(sizes > 0, np.arange(len(sizes))[:, None], len(sizes)).T
+    first = np.maximum(seen[a], seen[b]).min(axis=1)
+    terms = sorted(zip(
+        first.tolist(), flat.tolist(), edges.ravel()[flat].tolist(), pairs.ravel()[flat].tolist()
+    ))
     ll = 0.0
-    for key, n in pair_counts.items():
-        if n == 0:
-            continue
-        m = edge_counts.get(key, 0)
+    for _, _, m, n in terms:
         theta = m / n
-        if m > 0:
-            ll += m * math.log(theta)
-        if n - m > 0:
-            ll += (n - m) * math.log(1.0 - theta)
+        ll += m * math.log(theta)
+        ll += (n - m) * math.log(1.0 - theta)
     return ll
 
 

@@ -23,9 +23,13 @@ _GAIN_TOL = 1e-12
 
 
 class WeightedGraph:
-    """Undirected graph with positive edge weights and no self-loops."""
+    """Undirected graph with positive edge weights and no self-loops.
 
-    __slots__ = ("nodes", "edges")
+    Held as the sorted node labels plus, per node id, a dict from neighbour
+    id to edge weight; clusterers read this adjacency directly.
+    """
+
+    __slots__ = ("labels", "adj")
 
     def __init__(self, nodes, edges: Mapping[tuple[str, str], float]):
         node_set = set(nodes)
@@ -38,8 +42,24 @@ class WeightedGraph:
             node_set.add(u)
             node_set.add(v)
             canon[(u, v) if u <= v else (v, u)] = float(w)
-        self.nodes: frozenset[str] = frozenset(node_set)
-        self.edges: dict[tuple[str, str], float] = canon
+        self.labels: tuple[str, ...] = tuple(sorted(node_set))
+        index = {u: i for i, u in enumerate(self.labels)}
+        # rows fill in edge-insertion order, which fixes the order of every
+        # floating-point sum over a node's fractional edge weights
+        self.adj: list[dict[int, float]] = [{} for _ in self.labels]
+        for (u, v), w in canon.items():
+            iu, iv = index[u], index[v]
+            self.adj[iu][iv] = self.adj[iv][iu] = w
+
+    @classmethod
+    def from_adjacency(
+        cls, labels: tuple[str, ...], adj: list[dict[int, float]]
+    ) -> "WeightedGraph":
+        """Wrap sorted labels and a symmetric id adjacency without copying."""
+        graph = cls.__new__(cls)
+        graph.labels = labels
+        graph.adj = adj
+        return graph
 
     @classmethod
     def from_snapshot(cls, g: Snapshot) -> "WeightedGraph":
@@ -47,10 +67,22 @@ class WeightedGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
+    @property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.labels)
+
+    @property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """A fresh {(u, v): weight} dict with u < v."""
+        labels = self.labels
+        return {
+            (labels[u], labels[v]): w
+            for u, nbrs in enumerate(self.adj)
+            for v, w in nbrs.items()
+            if u < v
+        }
 
 
 @dataclass(frozen=True)
@@ -65,20 +97,6 @@ class ClustererSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown clusterer kind {self.kind!r}")
-
-
-def _index_nodes(nodes) -> tuple[list[str], dict[str, int]]:
-    labels = sorted(nodes)
-    return labels, {u: i for i, u in enumerate(labels)}
-
-
-def _adjacency(graph: WeightedGraph, index: dict[str, int], n: int) -> list[dict[int, float]]:
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for (u, v), w in graph.edges.items():
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = adj[iu].get(iv, 0.0) + w
-        adj[iv][iu] = adj[iv].get(iu, 0.0) + w
-    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +227,21 @@ def _louvain_core(
     return final
 
 
-def _multi_adjacency(
-    graphs: Sequence[WeightedGraph], labels: list[str], index: dict[str, int]
-) -> list[list[dict[int, float]]]:
-    return [_adjacency(g, index, len(labels)) for g in graphs]
-
-
 def louvain_multi(
     graphs: Sequence[WeightedGraph], seed: int, init: Partition | None = None
 ) -> Partition:
-    """Louvain over several graphs at once, averaging move gains across them."""
-    universe: set[str] = set()
-    for g in graphs:
-        universe |= g.nodes
-    if not universe:
+    """Louvain over several graphs on one node set, averaging move gains across them."""
+    labels = graphs[0].labels if graphs else ()
+    if any(g.labels != labels for g in graphs[1:]):
+        raise ValueError("louvain_multi needs graphs over one node set")
+    if not labels:
         raise ValueError("no nodes to cluster")
-    labels, index = _index_nodes(universe)
-    adjs = _multi_adjacency(graphs, labels, index)
     init_ids = _init_ids(init, labels) if init is not None else None
-    final = _louvain_core(adjs, len(labels), seed, init_ids)
+    final = _louvain_core([g.adj for g in graphs], len(labels), seed, init_ids)
     return Partition({labels[i]: c for i, c in enumerate(final)}).canonical()
 
 
-def _init_ids(init: Partition, labels: list[str]) -> list[int]:
+def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
     # nodes absent from init start as fresh singletons
     ids = []
     next_id = 0
@@ -269,11 +279,10 @@ def label_propagation(graph: WeightedGraph, seed: int, max_sweeps: int = 100) ->
     Node order is reshuffled from the seed each sweep; among maximal-weight
     labels the smallest id wins, which also stops label thrashing.
     """
-    labels, index = _index_nodes(graph.nodes)
+    labels, adj = graph.labels, graph.adj
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
-    adj = _adjacency(graph, index, n)
     lab = list(range(n))
     rng = rng_for(seed, "lpa")
     for _ in range(max_sweeps):
@@ -309,11 +318,10 @@ def walktrap(graph: WeightedGraph) -> Partition:
     squared-distance increase; the dendrogram is cut at the level with the
     highest weighted modularity.  Degree-0 nodes stay singletons.
     """
-    labels, index = _index_nodes(graph.nodes)
+    labels, adj = graph.labels, graph.adj
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
-    adj = _adjacency(graph, index, n)
     active = [u for u in range(n) if adj[u]]
     isolated = [u for u in range(n) if not adj[u]]
     if not active:

@@ -1,7 +1,17 @@
+from types import SimpleNamespace
+
 import pytest
 
+from dynseg import cli
 from dynseg.cli import main
-from dynseg.dyngraph import dump_output, load_dynamic_network, load_output
+from dynseg.dyngraph import (
+    ChangePointSet,
+    Partition,
+    ScdOutput,
+    dump_output,
+    load_dynamic_network,
+    load_output,
+)
 
 
 def run(capsys, *argv):
@@ -92,6 +102,35 @@ class TestDetect:
         code, _, err = run(capsys, "detect", "--input", str(net), "--segments", "3")
         assert code == 1
         assert "out of range" in err
+
+    def test_segments_checked_before_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(*_):
+            raise AssertionError("the table must not be built")
+
+        monkeypatch.setattr(cli, "build_table", no_search)
+        net = tmp_path / "two.txt"
+        net.write_text("0 a b\n1 a b\n")
+        for bad in ("0", "3", "99"):
+            code, _, err = run(capsys, "detect", "--input", str(net), "--segments", bad)
+            assert code == 1
+            assert f"--segments {bad} out of range [1, 2]" in err
+
+    def test_invalid_output_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # the chosen partition misses node c of the only snapshot
+        bad = ScdOutput(ChangePointSet((), 1), (Partition({"a": 0, "b": 0}),))
+        table = SimpleNamespace(
+            consensus_calls=1, entries={},
+            entry=lambda l: SimpleNamespace(output=bad), select=lambda criterion: 1,
+        )
+        monkeypatch.setattr(cli, "build_table", lambda network, spec: table)
+        net = tmp_path / "one.txt"
+        net.write_text("0 a b\n0 b c\n")
+        out = tmp_path / "sol.txt"
+        code, stdout, err = run(capsys, "detect", "--input", str(net), "--output", str(out))
+        assert code == 1
+        assert "domain does not match" in err
+        assert stdout == ""
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "detect", "--input", str(tmp_path / "nope"))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,20 @@ class TestLoadDynamicNetwork:
         with pytest.raises(FormatError):
             load_dynamic_network("# only a comment\n")
 
+    def test_skipped_time_indices_share_one_snapshot(self):
+        tracemalloc.start()
+        try:
+            net = load_dynamic_network("0 a b\n200000 a c\n")
+            arrays = net.arrays
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.k == 200001
+        assert peak < 20 * 2**20
+        assert net[1] is net[199999]
+        assert net[1].num_nodes == 0
+        assert arrays.edge_offsets[199999] == arrays.edge_offsets[200000] == 1
+
     def test_round_trip(self):
         text = "0 a b\n0 zz\n1 a c\n3 b c\n"
         net = load_dynamic_network(text)
@@ -70,6 +85,25 @@ class TestLoadDynamicNetwork:
         assert again == net
         # and the dump itself is stable
         assert dump_dynamic_network(again) == dump_dynamic_network(net)
+
+
+class TestIdArrays:
+    def test_layout(self):
+        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
+        arrays = net.arrays
+        assert net.arrays is arrays
+        assert arrays.labels == ("a", "b", "c")
+        assert arrays.label_index == {"a": 0, "b": 1, "c": 2}
+        assert arrays.node_offsets.tolist() == [0, 3, 5, 5, 7]
+        assert arrays.node_ids.tolist() == [0, 1, 2, 1, 2, 0, 2]
+        assert arrays.edge_offsets.tolist() == [0, 1, 2, 2, 3]
+        assert list(zip(arrays.edge_u.tolist(), arrays.edge_v.tolist())) == [
+            (0, 1), (1, 2), (0, 2),
+        ]
+        assert arrays.segment_node_ids(1, 2).tolist() == [1, 2]
+        assert [a.tolist() for a in arrays.segment_edges(1, 3)] == [[1, 0], [2, 2]]
+        with pytest.raises(ValueError):
+            arrays.node_ids[0] = 2
 
 
 class TestSnapshot:
@@ -83,8 +117,8 @@ class TestSnapshot:
 
     def test_degree(self):
         g = Snapshot([], [("a", "b"), ("b", "c")])
-        assert g.degree("b") == 2
-        assert g.degree("a") == 1
+        assert len(g.adjacency()["b"]) == 2
+        assert len(g.adjacency()["a"]) == 1
 
 
 class TestSegmentation:

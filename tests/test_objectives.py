@@ -207,9 +207,9 @@ class TestBlockEstimate:
         g = Snapshot(nodes_a + nodes_b, cross)
         net = DynamicNetwork([g, g])
         p = Partition.from_clusters([nodes_a, nodes_b])
-        edges, pairs = _segment_counts(net, 0, 1, p)
-        assert edges == {(0, 1): 6}
-        assert pairs == {(0, 0): 20, (0, 1): 20, (1, 1): 2}
+        edges, pairs, _ = _segment_counts(net, 0, 1, p)
+        assert edges.tolist() == [[0, 6], [0, 0]]
+        assert pairs.tolist() == [[20, 20], [0, 2]]
         # theta = 6/20 on the cross block; the intra blocks are empty
         assert segment_log_likelihood(net, 0, 1, p) == pytest.approx(
             6 * math.log(0.3) + 14 * math.log(0.7)
@@ -220,17 +220,17 @@ class TestBlockEstimate:
         g = Snapshot(nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
         net = DynamicNetwork([g, g, g])
         p = Partition.from_clusters([nodes])
-        edges, pairs = _segment_counts(net, 0, 2, p)
-        assert edges == pairs == {(0, 0): 18}
+        edges, pairs, _ = _segment_counts(net, 0, 2, p)
+        assert edges.tolist() == pairs.tolist() == [[18]]
         assert segment_log_likelihood(net, 0, 2, p) == 0.0
 
     def test_no_edges_theta_zero(self):
         g = Snapshot(["a", "b", "c"], [])
         net = DynamicNetwork([g])
         p = Partition.from_clusters([["a", "b"], ["c"]])
-        edges, pairs = _segment_counts(net, 0, 0, p)
-        assert edges == {}
-        assert pairs == {(0, 0): 1, (0, 1): 2, (1, 1): 0}
+        edges, pairs, _ = _segment_counts(net, 0, 0, p)
+        assert edges.tolist() == [[0, 0], [0, 0]]
+        assert pairs.tolist() == [[1, 2], [0, 0]]
         assert segment_log_likelihood(net, 0, 0, p) == 0.0
 
     def test_zero_pair_count_defined_zero(self):
@@ -238,9 +238,9 @@ class TestBlockEstimate:
         g = Snapshot(["a", "b"], [("a", "b")])
         net = DynamicNetwork([g])
         p = Partition.from_clusters([["a"], ["b"]])
-        edges, pairs = _segment_counts(net, 0, 0, p)
-        assert pairs[(0, 0)] == 0
-        assert edges.get((0, 0), 0) == 0
+        edges, pairs, _ = _segment_counts(net, 0, 0, p)
+        assert pairs[0, 0] == 0
+        assert edges[0, 0] == 0
         assert segment_log_likelihood(net, 0, 0, p) == 0.0
 
 
@@ -287,11 +287,10 @@ class TestLogLikelihood:
             assert ll <= 0.0
             est_extreme = True
             for p, (s, e) in zip(truth.partitions, truth.segmentation()):
-                edges, pairs = _segment_counts(net, s, e, p)
-                for key, npair in pairs.items():
-                    # theta = m / npair lies strictly inside (0, 1)
-                    if 0 < edges.get(key, 0) < npair:
-                        est_extreme = False
+                edges, pairs, _ = _segment_counts(net, s, e, p)
+                # theta = m / npair lies strictly inside (0, 1)
+                if ((0 < edges) & (edges < pairs)).any():
+                    est_extreme = False
             assert (ll == 0.0) == est_extreme
 
     def test_invariant_under_relabeling(self):

@@ -8,6 +8,7 @@ from dynseg.static_cluster import (
     cluster,
     label_propagation,
     louvain,
+    louvain_multi,
     stabilized_louvain,
     walktrap,
 )
@@ -26,7 +27,7 @@ K4 = _wg({(u, v): 1 for i, u in enumerate("wxyz") for v in "wxyz"[i + 1:]})
 
 
 def weighted_modularity(g: WeightedGraph, p: Partition) -> float:
-    two_m = 2.0 * g.total_weight()
+    two_m = 2.0 * sum(g.edges.values())
     if two_m == 0:
         return 0.0
     deg = {u: 0.0 for u in g.nodes}
@@ -74,6 +75,17 @@ class TestWeightedGraph:
     def test_canonical_edge_keys(self):
         g = _wg({("b", "a"): 2})
         assert g.edges == {("a", "b"): 2.0}
+
+    def test_adjacency_rows_fill_in_insertion_order(self):
+        g = _wg({("c", "a"): 0.5, ("a", "b"): 0.25, ("b", "c"): 2})
+        assert g.labels == ("a", "b", "c")
+        assert [list(row.items()) for row in g.adj] == [
+            [(2, 0.5), (1, 0.25)], [(0, 0.25), (2, 2.0)], [(0, 0.5), (1, 2.0)],
+        ]
+
+    def test_louvain_multi_needs_one_node_set(self):
+        with pytest.raises(ValueError):
+            louvain_multi([_wg({("a", "b"): 1}), _wg({("a", "c"): 1})], 0)
 
 
 class TestLouvain:
@@ -257,6 +269,12 @@ class TestCommonContracts:
         p = self.METHODS[method_idx](g)
         for members in p.clusters().values():
             assert members <= set(left) or members <= set(right)
+
+    @pytest.mark.parametrize("method_idx", range(4))
+    def test_graph_left_unchanged(self, method_idx):
+        before = [dict(row) for row in TWO_TRIANGLES.adj]
+        self.METHODS[method_idx](TWO_TRIANGLES)
+        assert TWO_TRIANGLES.adj == before
 
     @pytest.mark.parametrize("kind", ClustererSpec.KINDS)
     def test_dispatch_deterministic_and_canonical(self, kind):
