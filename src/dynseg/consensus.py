@@ -23,7 +23,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .dyngraph import DynamicNetwork, Partition
-from .static_cluster import ClustererSpec, WeightedGraph, cluster, louvain_multi
+from .static_cluster import ClustererSpec, LevelGraph, WeightedGraph, cluster, louvain_multi
 
 CONSENSUS_METHODS = ("sum-graph", "average-louvain", "consensus-matrix")
 
@@ -46,24 +46,31 @@ class ConsensusSpec:
             raise ValueError(f"{self.method} needs a static clusterer")
 
 
-def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
-    """Weighted union of the segment's snapshots; weight = occurrence count."""
+def _segment_edges(
+    network: DynamicNetwork, start: int, end: int
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The segment's sorted labels and its edges (u < v) in segment-local ids, in time order."""
     arrays = network.arrays
     present = np.zeros(len(arrays.labels), dtype=bool)
     present[arrays.segment_node_ids(start, end)] = True
-    seg_ids = np.flatnonzero(present)
-    n = len(seg_ids)
     local = np.cumsum(present) - 1  # global id -> id within the segment
     u, v = arrays.segment_edges(start, end)
-    keys = np.sort(local[u] * n + local[v])
+    labels = arrays.labels
+    return tuple(labels[i] for i in np.flatnonzero(present).tolist()), local[u], local[v]
+
+
+def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
+    """Weighted union of the segment's snapshots; weight = occurrence count."""
+    labels, u, v = _segment_edges(network, start, end)
+    n = len(labels)
+    keys = np.sort(u * n + v)
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
     counts = np.diff(firsts, append=len(keys)).astype(float)
     a, b = np.divmod(keys[firsts], n)
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for x, y, w in zip(a.tolist(), b.tolist(), counts.tolist()):
         adj[x][y] = adj[y][x] = w
-    labels = arrays.labels
-    return WeightedGraph.from_adjacency(tuple(labels[i] for i in seg_ids.tolist()), adj)
+    return WeightedGraph.from_adjacency(labels, adj)
 
 
 def consensus_sum_graph(
@@ -77,12 +84,11 @@ def consensus_average_louvain(
     network: DynamicNetwork, segment: tuple[int, int], seed: int
 ) -> Partition:
     start, end = segment
-    nodes = network.segment_nodes(start, end)
-    graphs = []
-    for j in range(start, end + 1):
-        g = network[j]
-        graphs.append(WeightedGraph(nodes, {e: 1.0 for e in g.edges}))
-    return louvain_multi(graphs, seed)
+    labels, u, v = _segment_edges(network, start, end)
+    offsets = network.arrays.edge_offsets[start:end + 2]
+    return louvain_multi(
+        labels, LevelGraph.of_snapshots(len(labels), u, v, offsets - offsets[0]), seed
+    )
 
 
 def co_occurrence_weights(

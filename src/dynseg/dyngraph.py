@@ -166,12 +166,6 @@ class DynamicNetwork:
     def k(self) -> int:
         return len(self.snapshots)
 
-    def node_universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for g in self.snapshots:
-            out |= g.nodes
-        return frozenset(out)
-
     def segment_nodes(self, start: int, end: int) -> frozenset[str]:
         """Union of the node sets of snapshots start..end inclusive."""
         out: set[str] = set()
@@ -379,8 +373,12 @@ class ScdOutput:
 # One record per line, whitespace separated:
 #   <t> <u> <v>   edge in snapshot t (u != v)
 #   <t> <u>       isolated-node declaration
-# Lines starting with '#' are comments; blank lines are ignored.
+# Lines starting with '#' are comments; blank lines are ignored.  Every time
+# index up to the largest costs a snapshot slot, so indices are capped.
 # ---------------------------------------------------------------------------
+
+MAX_TIME_INDEX = 1_000_000
+
 
 def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
     if isinstance(source, str):
@@ -404,6 +402,8 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
             raise FormatError(f"bad time index {parts[0]!r}", line_no) from None
         if t < 0:
             raise FormatError(f"negative time index {t}", line_no)
+        if t > MAX_TIME_INDEX:
+            raise FormatError(f"time index {t} above {MAX_TIME_INDEX}", line_no)
         max_t = max(max_t, t)
         nodes_by_t.setdefault(t, set()).update(parts[1:])
         if len(parts) == 3:

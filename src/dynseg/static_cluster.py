@@ -11,8 +11,9 @@ partitions cover exactly the graph's nodes and carry canonical cluster ids
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from ._seeds import rng_for
 from .dyngraph import Partition, Snapshot
 
 _GAIN_TOL = 1e-12
+MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
+WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
 
 
 class WeightedGraph:
@@ -100,74 +103,100 @@ class ClustererSpec:
 
 
 # ---------------------------------------------------------------------------
-# Louvain core, shared by the plain, initialized and multi-graph variants.
-# The multi-graph variant scores each candidate move by the mean modularity
-# gain across all graphs and contracts every graph in parallel, so all
-# graphs always share one partition.
+# Louvain: one core for the plain, initialized (Aynaud & Guillaume 2010) and
+# multi-snapshot variants.  A level graph holds one adjacency plus, per node
+# u, a row x_u of null-model terms; the modularity gain of moving u into
+# community c is  scale * w(u, c) - <x_u, sum of x_v over v in c>.  One graph
+# is the one-column case: scale = 2/2m and x_u = sqrt(2) d_u / 2m.  The mean
+# gain over G snapshots is linear in them: the union adjacency weighs each
+# edge of snapshot g by 2 / (G 2m_g), scale is 1 and column g of x_u is
+# sqrt(2/G) d_u^g / 2m_g.  Contraction sums the adjacency between
+# communities and the rows of x; weight inside a community drops out.
 # ---------------------------------------------------------------------------
 
-class _LevelGraph:
-    __slots__ = ("adj", "loop", "deg", "two_m")
+class LevelGraph(NamedTuple):
+    """One Louvain level: adjacency rows, null-model rows ``x`` and ``scale``."""
 
-    def __init__(self, adj: list[dict[int, float]], loop: list[float]):
-        self.adj = adj
-        self.loop = loop
-        self.deg = [sum(nbrs.values()) + 2.0 * loop[i] for i, nbrs in enumerate(adj)]
-        self.two_m = sum(self.deg)
+    adj: list[dict[int, float]]
+    x: np.ndarray
+    scale: float
+
+    @classmethod
+    def of_graph(cls, graph: WeightedGraph) -> "LevelGraph":
+        """Modularity of one graph, read through the graph's own adjacency."""
+        deg = np.array([sum(nbrs.values()) for nbrs in graph.adj], dtype=float)
+        two_m = float(deg.sum())
+        if two_m == 0:
+            return cls(graph.adj, np.zeros((len(deg), 1)), 0.0)
+        return cls(graph.adj, (math.sqrt(2.0) / two_m * deg)[:, None], 2.0 / two_m)
+
+    @classmethod
+    def of_snapshots(
+        cls, n: int, u: np.ndarray, v: np.ndarray, offsets: np.ndarray
+    ) -> "LevelGraph":
+        """Mean modularity over G snapshots on nodes 0..n-1.
+
+        Snapshot g's edges are ``(u[i], v[i])``, u < v, for i in
+        ``offsets[g]:offsets[g + 1]``; an edgeless snapshot adds nothing.
+        """
+        num_snaps = len(offsets) - 1
+        m = np.diff(offsets)
+        snap = np.repeat(np.arange(num_snaps), m)
+        inv_m = np.divide(1.0, m, out=np.zeros(num_snaps), where=m > 0)
+        # distinct edges with their snapshots in time order; a_g = 1 / (G m_g)
+        keys = np.sort((u * n + v) * num_snaps + snap)
+        edge, snap_of = np.divmod(keys, num_snaps)
+        first = np.diff(edge, prepend=-1) != 0
+        weight = np.bincount(np.cumsum(first) - 1, weights=inv_m[snap_of] / num_snaps)
+        a, b = np.divmod(edge[first], n)
+        adj: list[dict[int, float]] = [{} for _ in range(n)]
+        for p, q, w in zip(a.tolist(), b.tolist(), weight.tolist()):
+            adj[p][q] = adj[q][p] = w
+        deg = np.bincount(u * num_snaps + snap, minlength=n * num_snaps)
+        deg += np.bincount(v * num_snaps + snap, minlength=n * num_snaps)
+        x = deg.reshape(n, num_snaps) * (math.sqrt(2.0 / num_snaps) / 2.0 * inv_m)
+        return cls(adj, x, 1.0)
 
 
-def _one_level(
-    graphs: list[_LevelGraph], comm: list[int], rng: np.random.Generator, num_graphs: int
-) -> bool:
+def _one_level(lg: LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:
     """Local-moving phase on the current level; True if any node moved."""
     n = len(comm)
-    tots: list[dict[int, float]] = []
-    for lg in graphs:
-        tot: dict[int, float] = {}
-        for u, d in enumerate(lg.deg):
-            tot[comm[u]] = tot.get(comm[u], 0.0) + d
-        tots.append(tot)
+    adj, scale = lg.adj, lg.scale
+    tot = np.zeros_like(lg.x)
+    np.add.at(tot, comm, lg.x)
+    if lg.x.shape[1] == 1:
+        # one column: Python floats beat numpy rows
+        x, tot = lg.x[:, 0].tolist(), tot[:, 0].tolist()
+
+        def null(xu, cands: list[int]) -> list[float]:
+            return [xu * tot[c] for c in cands]
+    else:
+        x = lg.x
+
+        def null(xu, cands: list[int]) -> list[float]:
+            return (tot[cands] @ xu).tolist()
 
     moved_any = False
     while True:
         moved = False
-        for u in rng.permutation(n):
-            u = int(u)
+        for u in rng.permutation(n).tolist():
             a = comm[u]
-            for lg, tot in zip(graphs, tots):
-                tot[a] -= lg.deg[u]
-            # weight from u to each candidate community, per graph
-            links: list[dict[int, float]] = []
-            candidates: set[int] = {a}
-            for lg in graphs:
-                w_uc: dict[int, float] = {}
-                for v, w in lg.adj[u].items():
-                    c = comm[v]
-                    w_uc[c] = w_uc.get(c, 0.0) + w
-                links.append(w_uc)
-                candidates.update(w_uc)
-
-            def gain(c: int) -> float:
-                g = 0.0
-                for lg, tot, w_uc in zip(graphs, tots, links):
-                    if lg.two_m == 0:
-                        continue
-                    g += (2.0 / lg.two_m) * (
-                        w_uc.get(c, 0.0) - lg.deg[u] * tot.get(c, 0.0) / lg.two_m
-                    )
-                return g / num_graphs
-
-            stay = gain(a)
-            best_c, best_gain = a, stay
-            for c in sorted(candidates):
-                if c == a:
-                    continue
-                g = gain(c)
+            xu = x[u]
+            tot[a] -= xu
+            # weight from u to each neighbouring community
+            w_uc: dict[int, float] = {}
+            for v, w in adj[u].items():
+                c = comm[v]
+                w_uc[c] = w_uc.get(c, 0.0) + w
+            others = sorted(c for c in w_uc if c != a)
+            nulls = null(xu, [a] + others)
+            best_c, best_gain = a, scale * w_uc.get(a, 0.0) - nulls[0]
+            for c, null_c in zip(others, nulls[1:]):
+                g = scale * w_uc[c] - null_c
                 if g > best_gain + _GAIN_TOL:
                     best_c, best_gain = c, g
             comm[u] = best_c
-            for lg, tot in zip(graphs, tots):
-                tot[best_c] = tot.get(best_c, 0.0) + lg.deg[u]
+            tot[best_c] += xu
             if best_c != a:
                 moved = True
         if not moved:
@@ -176,104 +205,60 @@ def _one_level(
     return moved_any
 
 
-def _contract(
-    graphs: list[_LevelGraph], comm: list[int]
-) -> tuple[list[_LevelGraph], dict[int, int]]:
+def _contract(lg: LevelGraph, comm: list[int]) -> tuple[LevelGraph, dict[int, int]]:
     ids = sorted(set(comm))
     renum = {c: i for i, c in enumerate(ids)}
-    new_graphs: list[_LevelGraph] = []
-    for lg in graphs:
-        n_new = len(ids)
-        adj: list[dict[int, float]] = [dict() for _ in range(n_new)]
-        loop = [0.0] * n_new
-        for u, l in enumerate(lg.loop):
-            loop[renum[comm[u]]] += l
-        for u, nbrs in enumerate(lg.adj):
-            cu = renum[comm[u]]
-            for v, w in nbrs.items():
-                if u > v:
-                    continue
-                cv = renum[comm[v]]
-                if cu == cv:
-                    loop[cu] += w
-                else:
-                    a, b = (cu, cv) if cu < cv else (cv, cu)
-                    adj[a][b] = adj[a].get(b, 0.0) + w
-                    adj[b][a] = adj[b].get(a, 0.0) + w
-        new_graphs.append(_LevelGraph(adj, loop))
-    return new_graphs, renum
-
-
-def _louvain_core(
-    adjs: list[list[dict[int, float]]],
-    n: int,
-    seed: int,
-    init: list[int] | None = None,
-) -> list[int]:
-    """Shared driver; returns the community of each node."""
-    num_graphs = len(adjs)
-    graphs = [_LevelGraph(adj, [0.0] * n) for adj in adjs]
-    membership = list(range(n))
-    comm = list(init) if init is not None else list(range(n))
-    rng = rng_for(seed, "louvain")
-    while True:
-        moved = _one_level(graphs, comm, rng, num_graphs)
-        if not moved:
-            break
-        graphs, renum = _contract(graphs, comm)
-        membership = [renum[comm[membership[orig]]] for orig in range(n)]
-        comm = list(range(len(renum)))
-    final = [comm[membership[orig]] for orig in range(n)]
-    return final
+    new = [renum[c] for c in comm]
+    adj: list[dict[int, float]] = [{} for _ in ids]
+    for u, nbrs in enumerate(lg.adj):
+        cu = new[u]
+        for v, w in nbrs.items():
+            cv = new[v]
+            if u < v and cu != cv:
+                adj[cu][cv] = adj[cv][cu] = adj[cu].get(cv, 0.0) + w
+    x = np.zeros((len(ids), lg.x.shape[1]))
+    np.add.at(x, new, lg.x)
+    return LevelGraph(adj, x, lg.scale), renum
 
 
 def louvain_multi(
-    graphs: Sequence[WeightedGraph], seed: int, init: Partition | None = None
+    labels: tuple[str, ...], level: LevelGraph, seed: int, init: Partition | None = None
 ) -> Partition:
-    """Louvain over several graphs on one node set, averaging move gains across them."""
-    labels = graphs[0].labels if graphs else ()
-    if any(g.labels != labels for g in graphs[1:]):
-        raise ValueError("louvain_multi needs graphs over one node set")
+    """Louvain over one level graph on ``labels``; every Louvain variant runs here."""
     if not labels:
         raise ValueError("no nodes to cluster")
-    init_ids = _init_ids(init, labels) if init is not None else None
-    final = _louvain_core([g.adj for g in graphs], len(labels), seed, init_ids)
-    return Partition({labels[i]: c for i, c in enumerate(final)}).canonical()
+    n = len(labels)
+    membership = list(range(n))
+    comm = _init_ids(init, labels) if init is not None else list(range(n))
+    rng = rng_for(seed, "louvain")
+    while _one_level(level, comm, rng):
+        level, renum = _contract(level, comm)
+        membership = [renum[comm[c]] for c in membership]
+        comm = list(range(len(renum)))
+    return Partition({u: comm[membership[i]] for i, u in enumerate(labels)}).canonical()
 
 
 def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
-    # nodes absent from init start as fresh singletons
-    ids = []
-    next_id = 0
-    seen: dict[int, int] = {}
-    for u in labels:
-        if u in init.assignment:
-            cid = init.assignment[u]
-            if cid not in seen:
-                seen[cid] = next_id
-                next_id += 1
-            ids.append(seen[cid])
-        else:
-            ids.append(next_id)
-            next_id += 1
-    return ids
+    # ids in order of first appearance; nodes absent from init start as singletons
+    ids: dict = {}
+    return [ids.setdefault(init.assignment.get(u, (u,)), len(ids)) for u in labels]
 
 
 def louvain(graph: WeightedGraph, seed: int) -> Partition:
     """Greedy modularity maximization by node moves and graph contraction."""
-    return louvain_multi([graph], seed)
+    return louvain_multi(graph.labels, LevelGraph.of_graph(graph), seed)
 
 
-def stabilized_louvain(graph: WeightedGraph, init: Partition, seed: int) -> Partition:
+def stabilized_louvain(graph: WeightedGraph, init: Partition | None, seed: int) -> Partition:
     """Louvain seeded from a previous partition instead of all-singletons."""
-    return louvain_multi([graph], seed, init=init.restrict(graph.nodes))
+    return louvain_multi(graph.labels, LevelGraph.of_graph(graph), seed, init)
 
 
 # ---------------------------------------------------------------------------
 # Label propagation
 # ---------------------------------------------------------------------------
 
-def label_propagation(graph: WeightedGraph, seed: int, max_sweeps: int = 100) -> Partition:
+def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
     """Asynchronous weighted-majority label propagation.
 
     Node order is reshuffled from the seed each sweep; among maximal-weight
@@ -285,7 +270,7 @@ def label_propagation(graph: WeightedGraph, seed: int, max_sweeps: int = 100) ->
     n = len(labels)
     lab = list(range(n))
     rng = rng_for(seed, "lpa")
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         for u in rng.permutation(n):
             u = int(u)
@@ -307,9 +292,6 @@ def label_propagation(graph: WeightedGraph, seed: int, max_sweeps: int = 100) ->
 # ---------------------------------------------------------------------------
 # Random-walk agglomerative clustering
 # ---------------------------------------------------------------------------
-
-WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
-
 
 def walktrap(graph: WeightedGraph) -> Partition:
     """Agglomerate communities by distance between short random-walk profiles.
@@ -437,8 +419,6 @@ def cluster(graph: WeightedGraph, spec: ClustererSpec, init: Partition | None = 
     if spec.kind == "louvain":
         return louvain(graph, spec.seed)
     if spec.kind == "stabilized-louvain":
-        if init is None:
-            init = Partition.singletons(graph.nodes)
         return stabilized_louvain(graph, init, spec.seed)
     if spec.kind == "label-propagation":
         return label_propagation(graph, spec.seed)

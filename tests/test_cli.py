@@ -143,6 +143,13 @@ class TestDetect:
         assert code == 1
         assert "self-loop" in err
 
+    def test_huge_time_index_exit_one(self, tmp_path, capsys):
+        net = tmp_path / "huge.txt"
+        net.write_text("1000000000 a b\n")
+        code, _, err = run(capsys, "detect", "--input", str(net))
+        assert code == 1
+        assert "line 1: time index 1000000000 above" in err
+
     def test_scg_one_segment_detected(self, scg_files, tmp_path, capsys):
         net, _ = scg_files
         single = tmp_path / "single.txt"

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from dynseg.dyngraph import (
+    MAX_TIME_INDEX,
     ChangePointSet,
     FormatError,
     Partition,
@@ -45,6 +46,13 @@ class TestLoadDynamicNetwork:
     def test_bad_time_token(self):
         with pytest.raises(FormatError, match="time index"):
             load_dynamic_network("x a b")
+
+    def test_time_index_above_limit_rejected(self):
+        # rejected while parsing, before any snapshot slot is allocated
+        with pytest.raises(FormatError, match=f"line 2: time index {MAX_TIME_INDEX + 1} above"):
+            load_dynamic_network(f"0 a b\n{MAX_TIME_INDEX + 1} a c\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_dynamic_network("1000000000 a b\n")
 
     def test_comments_and_blanks_ignored(self):
         net = load_dynamic_network("# header\n\n0 a b\n")

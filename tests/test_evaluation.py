@@ -415,7 +415,7 @@ class TestSimConsistency:
         cfg = GeneratorConfig(k=6, l=3, n=30, c_min=5, c_in=20, c_out=4, seed=31)
         net, truth = generate(cfg)
         rng = np.random.default_rng(17)
-        nodes = sorted(net.node_universe())
+        nodes = list(net.arrays.labels)
         outputs = []
         for level in range(24):
             # one corruption level per output, applied to every segment

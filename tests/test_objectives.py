@@ -390,7 +390,7 @@ class TestFitCorrelation:
                 # degrade: random points and a random partition reused everywhere
                 l = int(rng.integers(1, 5))
                 pts = tuple(sorted(rng.choice(np.arange(1, 4), size=l - 1, replace=False).tolist()))
-                nodes = sorted(net.node_universe())
+                nodes = list(net.arrays.labels)
                 labels = rng.integers(0, int(rng.integers(1, 6)) + 1, size=len(nodes))
                 p = Partition({u: int(c) for u, c in zip(nodes, labels)})
                 out = ScdOutput(ChangePointSet(pts, 4), tuple([p] * l))

@@ -97,7 +97,7 @@ def cases(draw):
     start = draw(st.integers(0, net.k - 1))
     end = draw(st.integers(start, net.k - 1))
     extra = draw(st.lists(st.sampled_from(EXTRA), unique=True))
-    domain = sorted(net.node_universe()) + extra
+    domain = list(net.arrays.labels) + extra
     # few ids give shared clusters, many give singletons; ids may be negative
     cids = draw(st.lists(st.integers(-3, 40), min_size=len(domain), max_size=len(domain)))
     return net, start, end, Partition(dict(zip(domain, cids)))

@@ -4,11 +4,11 @@ import pytest
 from dynseg.dyngraph import Partition
 from dynseg.static_cluster import (
     ClustererSpec,
+    LevelGraph,
     WeightedGraph,
     cluster,
     label_propagation,
     louvain,
-    louvain_multi,
     stabilized_louvain,
     walktrap,
 )
@@ -83,9 +83,30 @@ class TestWeightedGraph:
             [(2, 0.5), (1, 0.25)], [(0, 0.25), (2, 2.0)], [(0, 0.5), (1, 2.0)],
         ]
 
-    def test_louvain_multi_needs_one_node_set(self):
-        with pytest.raises(ValueError):
-            louvain_multi([_wg({("a", "b"): 1}), _wg({("a", "c"): 1})], 0)
+
+class TestLevelGraph:
+    def test_one_graph_reads_its_own_adjacency(self):
+        lg = LevelGraph.of_graph(TWO_TRIANGLES)
+        assert lg.adj is TWO_TRIANGLES.adj
+        assert lg.scale == 2 / 14
+        assert lg.x[:, 0].tolist() == pytest.approx(
+            [np.sqrt(2) * d / 14 for d in (2, 2, 3, 3, 2, 2)]
+        )
+
+    def test_snapshots_fold_into_scaled_union(self):
+        # G = 2 over nodes 0..2: snapshot 0 is {0-1} (m = 1), snapshot 1 is
+        # {0-1, 1-2} (m = 2); a_g = 1/(G m_g) and x[:, g] = sqrt(2/G) d^g / 2m_g
+        u, v = np.array([0, 0, 1]), np.array([1, 1, 2])
+        lg = LevelGraph.of_snapshots(3, u, v, np.array([0, 1, 3]))
+        assert lg.scale == 1.0
+        assert lg.adj == [{1: 0.75}, {0: 0.75, 2: 0.25}, {1: 0.25}]
+        assert lg.x.tolist() == [[0.5, 0.25], [0.5, 0.5], [0.0, 0.25]]
+
+    def test_empty_snapshot_adds_nothing(self):
+        u, v = np.array([0]), np.array([1])
+        lg = LevelGraph.of_snapshots(3, u, v, np.array([0, 0, 1]))
+        assert lg.adj == [{1: 0.5}, {0: 0.5}, {}]
+        assert lg.x[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestLouvain:
