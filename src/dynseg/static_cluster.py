@@ -23,6 +23,12 @@ from .dyngraph import Partition, Snapshot
 _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
 WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
+# Walktrap holds dense na x na float matrices for the na nodes that have
+# edges, about 3 * na**2 * 8 bytes at its peak (400 MB at this limit).  A
+# larger graph is rejected with a ValueError, which the command line reports
+# as exit 1.
+WALKTRAP_MAX_NODES = 4000
+_DIST_BLOCK = 1 << 13  # entries per block of walktrap's initial profile differences
 
 
 class WeightedGraph:
@@ -298,7 +304,9 @@ def walktrap(graph: WeightedGraph) -> Partition:
 
     Adjacent community pairs merge in order of the smallest approximate
     squared-distance increase; the dendrogram is cut at the level with the
-    highest weighted modularity.  Degree-0 nodes stay singletons.
+    highest weighted modularity.  Degree-0 nodes stay singletons.  A graph
+    with more than ``WALKTRAP_MAX_NODES`` nodes that have edges is rejected
+    with a ``ValueError`` before anything is allocated.
     """
     labels, adj = graph.labels, graph.adj
     if not labels:
@@ -308,94 +316,92 @@ def walktrap(graph: WeightedGraph) -> Partition:
     isolated = [u for u in range(n) if not adj[u]]
     if not active:
         return Partition.singletons(labels)
-
-    pos = {u: i for i, u in enumerate(active)}
     na = len(active)
-    A = np.zeros((na, na))
-    for u in active:
-        for v, w in adj[u].items():
-            A[pos[u], pos[v]] = w
-    deg = A.sum(axis=1)
-    P = A / deg[:, None]
-    Pt = np.linalg.matrix_power(P, WALK_LENGTH)
-    inv_d = 1.0 / deg  # distance terms are weighted by 1/degree
-    two_m = float(deg.sum())
-
-    # community state
-    vectors: dict[int, np.ndarray] = {i: Pt[i] for i in range(na)}
-    sizes: dict[int, int] = {i: 1 for i in range(na)}
-    tot: dict[int, float] = {i: float(deg[i]) for i in range(na)}
-    inner: dict[int, float] = {i: 0.0 for i in range(na)}
-    cadj: dict[int, dict[int, float]] = {i: {} for i in range(na)}
-    for u in active:
-        for v, w in adj[u].items():
-            if pos[u] < pos[v]:
-                cadj[pos[u]][pos[v]] = w
-                cadj[pos[v]][pos[u]] = w
-
-    def dist(c1: int, c2: int) -> float:
-        delta = vectors[c1] - vectors[c2]
-        r2 = float(np.dot(delta * delta, inv_d))
-        s1, s2 = sizes[c1], sizes[c2]
-        return (s1 * s2) / (s1 + s2) / na * r2
-
-    current: dict[tuple[int, int], float] = {}
-    heap: list[tuple[float, int, int]] = []
-    for c1, nbrs in cadj.items():
-        for c2 in nbrs:
-            if c1 < c2:
-                ds = dist(c1, c2)
-                current[(c1, c2)] = ds
-                heap.append((ds, c1, c2))
-    heapq.heapify(heap)
-
-    def partition_q() -> float:
-        return sum(
-            inner[c] / two_m - (tot[c] / two_m) ** 2 for c in sizes
+    if na > WALKTRAP_MAX_NODES:
+        raise ValueError(
+            f"walktrap: {na} nodes with edges exceed the limit of "
+            f"{WALKTRAP_MAX_NODES} (WALKTRAP_MAX_NODES)"
         )
 
-    alive = set(sizes)
+    pos = {u: i for i, u in enumerate(active)}
+    # community ids: node i is community i, merge i creates community na + i;
+    # cadj[c] maps each adjacent live community to the edge weight between them
+    cadj: list[dict[int, float]] = [{pos[v]: w for v, w in adj[u].items()} for u in active]
+    A = np.zeros((na, na))
+    for i, nbrs in enumerate(cadj):
+        A[i, list(nbrs)] = list(nbrs.values())
+    deg = A.sum(axis=1)
+    A /= deg[:, None]
+    walk = np.linalg.matrix_power(A, WALK_LENGTH)
+    del A
+    vec = np.empty((2 * na - 1, na))  # row c: walk profile of community c
+    vec[:na] = walk
+    del walk
+    inv_d = 1.0 / deg  # distance terms are weighted by 1/degree
+    two_m = float(deg.sum())
+    size = [1] * na
+    tot = deg.tolist()
+    inner = [0.0] * na
+    alive = [True] * na
+
+    pairs = np.array(
+        [(c1, c2) for c1, nbrs in enumerate(cadj) for c2 in nbrs if c1 < c2]
+    ).reshape(-1, 2)
+    r2 = np.empty(len(pairs))
+    step = max(1, _DIST_BLOCK // na)  # bounds the difference block's size
+    for b in range(0, len(pairs), step):
+        delta = vec[pairs[b:b + step, 0]]
+        delta -= vec[pairs[b:b + step, 1]]
+        delta *= delta
+        r2[b:b + step] = delta @ inv_d
+    # (delta-sigma, c1, c2) with c1 < c2, where two singletons have size
+    # factor 1/2; every pair is pushed once, so an entry is stale exactly when
+    # one of its communities has merged
+    heap = list(zip((0.5 / na * r2).tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    heapq.heapify(heap)
+
+    # per-community modularity terms, summed afresh after every merge: an
+    # incremental update drifts in the last bits and can move the cut on ties
+    terms = {c: inner[c] / two_m - (tot[c] / two_m) ** 2 for c in range(na)}
     merges: list[tuple[int, int]] = []
-    best_q = partition_q()
+    best_q = sum(terms.values())
     best_step = 0
-    next_id = na
     while heap:
-        ds, c1, c2 = heapq.heappop(heap)
-        key = (c1, c2)
-        if c1 not in alive or c2 not in alive or current.get(key) != ds:
+        _, c1, c2 = heapq.heappop(heap)
+        if not (alive[c1] and alive[c2]):
             continue
-        del current[key]
-        cid = next_id
-        next_id += 1
+        cid = len(size)
         cross = cadj[c1].pop(c2)
         cadj[c2].pop(c1)
-        s1, s2 = sizes[c1], sizes[c2]
-        vectors[cid] = (s1 * vectors[c1] + s2 * vectors[c2]) / (s1 + s2)
-        sizes[cid] = s1 + s2
-        tot[cid] = tot[c1] + tot[c2]
-        inner[cid] = inner[c1] + inner[c2] + 2.0 * cross
+        s1, s2 = size[c1], size[c2]
+        vec[cid] = (s1 * vec[c1] + s2 * vec[c2]) / (s1 + s2)
+        size.append(s1 + s2)
+        tot.append(tot[c1] + tot[c2])
+        inner.append(inner[c1] + inner[c2] + 2.0 * cross)
         nbrs: dict[int, float] = {}
         for old in (c1, c2):
             for other, w in cadj[old].items():
                 nbrs[other] = nbrs.get(other, 0.0) + w
                 del cadj[other][old]
-        cadj[cid] = nbrs
+            alive[old] = False
+            del terms[old]
+        cadj.append(nbrs)
+        alive.append(True)
         for other, w in nbrs.items():
             cadj[other][cid] = w
-        for old in (c1, c2):
-            alive.discard(old)
-            for d in (vectors, sizes, tot, inner, cadj):
-                d.pop(old, None)
-        alive.add(cid)
 
-        for other in sorted(nbrs):
-            dd = dist(cid, other)
-            key2 = (other, cid) if other < cid else (cid, other)
-            current[key2] = dd
-            heapq.heappush(heap, (dd, key2[0], key2[1]))
+        others = list(nbrs)
+        delta = vec[others]
+        delta -= vec[cid]
+        delta *= delta
+        s = size[cid]
+        for other, d2 in zip(others, (delta @ inv_d).tolist()):
+            so = size[other]
+            heapq.heappush(heap, ((s * so) / (s + so) / na * d2, other, cid))
 
         merges.append((c1, c2))
-        q = partition_q()
+        terms[cid] = inner[cid] / two_m - (tot[cid] / two_m) ** 2
+        q = sum(terms.values())
         if q > best_q:
             best_q = q
             best_step = len(merges)

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dynseg import cli
+from dynseg import cli, static_cluster
 from dynseg.cli import main
 from dynseg.dyngraph import (
     ChangePointSet,
@@ -129,6 +129,17 @@ class TestDetect:
         code, stdout, err = run(capsys, "detect", "--input", str(net), "--output", str(out))
         assert code == 1
         assert "domain does not match" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_walktrap_node_limit_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(static_cluster, "WALKTRAP_MAX_NODES", 3)
+        net = tmp_path / "net.txt"
+        net.write_text("0 a b\n0 b c\n0 c d\n1 a b\n")
+        out = tmp_path / "sol.txt"
+        code, stdout, err = run(capsys, "detect", "--input", str(net), "--output", str(out))
+        assert code == 1
+        assert "walktrap: 4 nodes with edges exceed the limit of 3" in err
         assert stdout == ""
         assert not out.exists()
 

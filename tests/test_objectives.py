@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from dynseg.dyngraph import (
@@ -82,6 +83,24 @@ class TestModularity:
         g = Snapshot([], [("a", "b")])
         with pytest.raises(ValueError):
             modularity(p, g)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_networkx(self, data):
+        nx = pytest.importorskip("networkx")
+        labels = [f"v{i}" for i in range(10)]
+        nodes = data.draw(st.lists(st.sampled_from(labels), unique=True, min_size=2))
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+        # the partition also labels nodes the snapshot does not hold
+        cids = data.draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
+        p = Partition(dict(zip(labels, cids)))
+        g = Snapshot(nodes, edges)
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        communities = p.restrict(g.nodes).clusters().values()
+        assert modularity(p, g) == pytest.approx(nx.community.modularity(graph, communities))
 
 
 class TestLossFits:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynseg import static_cluster
 from dynseg.dyngraph import Partition
 from dynseg.static_cluster import (
     ClustererSpec,
@@ -40,6 +42,25 @@ def weighted_modularity(g: WeightedGraph, p: Partition) -> float:
         tot = sum(deg[u] for u in members)
         q += 2.0 * inner / two_m - (tot / two_m) ** 2
     return q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_weighted_modularity_matches_networkx(data):
+    nx = pytest.importorskip("networkx")
+    labels = [f"v{i}" for i in range(10)]
+    nodes = data.draw(st.lists(st.sampled_from(labels), unique=True, min_size=2))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    weights = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
+    g = WeightedGraph(nodes, {e: data.draw(weights) for e in chosen})
+    cids = data.draw(st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes)))
+    p = Partition(dict(zip(nodes, cids)))
+    graph = nx.Graph()
+    graph.add_nodes_from(g.nodes)
+    graph.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    expected = nx.community.modularity(graph, p.clusters().values(), weight="weight")
+    assert weighted_modularity(g, p) == pytest.approx(expected)
 
 
 def brute_force_best_modularity(g: WeightedGraph) -> float:
@@ -244,6 +265,14 @@ class TestWalktrap:
 
     def test_determinism(self):
         assert walktrap(TWO_TRIANGLES).assignment == walktrap(TWO_TRIANGLES).assignment
+
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr(static_cluster, "WALKTRAP_MAX_NODES", 3)
+        with pytest.raises(ValueError, match="6 nodes with edges exceed the limit of 3"):
+            walktrap(TWO_TRIANGLES)
+        # isolated nodes hold no matrix rows and do not count
+        g = WeightedGraph(["x", "y"], {("a", "b"): 1.0, ("b", "c"): 2.0})
+        assert walktrap(g).assignment.keys() == {"a", "b", "c", "x", "y"}
 
 
 class TestCommonContracts:
