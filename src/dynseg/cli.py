@@ -14,9 +14,9 @@ volatile content, so reruns are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ._seeds import derive_seed
 from .consensus import ConsensusSpec
@@ -38,7 +38,7 @@ from .evaluation import (
 )
 from .generator import GenerationError, GeneratorConfig, generate
 from .objectives import Criterion, FitMeasure, ObjectiveSpec
-from .search import SearchSpec, build_table
+from .search import SearchSpec, SegmentStore, build_table
 from .static_cluster import ClustererSpec
 
 OBJECTIVES = ("bic", "aic", "modularity", "conductance", "ncut", "avgodf")
@@ -230,67 +230,74 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _bench_instance(task) -> dict:
-    cfg_name, l, idx, args = task
-    seed = derive_seed(args.seed, "bench", l, idx)
-    cfg = GeneratorConfig(
-        k=args.k, l=l, n=args.n, c_min=args.cmin,
-        c_in=args.cin, c_out=args.cout, seed=seed,
-    )
+def _bench_instance(task: tuple[GeneratorConfig, list[str]]) -> list[dict]:
+    """Generate one network and solve every configuration on one segment store."""
+    cfg, configs = task
     network, truth = generate(cfg)
-    objective, consensus, search = cfg_name.split(":")
-    spec = _search_spec(objective, consensus, search, derive_seed(seed, "detect"))
-    table = build_table(network, spec)
-    chosen = table.select(spec.selection)
-    output = table.entry(chosen).output
-    metric = PartitionMetric.NMI
-    row = {
-        "sim_t": sim_t(output, truth, metric),
-        "sim_p": sim_p(output, truth, metric, network),
-        "sim_b": sim_b(output, truth, metric, network),
-        "selected_l": float(chosen),
-    }
+    store = SegmentStore(network)
     true_points = set(truth.change_points.points)
-    if true_points and true_points != set(range(1, args.k)):
-        ranking = ranking_from_cscd(table)
-        row["aupr"] = change_point_classification(ranking, truth).aupr
-    return row
+    metric = PartitionMetric.NMI
+    rows = []
+    for cfg_name in configs:
+        spec = _search_spec(*cfg_name.split(":"), derive_seed(cfg.seed, "detect"))
+        table = build_table(network, spec, store)
+        chosen = table.select(spec.selection)
+        output = table.entry(chosen).output
+        row = {
+            "sim_t": sim_t(output, truth, metric),
+            "sim_p": sim_p(output, truth, metric, network),
+            "sim_b": sim_b(output, truth, metric, network),
+            "selected_l": float(chosen),
+        }
+        if true_points and true_points != set(range(1, cfg.k)):
+            ranking = ranking_from_cscd(table)
+            row["aupr"] = change_point_classification(ranking, truth).aupr
+        rows.append(row)
+    return rows
 
 
 def cmd_benchmark(args) -> int:
     l_values = [int(x) for x in args.l_values.split(",") if x.strip()]
     if not l_values:
         raise ValueError("--l-values must name at least one segment count")
+    if len(set(l_values)) < len(l_values):
+        raise ValueError(f"--l-values repeats a segment count: {args.l_values}")
     configs = [f"{args.objective}:{args.consensus}:{args.search}"]
     if args.compare:
         configs = [c.strip() for c in args.compare.split(",")]
         if len(configs) != 2:
             raise ValueError("--compare takes exactly two configurations")
         for c in configs:
-            parts = c.split(":")
-            if len(parts) != 3 or parts[0] not in OBJECTIVES \
-                    or parts[1] not in CONSENSUS_CHOICES or parts[2] not in SEARCH_CHOICES:
-                raise ValueError(
-                    f"bad configuration {c!r}; use objective:consensus:search"
-                )
+            fields = zip(c.split(":"), (OBJECTIVES, CONSENSUS_CHOICES, SEARCH_CHOICES))
+            if c.count(":") != 2 or any(f not in choices for f, choices in fields):
+                raise ValueError(f"bad configuration {c!r}; use objective:consensus:search")
 
+    # One task per (l, instance); building its config checks l, n and c_min
+    # before any worker starts.
     tasks = [
-        (cfg_name, l, idx, args)
-        for cfg_name in configs
+        (GeneratorConfig(
+            k=args.k, l=l, n=args.n, c_min=args.cmin, c_in=args.cin,
+            c_out=args.cout, seed=derive_seed(args.seed, "bench", l, idx),
+        ), configs)
         for l in l_values
         for idx in range(args.instances)
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_instance, tasks))
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        # Imported here: the import costs about 30 ms that other commands skip.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_task = list(pool.map(_bench_instance, tasks))
     else:
-        rows = [_bench_instance(t) for t in tasks]
-    results = {key[:3]: row for key, row in zip(tasks, rows)}
+        per_task = [_bench_instance(t) for t in tasks]
+    n = args.instances
+    by_l = [per_task[i * n:(i + 1) * n] for i in range(len(l_values))]  # [l][instance][config]
 
     lines = ["config\tl\tinstances\tsim_t\tsim_p\tsim_b\tselected_l\taupr"]
-    for cfg_name in configs:
-        for l in l_values:
-            per = [results[(cfg_name, l, i)] for i in range(args.instances)]
+    for c, cfg_name in enumerate(configs):
+        for l, block in zip(l_values, by_l):
+            per = [rows[c] for rows in block]
             means = {
                 key: sum(r[key] for r in per) / len(per)
                 for key in ("sim_t", "sim_p", "sim_b", "selected_l")
@@ -306,9 +313,8 @@ def cmd_benchmark(args) -> int:
         if args.instances < 2:
             lines.append("ttest\tskipped: need at least two instances")
         else:
-            for l in l_values:
-                xs = [results[(configs[0], l, i)]["sim_b"] for i in range(args.instances)]
-                ys = [results[(configs[1], l, i)]["sim_b"] for i in range(args.instances)]
+            for l, block in zip(l_values, by_l):
+                xs, ys = ([rows[c]["sim_b"] for rows in block] for c in (0, 1))
                 res = paired_t_test(xs, ys)
                 flag = " degenerate" if res.degenerate else ""
                 lines.append(f"ttest_sim_b\tl={l}\tp={res.p_value:.6g}{flag}")

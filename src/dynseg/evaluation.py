@@ -265,16 +265,11 @@ class TimePointRanking:
 
 def ranking_from_cscd(table) -> TimePointRanking:
     """Score each time point by the smallest segment count whose solution uses it."""
-    k = table.k
-    scores: dict[int, float] = {}
-    for l in sorted(table.entries):
+    scores = {t: float(table.k) for t in range(1, table.k)}
+    for l in sorted(table.entries, reverse=True):  # smaller l overwrite larger
         for t in table.entries[l].output.change_points.points:
-            if t not in scores:
-                scores[t] = float(l)
-    for t in range(1, k):
-        if t not in scores:
-            scores[t] = float(k)
-    return TimePointRanking(scores, k)
+            scores[t] = float(l)
+    return TimePointRanking(scores, table.k)
 
 
 @dataclass(frozen=True)
@@ -301,27 +296,19 @@ def change_point_classification(
     num_pos = len(positives)
     num_neg = (k - 1) - num_pos
 
-    aupr = 0.0
-    max_f = 0.0
-    auroc = 0.0
-    tp = 0
-    prev_recall = 0.0
-    prev_fpr = 0.0
-    prev_tpr = 0.0
+    aupr = max_f = auroc = 0.0
+    tp, prev_recall, prev_fpr = 0, 0.0, 0.0
     for i, t in enumerate(candidates, start=1):
         if t in positives:
             tp += 1
         precision = tp / i
         recall = tp / num_pos
-        fp = i - tp
-        fpr = fp / num_neg
+        fpr = (i - tp) / num_neg
         if precision + recall > 0:
             max_f = max(max_f, 2 * precision * recall / (precision + recall))
         aupr += (recall - prev_recall) * precision
-        auroc += (fpr - prev_fpr) * (recall + prev_tpr) / 2.0
-        prev_recall = recall
-        prev_fpr = fpr
-        prev_tpr = recall
+        auroc += (fpr - prev_fpr) * (recall + prev_recall) / 2.0
+        prev_recall, prev_fpr = recall, fpr
     return ClassificationScores(aupr=aupr, max_f=max_f, auroc=auroc)
 
 

@@ -2,11 +2,12 @@
 
 All three strategies fill a table with one best output per possible number
 of segments; the final solution is the table entry maximizing a penalized
-likelihood criterion.  Segment partitions and additive segment scores are
-memoized by (start, end), so the number of consensus-clustering calls is
-exactly the number of distinct segments evaluated: (k^2+k)/2 for the
-exhaustive dynamic program, at most that for top-down splitting, and at
-most 4k-5 for bottom-up merging.
+likelihood criterion.  A table memoizes its additive segment scores by
+(start, end), and a per-network SegmentStore memoizes the partitions, so a
+table's consensus_calls is exactly the number of distinct segments it
+evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most that for
+top-down splitting, and at most 4k-5 for bottom-up merging.  Tables built
+under several objectives on one store cluster each shared segment once.
 """
 
 from __future__ import annotations
@@ -72,74 +73,93 @@ class CscdTable:
 
     def select(self, criterion: Criterion) -> int:
         """Number of segments maximizing the criterion; ties prefer fewer."""
-        best_l, best = None, None
-        for l in sorted(self.entries):
-            s = self.selection_score(l, criterion)
-            if best is None or s > best:
-                best_l, best = l, s
-        return best_l
+        return max(sorted(self.entries), key=lambda l: self.selection_score(l, criterion))
 
 
 @dataclass
 class _Segment:
-    """Memoized terms of one segment: its consensus partition, additive
-    score, blockmodel log-likelihood (None until needed) and parameter count."""
+    """A segment's consensus partition, parameter count and blockmodel
+    log-likelihood (None until needed); none of them depends on the objective."""
 
     partition: Partition
-    score: float
-    log_likelihood: float | None
     num_parameters: int
+    log_likelihood: float | None = None
+
+
+class SegmentStore:
+    """The objective-independent terms of one network's segments, memoized by
+    (consensus spec with its seed, start, end).
+
+    Tables built on one store under several objectives cluster each segment
+    they share once.
+    """
+
+    def __init__(self, network: DynamicNetwork):
+        self.network = network
+        self._memo: dict[tuple[ConsensusSpec, int, int], _Segment] = {}
+
+    def segment(
+        self, consensus: ConsensusSpec, start: int, end: int, with_ll: bool = False
+    ) -> _Segment:
+        """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
+        seg = self._memo.get((consensus, start, end))
+        if seg is None:
+            p = segment_partition(self.network, (start, end), consensus)
+            seg = _Segment(p, objectives.segment_num_parameters(p))
+            self._memo[consensus, start, end] = seg
+        if with_ll and seg.log_likelihood is None:
+            seg.log_likelihood = objectives.segment_log_likelihood(
+                self.network, start, end, seg.partition
+            )
+        return seg
 
 
 class _SegmentScorer:
-    """The one place a segment's terms are computed, memoized by (start, end).
+    """One table's objective-dependent segment scores, memoized by (start, end).
 
     The per-segment score composes additively across a segmentation: for
     fit-based objectives it is the plain sum of per-snapshot fits (the 1/k
     normalization is constant per network and argmax-invariant); for
     criterion-based objectives it is the segment log-likelihood minus the
     penalty weight times the segment's parameter count.  Fit objectives
-    need the log-likelihood only for segments that end up in table entries,
-    so there it is computed on first use.
+    need the log-likelihood only for segments that end up in table entries.
     """
 
-    def __init__(self, network: DynamicNetwork, spec: SearchSpec):
+    def __init__(
+        self, network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None
+    ):
+        if store is None:
+            store = SegmentStore(network)
+        elif store.network is not network:
+            raise ValueError("segment store was built for another network")
+        self.store = store
         self.network = network
         self.consensus = ConsensusSpec(
             spec.consensus.method, spec.consensus.clusterer, spec.seed
         )
         self.objective = spec.objective
         self.num_observations = objectives.num_observations(network)
+        self.weight = None  # fit objectives carry no penalty
         if self.objective.family == "qb":
             self.weight = objectives.penalty_weight(
                 self.num_observations, self.objective.criterion
             )
-        else:
-            self.weight = None
-        self.calls = 0
-        self._memo: dict[tuple[int, int], _Segment] = {}
+        self._scores: dict[tuple[int, int], float] = {}
 
-    def _segment(self, start: int, end: int) -> _Segment:
-        key = (start, end)
-        seg = self._memo.get(key)
-        if seg is None:
-            p = segment_partition(self.network, key, self.consensus)
-            self.calls += 1
-            n_par = objectives.segment_num_parameters(p)
+    def score(self, start: int, end: int) -> float:
+        s = self._scores.get((start, end))
+        if s is None:
             if self.weight is None:
+                p = self.store.segment(self.consensus, start, end).partition
                 s = sum(
                     objectives.snapshot_fit(self.objective.fit, p, self.network[j])
                     for j in range(start, end + 1)
                 )
-                seg = _Segment(p, s, None, n_par)
             else:
-                ll = objectives.segment_log_likelihood(self.network, start, end, p)
-                seg = _Segment(p, ll - self.weight * n_par, ll, n_par)
-            self._memo[key] = seg
-        return seg
-
-    def score(self, start: int, end: int) -> float:
-        return self._segment(start, end).score
+                seg = self.store.segment(self.consensus, start, end, with_ll=True)
+                s = seg.log_likelihood - self.weight * seg.num_parameters
+            self._scores[start, end] = s
+        return s
 
     def entry_for(self, points: tuple[int, ...]) -> CscdEntry:
         """Table entry of a change point set, summed left to right from the memo."""
@@ -147,13 +167,9 @@ class _SegmentScorer:
         parts: list[Partition] = []
         raw, ll, n_par = 0.0, 0.0, 0
         for start, end in cps.segmentation():
-            seg = self._segment(start, end)
-            if seg.log_likelihood is None:
-                seg.log_likelihood = objectives.segment_log_likelihood(
-                    self.network, start, end, seg.partition
-                )
+            raw += self.score(start, end)
+            seg = self.store.segment(self.consensus, start, end, with_ll=True)
             parts.append(seg.partition)
-            raw += seg.score
             ll += seg.log_likelihood
             n_par += seg.num_parameters
         return CscdEntry(
@@ -167,103 +183,90 @@ class _SegmentScorer:
         entries = {l: self.entry_for(pts) for l, pts in per_l_points.items()}
         return CscdTable(
             entries=entries,
-            consensus_calls=self.calls,
+            consensus_calls=len(self._scores),  # distinct segments asked for
             num_observations=self.num_observations,
             objective=self.objective,
         )
 
 
-def exhaustive_search(network: DynamicNetwork, spec: SearchSpec) -> CscdTable:
+def exhaustive_search(
+    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
+) -> CscdTable:
     """Optimal table via dynamic programming over last-segment start times.
 
     best[i][l] scores the best l-segment solution of the first i snapshots;
     it extends best[t][l-1] with the one-segment suffix [t, i-1].  Ties keep
     the smallest last-segment start time.
     """
-    scorer = _SegmentScorer(network, spec)
+    scorer = _SegmentScorer(network, spec, store)
     k = network.k
-    best: list[dict[int, float]] = [dict() for _ in range(k + 1)]
-    back: list[dict[int, int]] = [dict() for _ in range(k + 1)]
-    best[0][0] = 0.0
+    best: list[dict[int, float]] = [{0: 0.0}] + [{} for _ in range(k)]
+    back: list[dict[int, int]] = [{} for _ in range(k + 1)]
     for i in range(1, k + 1):
         for l in range(1, i + 1):
-            chosen_t, chosen = None, None
-            t_range = (0,) if l == 1 else range(l - 1, i)
-            for t in t_range:
-                if l - 1 not in best[t]:
-                    continue
-                cand = best[t][l - 1] + scorer.score(t, i - 1)
-                if chosen is None or cand > chosen:
-                    chosen_t, chosen = t, cand
-            best[i][l] = chosen
-            back[i][l] = chosen_t
+            def extend(t: int) -> float:
+                return best[t][l - 1] + scorer.score(t, i - 1)
+
+            t = max((0,) if l == 1 else range(l - 1, i), key=extend)
+            best[i][l], back[i][l] = extend(t), t
 
     per_l: dict[int, tuple[int, ...]] = {}
     for l in range(1, k + 1):
-        points: list[int] = []
-        i, ll = k, l
-        while ll > 1:
-            t = back[i][ll]
-            points.append(t)
-            i, ll = t, ll - 1
+        points, i = [], k
+        for ll in range(l, 1, -1):
+            i = back[i][ll]
+            points.append(i)
         per_l[l] = tuple(reversed(points))
     return scorer.table(per_l)
 
 
-def top_down_search(network: DynamicNetwork, spec: SearchSpec) -> CscdTable:
+def top_down_search(
+    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
+) -> CscdTable:
     """Greedy splitting from one whole-network segment down to singletons.
 
     Each iteration inserts the untaken time point whose split yields the
     largest objective gain; equal gains go to the smallest time point.
     """
-    scorer = _SegmentScorer(network, spec)
+    scorer = _SegmentScorer(network, spec, store)
     k = network.k
     points: list[int] = []
     per_l: dict[int, tuple[int, ...]] = {1: ()}
-    scorer.score(0, k - 1)
     for l in range(2, k + 1):
-        taken = set(points)
         cps = ChangePointSet(tuple(points), k)
-        best_t, best_gain = None, None
-        for t in range(1, k):
-            if t in taken:
-                continue
-            start, end = cps.segmentation().segments[cps.seg_index(t)]
-            gain = (
-                scorer.score(start, t - 1)
-                + scorer.score(t, end)
-                - scorer.score(start, end)
-            )
-            if best_gain is None or gain > best_gain:
-                best_t, best_gain = t, gain
-        points.append(best_t)
+        segments = cps.segmentation().segments
+
+        def gain(t: int) -> float:
+            start, end = segments[cps.seg_index(t)]
+            return scorer.score(start, t - 1) + scorer.score(t, end) - scorer.score(start, end)
+
+        points.append(max((t for t in range(1, k) if t not in points), key=gain))
         points.sort()
         per_l[l] = tuple(points)
     return scorer.table(per_l)
 
 
-def bottom_up_search(network: DynamicNetwork, spec: SearchSpec) -> CscdTable:
+def bottom_up_search(
+    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
+) -> CscdTable:
     """Greedy merging from singleton segments up to one whole-network segment.
 
     Each iteration removes the change point whose merge yields the largest
     objective gain; equal gains go to the leftmost pair.
     """
-    scorer = _SegmentScorer(network, spec)
+    scorer = _SegmentScorer(network, spec, store)
     k = network.k
     points = list(range(1, k))
     per_l: dict[int, tuple[int, ...]] = {k: tuple(points)}
-    for j in range(k):
-        scorer.score(j, j)
     for l in range(k - 1, 0, -1):
         cps = ChangePointSet(tuple(points), k)
         segs = cps.segmentation().segments
-        best_idx, best_gain = None, None
-        for idx in range(len(segs) - 1):
+
+        def gain(idx: int) -> float:
             (s1, e1), (s2, e2) = segs[idx], segs[idx + 1]
-            gain = scorer.score(s1, e2) - scorer.score(s1, e1) - scorer.score(s2, e2)
-            if best_gain is None or gain > best_gain:
-                best_idx, best_gain = idx, gain
-        points.remove(segs[best_idx + 1][0])
+            return scorer.score(s1, e2) - scorer.score(s1, e1) - scorer.score(s2, e2)
+
+        points.remove(segs[max(range(len(segs) - 1), key=gain) + 1][0])
         per_l[l] = tuple(points)
     return scorer.table(per_l)
 
@@ -275,8 +278,11 @@ _SEARCHES = {
 }
 
 
-def build_table(network: DynamicNetwork, spec: SearchSpec) -> CscdTable:
-    return _SEARCHES[spec.strategy](network, spec)
+def build_table(
+    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
+) -> CscdTable:
+    """The spec's table; pass one store to share segment terms across objectives."""
+    return _SEARCHES[spec.strategy](network, spec, store)
 
 
 def solve_cscd(network: DynamicNetwork, l: int, spec: SearchSpec) -> ScdOutput:

@@ -36,6 +36,7 @@ from dynseg.objectives import (
 )
 from dynseg.search import (
     SearchSpec,
+    SegmentStore,
     bottom_up_search,
     build_table,
     exhaustive_search,
@@ -184,14 +185,15 @@ def detection_grid():
             )
             net, truth = generate(cfg)
             det_seed = derive_seed(BASE_SEED, "grid-detect", l, i)
-            table_bic = build_table(net, SearchSpec(seed=det_seed))
+            store = SegmentStore(net)  # BIC and AIC share each segment's clustering
+            table_bic = build_table(net, SearchSpec(seed=det_seed), store)
             chosen_bic = table_bic.select(Criterion.BIC)
             out = table_bic.entry(chosen_bic).output
             table_aic = build_table(net, SearchSpec(
                 objective=ObjectiveSpec.qb(Criterion.AIC),
                 selection=Criterion.AIC,
                 seed=det_seed,
-            ))
+            ), store)
             row = {
                 "sim_b": sim_b(out, truth, PartitionMetric.NMI, net),
                 "l_bic": chosen_bic,

@@ -1,7 +1,13 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import dynseg
 from dynseg import cli, static_cluster
 from dynseg.cli import main
 from dynseg.dyngraph import (
@@ -329,6 +335,77 @@ class TestBenchmark:
         assert run(capsys, *self.BASE, "--jobs", "1", "--output", str(out1))[0] == 0
         assert run(capsys, *self.BASE, "--jobs", "3", "--output", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """Replaces the process pool with one that records its ``max_workers``
+        and runs tasks inline, so the tests that use it start no process."""
+        created = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return created
+
+    @pytest.mark.parametrize("cpus, instances, workers", [
+        (3, "2", [3]),     # capped by the CPU count (4 tasks)
+        (8, "1", [2]),     # capped by the task count
+        (1, "2", []),      # one worker: runs in-process, no pool
+        (None, "2", []),   # unknown CPU count counts as one
+    ])
+    def test_worker_count_capped(self, tmp_path, capsys, monkeypatch, inline_pool,
+                                 cpus, instances, workers):
+        args = list(self.BASE)
+        args[args.index("--instances") + 1] = instances
+        serial, pooled = tmp_path / "serial.txt", tmp_path / "pooled.txt"
+        assert run(capsys, *args, "--output", str(serial))[0] == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run(capsys, *args, "--jobs", "64", "--output", str(pooled))[0] == 0
+        assert inline_pool == workers
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--l-values", "1,9"), "l <= k"),
+        (("--cmin", "11"), "2*c_min <= n"),
+        (("--l-values", "2,1,2"), "--l-values repeats a segment count: 2,1,2"),
+    ])
+    def test_bad_grid_rejected_before_workers(self, tmp_path, capsys, monkeypatch,
+                                              inline_pool, flags, message):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        out = tmp_path / "report.txt"
+        code, stdout, err = run(capsys, *self.BASE, *flags, "--jobs", "2",
+                                "--output", str(out))
+        assert code == 1
+        assert message in err
+        assert inline_pool == []
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the lowered limit")
+    def test_worker_error_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(static_cluster, "WALKTRAP_MAX_NODES", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, stdout, err = run(capsys, *self.BASE, "--jobs", "2")
+        assert code == 1
+        assert "WALKTRAP_MAX_NODES" in err and stdout == ""
+
+    def test_import_does_not_load_process_pool(self):
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        code = ("import sys, dynseg.cli; "
+                "sys.exit(int('concurrent.futures.process' in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestUsageErrors:

@@ -18,10 +18,12 @@ from dynseg.objectives import (
     segment_log_likelihood,
     snapshot_fit,
 )
+from dynseg import search
 from dynseg.search import (
     CscdEntry,
     CscdTable,
     SearchSpec,
+    SegmentStore,
     bottom_up_search,
     build_table,
     exhaustive_search,
@@ -287,3 +289,75 @@ class TestTableFromMemo:
             else:
                 expected = q_p(out, net, objective.fit)
             assert entry.score == pytest.approx(expected)
+
+
+def _assert_same_table(t, ref):
+    assert t.consensus_calls == ref.consensus_calls
+    assert t.num_observations == ref.num_observations
+    assert t.objective == ref.objective
+    assert sorted(t.entries) == sorted(ref.entries)
+    for l, e in t.entries.items():
+        r = ref.entries[l]
+        assert e.score == r.score
+        assert e.log_likelihood == r.log_likelihood
+        assert e.num_parameters == r.num_parameters
+        assert e.output.change_points == r.output.change_points
+        assert [p.assignment for p in e.output.partitions] == [
+            p.assignment for p in r.output.partitions
+        ]
+
+
+class TestSegmentStore:
+    """Tables built on one shared store equal tables built alone, while each
+    distinct segment is clustered once."""
+
+    OBJECTIVES = [
+        ObjectiveSpec.qb(Criterion.BIC),
+        ObjectiveSpec.qb(Criterion.AIC),
+        ObjectiveSpec.qp(FitMeasure.MODULARITY),
+    ]
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
+    def test_shared_store_equals_fresh_tables(self, strategy, monkeypatch):
+        net = _network(k=6, seed=21, l=3)
+        specs = [_spec(strategy=strategy, objective=o, seed=7) for o in self.OBJECTIVES]
+        fresh = [build_table(net, spec) for spec in specs]
+
+        clustered = []
+        real = search.segment_partition
+
+        def counting(network, segment, consensus):
+            clustered.append(segment)
+            return real(network, segment, consensus)
+
+        monkeypatch.setattr(search, "segment_partition", counting)
+        store = SegmentStore(net)
+        shared = [build_table(net, spec, store) for spec in specs]
+        for t, ref in zip(shared, fresh):
+            _assert_same_table(t, ref)
+        assert len(clustered) == len(set(clustered))
+        assert len(clustered) < sum(t.consensus_calls for t in shared)
+
+    def test_store_keyed_by_consensus_spec_and_seed(self):
+        net = _network(k=5, seed=0, l=2)
+        specs = [
+            SearchSpec(strategy="exhaustive", seed=seed,
+                       consensus=ConsensusSpec("sum-graph", ClustererSpec(kind)))
+            for kind in ("louvain", "label-propagation") for seed in (1, 2)
+        ]
+        fresh = [build_table(net, spec) for spec in specs]
+        # every spec clusters some segment differently, so a coarser key would show
+        outputs = {
+            tuple(tuple(sorted(p.assignment.items()))
+                  for e in t.entries.values() for p in e.output.partitions)
+            for t in fresh
+        }
+        assert len(outputs) == len(specs)
+        store = SegmentStore(net)
+        for spec, ref in zip(specs, fresh):
+            _assert_same_table(build_table(net, spec, store), ref)
+
+    def test_store_of_another_network_rejected(self):
+        net, other = _network(k=4, seed=1), _network(k=4, seed=1)
+        with pytest.raises(ValueError, match="another network"):
+            build_table(net, _spec(), SegmentStore(other))
