@@ -129,10 +129,9 @@ def co_occurrence_weights(
 def consensus_matrix(
     network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
 ) -> Partition:
-    start, end = segment
-    nodes = network.segment_nodes(start, end)
+    labels, _, _ = _segment_edges(network, *segment)
     weights = co_occurrence_weights(network, segment, clusterer)
-    m_graph = WeightedGraph(nodes, weights)
+    m_graph = WeightedGraph(labels, weights)
     final_spec = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-final"))
     return cluster(m_graph, final_spec)
 

@@ -33,7 +33,7 @@ def _canonical_edge(u: str, v: str) -> tuple[str, str]:
 class Snapshot:
     """One static graph: a node set and a set of undirected simple edges."""
 
-    __slots__ = ("nodes", "edges", "_adj")
+    __slots__ = ("nodes", "edges")
 
     def __init__(self, nodes: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
         node_set = set(nodes)
@@ -46,7 +46,6 @@ class Snapshot:
             edge_set.add(_canonical_edge(u, v))
         self.nodes: frozenset[str] = frozenset(node_set)
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        self._adj: dict[str, frozenset[str]] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -55,18 +54,6 @@ class Snapshot:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        if self._adj is None:
-            adj: dict[str, set[str]] = {u: set() for u in self.nodes}
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = {u: frozenset(vs) for u, vs in adj.items()}
-        return self._adj
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return _canonical_edge(u, v) in self.edges
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,13 +152,6 @@ class DynamicNetwork:
     @property
     def k(self) -> int:
         return len(self.snapshots)
-
-    def segment_nodes(self, start: int, end: int) -> frozenset[str]:
-        """Union of the node sets of snapshots start..end inclusive."""
-        out: set[str] = set()
-        for j in range(start, end + 1):
-            out |= self.snapshots[j].nodes
-        return frozenset(out)
 
     def __getitem__(self, j: int) -> Snapshot:
         return self.snapshots[j]
@@ -358,9 +338,10 @@ class ScdOutput:
         """Check the per-segment domains against a network; raises on mismatch."""
         if network.k != self.k:
             raise ValueError(f"output covers k={self.k}, network has k={network.k}")
+        labels = network.arrays.labels
         for p, (start, end) in zip(self.partitions, self.segmentation()):
-            expected = network.segment_nodes(start, end)
-            if p.domain != expected:
+            ids = np.unique(network.arrays.segment_node_ids(start, end))
+            if p.domain != {labels[i] for i in ids.tolist()}:
                 raise ValueError(
                     f"segment [{start},{end}] partition domain does not match "
                     "the union of its snapshot node sets"
@@ -423,7 +404,13 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
 
 
 def dump_dynamic_network(network: DynamicNetwork) -> str:
-    """Canonical text form; loading it back reproduces the network."""
+    """Canonical text form; loading it back reproduces the network.
+
+    The format holds no snapshot after the last record, so a network whose
+    last snapshot is empty cannot be written and raises ValueError.
+    """
+    if not network.snapshots[-1].nodes:
+        raise ValueError("the last snapshot is empty; the format cannot express it")
     out: list[str] = []
     for t, g in enumerate(network.snapshots):
         covered = {u for e in g.edges for u in e}
@@ -431,7 +418,7 @@ def dump_dynamic_network(network: DynamicNetwork) -> str:
             out.append(f"{t} {u}")
         for u, v in sorted(g.edges):
             out.append(f"{t} {u} {v}")
-    return "\n".join(out) + ("\n" if out else "")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .dyngraph import DynamicNetwork, Partition, ScdOutput
 
@@ -344,5 +344,5 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestResult:
             statistic=math.copysign(math.inf, mean), p_value=0.0, degenerate=True
         )
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 1))
+    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))  # Student t CDF at -|t|
     return TTestResult(statistic=t, p_value=p)

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dyngraph import DynamicNetwork, Partition, ScdOutput, Snapshot
+from .dyngraph import DynamicNetwork, Partition, ScdOutput
 
 
 class FitMeasure(str, Enum):
@@ -28,13 +28,6 @@ class FitMeasure(str, Enum):
     CONDUCTANCE = "conductance"
     NORMALIZED_CUT = "ncut"
     AVERAGE_ODF = "avgodf"
-
-
-LOSS_MEASURES = (
-    FitMeasure.CONDUCTANCE,
-    FitMeasure.NORMALIZED_CUT,
-    FitMeasure.AVERAGE_ODF,
-)
 
 
 class Criterion(str, Enum):
@@ -69,105 +62,16 @@ class ObjectiveSpec:
         return cls("qb", criterion=criterion)
 
 
-def _cluster_stats(p: Partition, g: Snapshot):
-    """Per-cluster (n_c, m_c, b_c, degree list) after restricting p to g."""
-    restricted = p.restrict(g.nodes)
-    if len(restricted.assignment) != len(g.nodes):
-        missing = sorted(g.nodes - restricted.domain)[:3]
-        raise ValueError(f"partition does not cover snapshot nodes, e.g. {missing}")
-    assign = restricted.assignment
-    clusters = restricted.clusters()
-    m_c = {cid: 0 for cid in clusters}
-    b_c = {cid: 0 for cid in clusters}
-    for u, v in g.edges:
-        cu, cv = assign[u], assign[v]
-        if cu == cv:
-            m_c[cu] += 1
-        else:
-            b_c[cu] += 1
-            b_c[cv] += 1
-    return restricted, clusters, m_c, b_c
-
-
-def modularity(p: Partition, g: Snapshot) -> float:
-    """Newman-Girvan modularity of p restricted to g's nodes; 0 on empty graphs."""
-    m = g.num_edges
-    if m == 0:
-        return 0.0
-    restricted, clusters, m_c, b_c = _cluster_stats(p, g)
-    adj = g.adjacency()
-    q = 0.0
-    for cid, members in clusters.items():
-        d_c = sum(len(adj[u]) for u in members)
-        q += m_c[cid] / m - (d_c / (2.0 * m)) ** 2
-    return q
-
-
-def loss_fit(kind: FitMeasure, p: Partition, g: Snapshot) -> float:
-    """One of the three loss-like fit measures, as printed (lower is better).
-
-    Conductance per cluster is b_c / (2 m_c + n_c); normalized cut adds the
-    complementary term b_c / (2 (m - m_c) + n_c); average-ODF averages each
-    node's fraction of neighbors outside its cluster.  A zero-edge snapshot
-    scores 0 and a degree-0 node contributes 0 to average-ODF.
-    """
-    if kind not in LOSS_MEASURES:
-        raise ValueError(f"{kind} is not a loss-like measure")
-    m = g.num_edges
-    if m == 0:
-        return 0.0
-    restricted, clusters, m_c, b_c = _cluster_stats(p, g)
-    n_clusters = len(clusters)
-    adj = g.adjacency()
-    total = 0.0
-    for cid, members in clusters.items():
-        n_c = len(members)
-        if kind is FitMeasure.CONDUCTANCE:
-            total += b_c[cid] / (2.0 * m_c[cid] + n_c)
-        elif kind is FitMeasure.NORMALIZED_CUT:
-            total += b_c[cid] / (2.0 * m_c[cid] + n_c)
-            total += b_c[cid] / (2.0 * (m - m_c[cid]) + n_c)
-        else:  # average out-degree fraction
-            acc = 0.0
-            for u in members:
-                deg = len(adj[u])
-                if deg == 0:
-                    continue
-                outside = sum(1 for v in adj[u] if restricted.assignment[v] != cid)
-                acc += outside / deg
-            total += acc / n_c
-    return total / n_clusters
-
-
-def snapshot_fit(fit: FitMeasure, p: Partition, g: Snapshot) -> float:
-    """The fit measure oriented so that larger is better (1 - loss for losses)."""
-    if fit is FitMeasure.MODULARITY:
-        return modularity(p, g)
-    return 1.0 - loss_fit(fit, p, g)
-
-
-def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
-    """Mean per-snapshot fit of the output's segment partitions."""
-    total = 0.0
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
-        for j in range(start, end + 1):
-            total += snapshot_fit(fit, p, network[j])
-    return total / network.k
-
-
-# ---------------------------------------------------------------------------
-# Blockmodel likelihood and information criteria
-# ---------------------------------------------------------------------------
-
-def _segment_counts(
+def _segment_clusters(
     network: DynamicNetwork, start: int, end: int, p: Partition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blockmodel counts of snapshots start..end under p, from the id arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster coding of snapshots start..end under p, from the id arrays.
 
-    Cluster a is the a-th smallest cluster id of p.  Returns the C x C edge
-    and node-pair counts, upper triangular (a <= b), and the per-snapshot
-    cluster sizes (one row per snapshot).  Labels of p outside the network
-    are ignored.
+    Cluster a is the a-th smallest cluster id of p; labels of p outside the
+    network are ignored.  Returns the code of every label id (-1 where p has
+    none), the code and the snapshot (0-based within the segment) of every
+    entry of the segment's node slice, and the cluster sizes, one row per
+    snapshot.  Raises if p misses a node of some snapshot.
     """
     cids = sorted(set(p.assignment.values()))
     code = {cid: a for a, cid in enumerate(cids)}
@@ -181,16 +85,107 @@ def _segment_counts(
     nc, span = len(cids), end - start + 1
 
     zn = z[arrays.segment_node_ids(start, end)]
-    # snapshot (0-based within the segment) of every entry of zn
     snap = np.repeat(np.arange(span), np.diff(arrays.node_offsets[start:end + 2]))
     missing = np.flatnonzero(zn < 0)
     if len(missing):
         raise ValueError(f"partition does not cover snapshot {start + snap[missing[0]]}")
     sizes = np.bincount(snap * nc + zn, minlength=span * nc).reshape(span, nc)
+    return z, zn, snap, sizes
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right."""
+    if not terms.shape[1]:
+        return np.zeros(len(terms))
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def snapshot_fit(
+    fit: FitMeasure, network: DynamicNetwork, start: int, end: int, p: Partition
+) -> list[float]:
+    """Fit of p on each snapshot start..end, in time order; larger is better.
+
+    Modularity is Newman-Girvan's; the loss-like measures enter as 1 - loss.
+    Conductance per cluster is b_c / (2 m_c + n_c); normalized cut adds the
+    complementary term b_c / (2 (m - m_c) + n_c); average-ODF averages each
+    node's fraction of neighbours outside its cluster, a degree-0 node
+    counting 0.  A loss is the mean over the clusters present in the
+    snapshot.  A snapshot without edges has modularity 0 and loss 0.
+    Cluster terms are added in cluster-id order, so no value depends on
+    string hashing.
+    """
+    z, zn, snap, sizes = _segment_clusters(network, start, end, p)
+    span, nc = sizes.shape
+    arrays = network.arrays
+    u, v = arrays.segment_edges(start, end)
+    m = np.diff(arrays.edge_offsets[start:end + 2])
+    esnap = np.repeat(np.arange(span), m)
+    a, b = z[u], z[v]
+    cut = a != b
+
+    def per_cluster(s, c, weights=None):
+        return np.bincount(s * nc + c, weights, minlength=span * nc).reshape(span, nc)
+
+    m_c = per_cluster(esnap[~cut], a[~cut])
+    b_c = per_cluster(esnap[cut], a[cut]) + per_cluster(esnap[cut], b[cut])
+    has_edges = m > 0
+    m_col = np.maximum(m, 1)[:, None]  # edgeless rows are replaced below
+    if fit is FitMeasure.MODULARITY:
+        q = _row_sums(m_c / m_col - ((2 * m_c + b_c) / (2.0 * m_col)) ** 2)
+        return np.where(has_edges, q, 0.0).tolist()
+
+    present = sizes > 0
+    if fit is FitMeasure.AVERAGE_ODF:
+        # each edge end's position in the node slice, by (snapshot, id) key
+        width = len(arrays.labels)
+        keys = snap * width + arrays.segment_node_ids(start, end)
+        ends = np.concatenate([
+            np.searchsorted(keys, esnap * width + u), np.searchsorted(keys, esnap * width + v)
+        ])
+        deg = np.bincount(ends, minlength=len(keys))
+        outside = np.bincount(ends[np.tile(cut, 2)], minlength=len(keys))
+        odf = np.divide(outside, deg, out=np.zeros(len(keys)), where=deg > 0)
+        acc = per_cluster(snap, zn, odf)  # added in node-id order
+        terms = np.divide(acc, sizes, out=np.zeros(sizes.shape), where=present)
+    else:
+        terms = np.divide(b_c, 2.0 * m_c + sizes, out=np.zeros(sizes.shape), where=present)
+        if fit is FitMeasure.NORMALIZED_CUT:
+            other = np.divide(
+                b_c, 2.0 * (m[:, None] - m_c) + sizes, out=np.zeros(sizes.shape), where=present
+            )
+            terms = np.stack([terms, other], axis=2).reshape(span, 2 * nc)
+    n_clusters = present.sum(axis=1)
+    loss = np.divide(_row_sums(terms), n_clusters, out=np.zeros(span), where=has_edges)
+    return (1.0 - loss).tolist()
+
+
+def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
+    """Mean per-snapshot fit of the output's segment partitions."""
+    total = 0.0
+    for p, (start, end) in zip(output.partitions, output.segmentation()):
+        for value in snapshot_fit(fit, network, start, end, p):
+            total += value
+    return total / network.k
+
+
+# ---------------------------------------------------------------------------
+# Blockmodel likelihood and information criteria
+# ---------------------------------------------------------------------------
+
+def _segment_counts(
+    network: DynamicNetwork, start: int, end: int, p: Partition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blockmodel counts of snapshots start..end under p, from the id arrays.
+
+    Returns the C x C edge and node-pair counts, upper triangular (a <= b),
+    and the per-snapshot cluster sizes, all coded as by _segment_clusters.
+    """
+    z, _, _, sizes = _segment_clusters(network, start, end, p)
+    nc = sizes.shape[1]
     pairs = np.triu(sizes.T @ sizes, 1)
     np.fill_diagonal(pairs, (sizes * (sizes - 1) // 2).sum(axis=0))
 
-    u, v = arrays.segment_edges(start, end)
+    u, v = network.arrays.segment_edges(start, end)
     a, b = z[u], z[v]
     edges = np.bincount(np.minimum(a, b) * nc + np.maximum(a, b), minlength=nc * nc)
     return edges.reshape(nc, nc), pairs, sizes
@@ -244,7 +239,8 @@ def num_parameters(output: ScdOutput) -> int:
 
 def num_observations(network: DynamicNetwork) -> int:
     """Node pairs observed across all snapshots."""
-    return sum(g.num_nodes * (g.num_nodes - 1) // 2 for g in network.snapshots)
+    n = np.diff(network.arrays.node_offsets)
+    return int((n * (n - 1) // 2).sum())
 
 
 def penalty_weight(n_o: int, criterion: Criterion) -> float:

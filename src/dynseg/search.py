@@ -151,10 +151,7 @@ class _SegmentScorer:
         if s is None:
             if self.weight is None:
                 p = self.store.segment(self.consensus, start, end).partition
-                s = sum(
-                    objectives.snapshot_fit(self.objective.fit, p, self.network[j])
-                    for j in range(start, end + 1)
-                )
+                s = sum(objectives.snapshot_fit(self.objective.fit, self.network, start, end, p))
             else:
                 seg = self.store.segment(self.consensus, start, end, with_ll=True)
                 s = seg.log_likelihood - self.weight * seg.num_parameters

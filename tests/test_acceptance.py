@@ -49,6 +49,10 @@ GRID_L = (1, 2, 4, 8, 16)
 GRID_INSTANCES = 10
 
 
+def has_edge(g, u, v):
+    return (min(u, v), max(u, v)) in g.edges
+
+
 def report(name, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
     print(line)
@@ -327,10 +331,10 @@ def test_criterion_8_generator_statistics():
                 for v in nodes[idx + 1:]:
                     if assign[u] == assign[v]:
                         intra_pairs += 1
-                        intra_edges += g.has_edge(u, v)
+                        intra_edges += has_edge(g, u, v)
                     else:
                         inter_pairs += 1
-                        inter_edges += g.has_edge(u, v)
+                        inter_edges += has_edge(g, u, v)
     elapsed = time.perf_counter() - started
     f_in = intra_edges / intra_pairs
     f_out = inter_edges / inter_pairs

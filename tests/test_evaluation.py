@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
+
+import dynseg
 
 from dynseg.dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput, Snapshot
 from dynseg.evaluation import (
@@ -473,6 +478,21 @@ class TestPairedTTest:
         tail, _ = integrate.quad(pdf, abs(t), np.inf)
         assert res.p_value == pytest.approx(2 * tail, abs=1e-6)
         assert res.statistic == pytest.approx(t)
+
+    def test_p_value_equals_scipy_t_distribution(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 5, 12, 40):
+            for shift in (0.0, 0.3, 2.0):
+                xs = rng.normal(size=n) + shift
+                ys = rng.normal(size=n)
+                res = paired_t_test(xs.tolist(), ys.tolist())
+                assert res.p_value == 2.0 * float(stats.t.sf(abs(res.statistic), n - 1))
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        code = "import sys, dynseg.cli; sys.exit(int('scipy.stats' in sys.modules))"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

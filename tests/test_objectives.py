@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import dynseg
 from dynseg.dyngraph import (
     ChangePointSet,
     DynamicNetwork,
@@ -18,8 +22,6 @@ from dynseg.objectives import (
     FitMeasure,
     _segment_counts,
     log_likelihood,
-    loss_fit,
-    modularity,
     num_observations,
     num_parameters,
     q_b,
@@ -34,6 +36,19 @@ TRI_SPLIT = Partition.from_clusters([["a", "b", "c"], ["d", "e", "f"]])
 TRI_ONE = Partition.from_clusters([["a", "b", "c", "d", "e", "f"]])
 
 
+def fit_of(fit: FitMeasure, p: Partition, g: Snapshot) -> float:
+    """The fit of p on the one-snapshot network [g]."""
+    return snapshot_fit(fit, DynamicNetwork([g]), 0, 0, p)[0]
+
+
+def modularity_of(p: Partition, g: Snapshot) -> float:
+    return fit_of(FitMeasure.MODULARITY, p, g)
+
+
+def loss_of(kind: FitMeasure, p: Partition, g: Snapshot) -> float:
+    return 1.0 - fit_of(kind, p, g)
+
+
 def _single(snapshot: Snapshot, partition: Partition) -> tuple[DynamicNetwork, ScdOutput]:
     net = DynamicNetwork([snapshot])
     out = ScdOutput(ChangePointSet((), 1), (partition,))
@@ -43,13 +58,13 @@ def _single(snapshot: Snapshot, partition: Partition) -> tuple[DynamicNetwork, S
 class TestModularity:
     def test_two_triangles_split(self):
         # 2 * (3/6 - (6/12)^2) = 0.5
-        assert modularity(TRI_SPLIT, TRIANGLES) == pytest.approx(0.5)
+        assert modularity_of(TRI_SPLIT, TRIANGLES) == pytest.approx(0.5)
 
     def test_one_cluster_is_zero(self):
-        assert modularity(TRI_ONE, TRIANGLES) == pytest.approx(0.0)
+        assert modularity_of(TRI_ONE, TRIANGLES) == pytest.approx(0.0)
 
     def test_split_beats_merged(self):
-        assert modularity(TRI_SPLIT, TRIANGLES) > modularity(TRI_ONE, TRIANGLES)
+        assert modularity_of(TRI_SPLIT, TRIANGLES) > modularity_of(TRI_ONE, TRIANGLES)
 
     def test_one_cluster_zero_on_random_graphs(self):
         rng = np.random.default_rng(5)
@@ -66,23 +81,29 @@ class TestModularity:
             if g.num_edges == 0:
                 continue
             p = Partition.from_clusters([nodes])
-            assert modularity(p, g) == pytest.approx(0.0, abs=1e-12)
+            assert modularity_of(p, g) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_edge_snapshot(self):
         g = Snapshot(["a", "b"], [])
-        assert modularity(Partition.singletons(["a", "b"]), g) == 0.0
+        assert modularity_of(Partition.singletons(["a", "b"]), g) == 0.0
 
     def test_restriction_to_snapshot_nodes(self):
         p = Partition.from_clusters([["a", "b", "zz"], ["c", "d"]])
         g = Snapshot([], [("a", "b"), ("c", "d")])
         # zz not in g; value computed on the restriction
-        assert modularity(p, g) == pytest.approx(0.5)
+        assert modularity_of(p, g) == pytest.approx(0.5)
 
     def test_missing_node_is_error(self):
         p = Partition.from_clusters([["a"]])
         g = Snapshot([], [("a", "b")])
         with pytest.raises(ValueError):
-            modularity(p, g)
+            modularity_of(p, g)
+
+    def test_missing_node_on_edgeless_snapshot_is_error(self):
+        p = Partition.from_clusters([["a"]])
+        for fit in FitMeasure:
+            with pytest.raises(ValueError):
+                fit_of(fit, p, Snapshot(["a", "b"]))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -100,57 +121,58 @@ class TestModularity:
         graph.add_nodes_from(nodes)
         graph.add_edges_from(edges)
         communities = p.restrict(g.nodes).clusters().values()
-        assert modularity(p, g) == pytest.approx(nx.community.modularity(graph, communities))
+        assert modularity_of(p, g) == pytest.approx(nx.community.modularity(graph, communities))
 
 
 class TestLossFits:
     def test_conductance_two_triangles(self):
-        assert loss_fit(FitMeasure.CONDUCTANCE, TRI_SPLIT, TRIANGLES) == 0.0
+        assert loss_of(FitMeasure.CONDUCTANCE, TRI_SPLIT, TRIANGLES) == 0.0
 
     def test_avgodf_two_triangles(self):
-        assert loss_fit(FitMeasure.AVERAGE_ODF, TRI_SPLIT, TRIANGLES) == 0.0
+        assert loss_of(FitMeasure.AVERAGE_ODF, TRI_SPLIT, TRIANGLES) == 0.0
 
     def test_conductance_path(self):
         # path a-b-c split {a,b} {c}: 1/2 * (1/(2*1+2) + 1/(2*0+1)) = 0.625
         g = Snapshot([], [("a", "b"), ("b", "c")])
         p = Partition.from_clusters([["a", "b"], ["c"]])
-        assert loss_fit(FitMeasure.CONDUCTANCE, p, g) == pytest.approx(0.625)
+        assert loss_of(FitMeasure.CONDUCTANCE, p, g) == pytest.approx(0.625)
 
     def test_normalized_cut_path(self):
         # adds b_c / (2(m - m_c) + n_c): 1/2 * ((1/4 + 1/4) + (1/1 + 1/5))
         g = Snapshot([], [("a", "b"), ("b", "c")])
         p = Partition.from_clusters([["a", "b"], ["c"]])
         expected = 0.5 * ((1 / 4 + 1 / (2 * (2 - 1) + 2)) + (1 / 1 + 1 / (2 * 2 + 1)))
-        assert loss_fit(FitMeasure.NORMALIZED_CUT, p, g) == pytest.approx(expected)
+        assert loss_of(FitMeasure.NORMALIZED_CUT, p, g) == pytest.approx(expected)
 
     def test_avgodf_hand_example(self):
         # star a-(b,c,d) plus edge b-c; clusters {a,b,c} {d}
         g = Snapshot([], [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")])
         p = Partition.from_clusters([["a", "b", "c"], ["d"]])
         # a: 1/3 outside, b: 0, c: 0 -> cluster mean 1/9; d: 1/1 -> mean 1
-        assert loss_fit(FitMeasure.AVERAGE_ODF, p, g) == pytest.approx(
+        assert loss_of(FitMeasure.AVERAGE_ODF, p, g) == pytest.approx(
             0.5 * (1 / 9 + 1.0)
         )
 
     def test_degree_zero_node_contributes_zero(self):
         g = Snapshot(["z"], [("a", "b")])
         p = Partition.from_clusters([["a", "b", "z"]])
-        assert loss_fit(FitMeasure.AVERAGE_ODF, p, g) == 0.0
+        assert loss_of(FitMeasure.AVERAGE_ODF, p, g) == 0.0
 
     def test_zero_edge_snapshot_scores_zero(self):
         g = Snapshot(["a", "b"], [])
         for kind in (FitMeasure.CONDUCTANCE, FitMeasure.NORMALIZED_CUT,
                      FitMeasure.AVERAGE_ODF):
-            assert loss_fit(kind, Partition.singletons(["a", "b"]), g) == 0.0
-
-    def test_modularity_not_a_loss(self):
-        with pytest.raises(ValueError):
-            loss_fit(FitMeasure.MODULARITY, TRI_SPLIT, TRIANGLES)
+            assert loss_of(kind, Partition.singletons(["a", "b"]), g) == 0.0
 
     def test_snapshot_fit_orientation(self):
         g = Snapshot([], [("a", "b"), ("b", "c")])
         p = Partition.from_clusters([["a", "b"], ["c"]])
-        assert snapshot_fit(FitMeasure.CONDUCTANCE, p, g) == pytest.approx(0.375)
+        # one value per snapshot in time order: 1 - 0.625, then 1 - 0 (no edges)
+        net = DynamicNetwork([g, Snapshot(["a", "c"]), g])
+        assert snapshot_fit(FitMeasure.CONDUCTANCE, net, 0, 2, p) == pytest.approx(
+            [0.375, 1.0, 0.375]
+        )
+        assert snapshot_fit(FitMeasure.CONDUCTANCE, net, 1, 2, p) == pytest.approx([1.0, 0.375])
 
     def test_against_textbook_conductance(self):
         # sanity only: the shipped denominator uses the cluster's node count;
@@ -175,9 +197,9 @@ class TestLossFits:
             return total / len(clusters)
 
         assert textbook(TRI_SPLIT, TRIANGLES) == 0.0
-        assert loss_fit(FitMeasure.CONDUCTANCE, TRI_SPLIT, TRIANGLES) == 0.0
+        assert loss_of(FitMeasure.CONDUCTANCE, TRI_SPLIT, TRIANGLES) == 0.0
         bad = Partition.from_clusters([["a", "b", "d"], ["c", "e", "f"]])
-        for fn in (textbook, lambda p, g: loss_fit(FitMeasure.CONDUCTANCE, p, g)):
+        for fn in (textbook, lambda p, g: loss_of(FitMeasure.CONDUCTANCE, p, g)):
             assert fn(bad, TRIANGLES) > fn(TRI_SPLIT, TRIANGLES)
 
 
@@ -212,8 +234,38 @@ class TestQp:
                 ChangePointSet(tuple(range(1, k)), k), tuple([p] * k)
             )
             for fit in FitMeasure:
-                direct = sum(snapshot_fit(fit, p, g) for g in net) / k
+                direct = sum(snapshot_fit(fit, net, 0, k - 1, p)) / k
                 assert q_p(out, net, fit) == pytest.approx(direct)
+
+
+# Prints every fit value of a seven-cluster partition over every segment of
+# one generated network; string hashing must not change a single digit.
+HASH_SEED_SCRIPT = """
+from dynseg.dyngraph import Partition
+from dynseg.generator import GeneratorConfig, generate
+from dynseg.objectives import FitMeasure, snapshot_fit
+
+net, _ = generate(GeneratorConfig(k=6, l=2, n=40, c_min=4, c_in=10, c_out=3, seed=5))
+p = Partition({u: i % 7 for i, u in enumerate(net.arrays.labels)})
+for fit in FitMeasure:
+    for start in range(net.k):
+        for end in range(start, net.k):
+            print(fit.value, start, end, *map(repr, snapshot_fit(fit, net, start, end, p)))
+"""
+
+
+def test_fits_do_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(dynseg.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 4 * 21
+    assert outputs[0] == outputs[1]
 
 
 class TestBlockEstimate:

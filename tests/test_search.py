@@ -64,10 +64,7 @@ def brute_force_scores(network, spec):
             for start, end in cps.segmentation():
                 p = segment_partition(network, (start, end), consensus)
                 if spec.objective.family == "qp":
-                    total += sum(
-                        snapshot_fit(spec.objective.fit, p, network[j])
-                        for j in range(start, end + 1)
-                    )
+                    total += sum(snapshot_fit(spec.objective.fit, network, start, end, p))
                 else:
                     n_par = p.num_clusters * (p.num_clusters + 1) // 2
                     total += (

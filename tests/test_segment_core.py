@@ -1,17 +1,21 @@
 """The integer-array segment core checked against string-keyed reference loops.
 
 The references below are the dict-based blockmodel counts, log-likelihood
-loop and sum-graph loop that the array code in ``objectives`` and
-``consensus`` replaced; the array results must equal them exactly.
+loop, per-snapshot fit loops and sum-graph loop that the array code in
+``objectives`` and ``consensus`` replaced.  The array counts,
+log-likelihoods and sum graphs must equal them exactly.  The fit loops add
+their cluster terms in the iteration order of a frozenset of string labels,
+which varies with the hash seed, so the fits agree only to rounding.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynseg.consensus import sum_graph
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot, load_dynamic_network
-from dynseg.objectives import _segment_counts, segment_log_likelihood
+from dynseg.objectives import FitMeasure, _segment_counts, segment_log_likelihood, snapshot_fit
 
 LABELS = ["a", "b", "c", "d", "e", "f"]
 EXTRA = ["x", "y"]  # partition labels that no snapshot holds
@@ -52,6 +56,78 @@ def reference_log_likelihood(network, start, end, p):
         if n - m > 0:
             ll += (n - m) * math.log(1.0 - theta)
     return ll
+
+
+def reference_cluster_stats(p, g):
+    restricted = p.restrict(g.nodes)
+    if len(restricted.assignment) != len(g.nodes):
+        missing = sorted(g.nodes - restricted.domain)[:3]
+        raise ValueError(f"partition does not cover snapshot nodes, e.g. {missing}")
+    assign = restricted.assignment
+    clusters = restricted.clusters()
+    m_c = {cid: 0 for cid in clusters}
+    b_c = {cid: 0 for cid in clusters}
+    for u, v in g.edges:
+        cu, cv = assign[u], assign[v]
+        if cu == cv:
+            m_c[cu] += 1
+        else:
+            b_c[cu] += 1
+            b_c[cv] += 1
+    return restricted, clusters, m_c, b_c
+
+
+def reference_adjacency(g):
+    adj = {u: set() for u in g.nodes}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_modularity(p, g):
+    m = g.num_edges
+    if m == 0:
+        return 0.0
+    _, clusters, m_c, _ = reference_cluster_stats(p, g)
+    adj = reference_adjacency(g)
+    q = 0.0
+    for cid, members in clusters.items():
+        d_c = sum(len(adj[u]) for u in members)
+        q += m_c[cid] / m - (d_c / (2.0 * m)) ** 2
+    return q
+
+
+def reference_loss_fit(kind, p, g):
+    m = g.num_edges
+    if m == 0:
+        return 0.0
+    restricted, clusters, m_c, b_c = reference_cluster_stats(p, g)
+    adj = reference_adjacency(g)
+    total = 0.0
+    for cid, members in clusters.items():
+        n_c = len(members)
+        if kind is FitMeasure.CONDUCTANCE:
+            total += b_c[cid] / (2.0 * m_c[cid] + n_c)
+        elif kind is FitMeasure.NORMALIZED_CUT:
+            total += b_c[cid] / (2.0 * m_c[cid] + n_c)
+            total += b_c[cid] / (2.0 * (m - m_c[cid]) + n_c)
+        else:
+            acc = 0.0
+            for u in members:
+                deg = len(adj[u])
+                if deg == 0:
+                    continue
+                outside = sum(1 for v in adj[u] if restricted.assignment[v] != cid)
+                acc += outside / deg
+            total += acc / n_c
+    return total / len(clusters)
+
+
+def reference_snapshot_fit(fit, p, g):
+    if fit is FitMeasure.MODULARITY:
+        return reference_modularity(p, g)
+    return 1.0 - reference_loss_fit(fit, p, g)
 
 
 def reference_sum_graph(network, start, end):
@@ -132,6 +208,26 @@ def test_uncovered_snapshot_error_matches_reference(case, data):
     except ValueError as exc:
         got = str(exc)
     assert got == expected
+    # the fits share the coverage check, which, unlike the reference fit
+    # loops, also holds on edgeless snapshots
+    fit = data.draw(st.sampled_from(list(FitMeasure)))
+    if expected is None:
+        snapshot_fit(fit, net, start, end, partial)
+    else:
+        with pytest.raises(ValueError, match=expected):
+            snapshot_fit(fit, net, start, end, partial)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cases(), st.sampled_from(list(FitMeasure)))
+def test_snapshot_fit_matches_reference(case, fit):
+    net, start, end, p = case
+    expected = [reference_snapshot_fit(fit, p, net[j]) for j in range(start, end + 1)]
+    assert snapshot_fit(fit, net, start, end, p) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def segment_labels(network, start, end):
+    return frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -140,7 +236,7 @@ def test_sum_graph_matches_string_loop(case):
     net, start, end, _ = case
     sg = sum_graph(net, start, end)
     assert sg.edges == reference_sum_graph(net, start, end)
-    assert sg.nodes == net.segment_nodes(start, end)
+    assert sg.nodes == segment_labels(net, start, end)
 
 
 def test_hand_example_with_gaps_absent_nodes_and_extra_labels():
@@ -157,3 +253,8 @@ def test_hand_example_with_gaps_absent_nodes_and_extra_labels():
                 net, start, end, p
             )
             assert sum_graph(net, start, end).edges == reference_sum_graph(net, start, end)
+            for fit in FitMeasure:
+                expected = [reference_snapshot_fit(fit, p, net[j]) for j in range(start, end + 1)]
+                assert snapshot_fit(fit, net, start, end, p) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-12
+                )
