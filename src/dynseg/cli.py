@@ -202,6 +202,11 @@ def cmd_evaluate(args) -> int:
     if args.input:
         with open(args.input) as fh:
             network = load_dynamic_network(fh)
+        for name, output in (("prediction", pred), ("truth", truth)):
+            try:
+                output.validate_for(network, exact=False)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
     metrics = _parse_metrics(args.metrics)
     lines = []
     for metric in metrics:
@@ -215,13 +220,17 @@ def cmd_evaluate(args) -> int:
 def cmd_rank(args) -> int:
     with open(args.input) as fh:
         network = load_dynamic_network(fh)
+    truth = None
+    if args.truth:
+        with open(args.truth) as fh:
+            truth = load_output(fh)
+        if truth.k != network.k:
+            raise ValueError(f"truth covers k={truth.k}, network has k={network.k}")
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
     table = build_table(network, spec)
     ranking = ranking_from_cscd(table)
     lines = [f"{t}\t{int(ranking.scores[t])}" for t in ranking.ordered()]
-    if args.truth:
-        with open(args.truth) as fh:
-            truth = load_output(fh)
+    if truth is not None:
         scores = change_point_classification(ranking, truth)
         lines.append(f"aupr\t{scores.aupr:.6f}")
         lines.append(f"max_f\t{scores.max_f:.6f}")

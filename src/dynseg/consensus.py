@@ -67,10 +67,7 @@ def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
     counts = np.diff(firsts, append=len(keys)).astype(float)
     a, b = np.divmod(keys[firsts], n)
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for x, y, w in zip(a.tolist(), b.tolist(), counts.tolist()):
-        adj[x][y] = adj[y][x] = w
-    return WeightedGraph.from_adjacency(labels, adj)
+    return WeightedGraph.from_edges(labels, a, b, counts)
 
 
 def consensus_sum_graph(
@@ -91,49 +88,55 @@ def consensus_average_louvain(
     )
 
 
-def co_occurrence_weights(
+def co_occurrence_graph(
     network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
-) -> dict[tuple[str, str], float]:
-    """Fraction of shared snapshots placing each node pair in one cluster.
+) -> WeightedGraph:
+    """Graph of the fraction of shared snapshots placing two nodes in one cluster.
 
-    Pairs never placed together are absent; the denominator counts only
-    snapshots where both nodes are present.
+    Pairs never placed together get no edge; the denominator counts only
+    snapshots where both nodes are present.  Edges come in the order in which
+    their pairs are first placed together, snapshot by snapshot and in (u, v)
+    order within one, because the final clusterer's float sums follow it.
     """
     start, end = segment
-    together: dict[tuple[str, str], int] = {}
-    shared: dict[tuple[str, str], int] = {}
+    arrays = network.arrays
+    seg_ids = np.unique(arrays.segment_node_ids(start, end))
+    n = len(seg_ids)
+    present = np.zeros((end - start + 1, n), dtype=bool)
+    keys = []  # u * n + v of each pair placed together, snapshot by snapshot
     prev: Partition | None = None
     for j in range(start, end + 1):
-        g = network[j]
-        if not g.nodes:
+        ids = arrays.segment_node_ids(j, j)
+        if not ids.size:
             continue
+        u, v = arrays.segment_edges(j, j)
+        labels = tuple(arrays.labels[i] for i in ids.tolist())
+        graph = WeightedGraph.from_edges(
+            labels, np.searchsorted(ids, u), np.searchsorted(ids, v), np.ones(len(u))
+        )
         spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
         # the initialized variant chains each snapshot from its predecessor
-        p = cluster(WeightedGraph.from_snapshot(g), spec_j, init=prev)
-        prev = p
-        ordered = sorted(g.nodes)
-        assign = p.assignment
-        for idx, u in enumerate(ordered):
-            for v in ordered[idx + 1:]:
-                key = (u, v)
-                shared[key] = shared.get(key, 0) + 1
-                if assign[u] == assign[v]:
-                    together[key] = together.get(key, 0) + 1
-    return {
-        key: together[key] / shared[key]
-        for key in together
-        if together[key] > 0
-    }
+        prev = cluster(graph, spec_j, init=prev)
+        member = np.array([prev.assignment[x] for x in labels])
+        local = np.searchsorted(seg_ids, ids)
+        present[j - start, local] = True
+        a, b = np.nonzero(np.triu(member[:, None] == member[None, :], 1))
+        keys.append(local[a] * n + local[b])
+    pairs, first, together = np.unique(
+        np.concatenate(keys), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    a, b = np.divmod(pairs[order], n)
+    shared = np.count_nonzero(present[:, a] & present[:, b], axis=0)
+    labels = tuple(arrays.labels[i] for i in seg_ids.tolist())
+    return WeightedGraph.from_edges(labels, a, b, together[order] / shared)
 
 
 def consensus_matrix(
     network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
 ) -> Partition:
-    labels, _, _ = _segment_edges(network, *segment)
-    weights = co_occurrence_weights(network, segment, clusterer)
-    m_graph = WeightedGraph(labels, weights)
     final_spec = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-final"))
-    return cluster(m_graph, final_spec)
+    return cluster(co_occurrence_graph(network, segment, clusterer), final_spec)
 
 
 def segment_partition(

@@ -334,17 +334,28 @@ class ScdOutput:
         """Segment partition covering snapshot j."""
         return self.partitions[self.change_points.seg_index(j)]
 
-    def validate_for(self, network: DynamicNetwork) -> None:
-        """Check the per-segment domains against a network; raises on mismatch."""
+    def validate_for(self, network: DynamicNetwork, exact: bool = True) -> None:
+        """Check the per-segment domains against a network; raises on mismatch.
+
+        Each segment partition must cover the nodes of the segment's
+        snapshots and, if ``exact``, hold no other node.
+        """
         if network.k != self.k:
             raise ValueError(f"output covers k={self.k}, network has k={network.k}")
         labels = network.arrays.labels
         for p, (start, end) in zip(self.partitions, self.segmentation()):
             ids = np.unique(network.arrays.segment_node_ids(start, end))
-            if p.domain != {labels[i] for i in ids.tolist()}:
+            nodes = {labels[i] for i in ids.tolist()}
+            missing = nodes - p.domain
+            extra = p.domain - nodes if exact else set()
+            if missing or extra:
+                problem = (
+                    f"misses node {min(missing)!r}" if missing
+                    else f"holds node {min(extra)!r}, which none of them has"
+                )
                 raise ValueError(
                     f"segment [{start},{end}] partition domain does not match "
-                    "the union of its snapshot node sets"
+                    f"the union of its snapshot node sets: it {problem}"
                 )
 
 

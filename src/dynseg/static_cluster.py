@@ -13,12 +13,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._seeds import rng_for
-from .dyngraph import Partition, Snapshot
+from .dyngraph import Partition
 
 _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
@@ -31,67 +31,35 @@ WALKTRAP_MAX_NODES = 4000
 _DIST_BLOCK = 1 << 13  # entries per block of walktrap's initial profile differences
 
 
-class WeightedGraph:
+class WeightedGraph(NamedTuple):
     """Undirected graph with positive edge weights and no self-loops.
 
     Held as the sorted node labels plus, per node id, a dict from neighbour
     id to edge weight; clusterers read this adjacency directly.
     """
 
-    __slots__ = ("labels", "adj")
-
-    def __init__(self, nodes, edges: Mapping[tuple[str, str], float]):
-        node_set = set(nodes)
-        canon: dict[tuple[str, str], float] = {}
-        for (u, v), w in edges.items():
-            if u == v:
-                raise ValueError(f"self-loop on node {u!r}")
-            if w <= 0:
-                raise ValueError(f"non-positive weight on edge ({u!r}, {v!r})")
-            node_set.add(u)
-            node_set.add(v)
-            canon[(u, v) if u <= v else (v, u)] = float(w)
-        self.labels: tuple[str, ...] = tuple(sorted(node_set))
-        index = {u: i for i, u in enumerate(self.labels)}
-        # rows fill in edge-insertion order, which fixes the order of every
-        # floating-point sum over a node's fractional edge weights
-        self.adj: list[dict[int, float]] = [{} for _ in self.labels]
-        for (u, v), w in canon.items():
-            iu, iv = index[u], index[v]
-            self.adj[iu][iv] = self.adj[iv][iu] = w
+    labels: tuple[str, ...]
+    adj: list[dict[int, float]]
 
     @classmethod
-    def from_adjacency(
-        cls, labels: tuple[str, ...], adj: list[dict[int, float]]
+    def from_edges(
+        cls, labels: tuple[str, ...], a: np.ndarray, b: np.ndarray, w: np.ndarray
     ) -> "WeightedGraph":
-        """Wrap sorted labels and a symmetric id adjacency without copying."""
-        graph = cls.__new__(cls)
-        graph.labels = labels
-        graph.adj = adj
-        return graph
-
-    @classmethod
-    def from_snapshot(cls, g: Snapshot) -> "WeightedGraph":
-        return cls(g.nodes, {e: 1.0 for e in g.edges})
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.labels)
+        """Edges ``(a[i], b[i])`` of weight ``w[i]`` between ids of ``labels``."""
+        return cls(labels, _rows(len(labels), a, b, w))
 
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self.labels)
 
-    @property
-    def edges(self) -> dict[tuple[str, str], float]:
-        """A fresh {(u, v): weight} dict with u < v."""
-        labels = self.labels
-        return {
-            (labels[u], labels[v]): w
-            for u, nbrs in enumerate(self.adj)
-            for v, w in nbrs.items()
-            if u < v
-        }
+
+def _rows(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
+    # rows fill in input order, which fixes the order of every floating-point
+    # sum over a node's fractional edge weights
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for x, y, z in zip(a.tolist(), b.tolist(), w.tolist()):
+        adj[x][y] = adj[y][x] = z
+    return adj
 
 
 @dataclass(frozen=True)
@@ -155,13 +123,10 @@ class LevelGraph(NamedTuple):
         first = np.diff(edge, prepend=-1) != 0
         weight = np.bincount(np.cumsum(first) - 1, weights=inv_m[snap_of] / num_snaps)
         a, b = np.divmod(edge[first], n)
-        adj: list[dict[int, float]] = [{} for _ in range(n)]
-        for p, q, w in zip(a.tolist(), b.tolist(), weight.tolist()):
-            adj[p][q] = adj[q][p] = w
         deg = np.bincount(u * num_snaps + snap, minlength=n * num_snaps)
         deg += np.bincount(v * num_snaps + snap, minlength=n * num_snaps)
         x = deg.reshape(n, num_snaps) * (math.sqrt(2.0 / num_snaps) / 2.0 * inv_m)
-        return cls(adj, x, 1.0)
+        return cls(_rows(n, a, b, weight), x, 1.0)
 
 
 def _one_level(lg: LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:

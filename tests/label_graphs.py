@@ -1,0 +1,94 @@
+"""Label-keyed graph builders for the tests.
+
+The library builds every ``WeightedGraph`` from id arrays
+(``WeightedGraph.from_edges``).  The tests state their graphs by label, so
+the label-keyed constructor lives here, together with the string-keyed
+co-occurrence count that serves as the reference for
+``consensus.co_occurrence_graph``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from dynseg._seeds import derive_seed
+from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
+from dynseg.static_cluster import ClustererSpec, WeightedGraph, cluster
+
+
+def label_graph(
+    nodes: Iterable[str], edges: Mapping[tuple[str, str], float]
+) -> WeightedGraph:
+    """Graph on ``nodes`` plus every edge endpoint; rows fill in edge order."""
+    node_set = set(nodes)
+    canon: dict[tuple[str, str], float] = {}
+    for (u, v), w in edges.items():
+        if u == v:
+            raise ValueError(f"self-loop on node {u!r}")
+        if w <= 0:
+            raise ValueError(f"non-positive weight on edge ({u!r}, {v!r})")
+        node_set.add(u)
+        node_set.add(v)
+        canon[(u, v) if u <= v else (v, u)] = float(w)
+    labels = tuple(sorted(node_set))
+    index = {u: i for i, u in enumerate(labels)}
+    adj: list[dict[int, float]] = [{} for _ in labels]
+    for (u, v), w in canon.items():
+        iu, iv = index[u], index[v]
+        adj[iu][iv] = adj[iv][iu] = w
+    return WeightedGraph(labels, adj)
+
+
+def snapshot_graph(g: Snapshot) -> WeightedGraph:
+    return label_graph(g.nodes, {e: 1.0 for e in g.edges})
+
+
+def edge_weights(graph: WeightedGraph) -> dict[tuple[str, str], float]:
+    """A fresh {(u, v): weight} dict with u < v."""
+    labels = graph.labels
+    return {
+        (labels[u], labels[v]): w
+        for u, nbrs in enumerate(graph.adj)
+        for v, w in nbrs.items()
+        if u < v
+    }
+
+
+def co_occurrence_weights(
+    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+) -> dict[tuple[str, str], float]:
+    """Fraction of shared snapshots placing each node pair in one cluster.
+
+    Pairs never placed together are absent; the denominator counts only
+    snapshots where both nodes are present.  Keys come in the order in which
+    their pairs are first placed together.
+    """
+    start, end = segment
+    together: dict[tuple[str, str], int] = {}
+    shared: dict[tuple[str, str], int] = {}
+    prev: Partition | None = None
+    for j in range(start, end + 1):
+        g = network[j]
+        if not g.nodes:
+            continue
+        spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
+        p = cluster(snapshot_graph(g), spec_j, init=prev)
+        prev = p
+        ordered = sorted(g.nodes)
+        assign = p.assignment
+        for idx, u in enumerate(ordered):
+            for v in ordered[idx + 1:]:
+                key = (u, v)
+                shared[key] = shared.get(key, 0) + 1
+                if assign[u] == assign[v]:
+                    together[key] = together.get(key, 0) + 1
+    return {key: together[key] / shared[key] for key in together}
+
+
+def reference_co_occurrence_graph(
+    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+) -> WeightedGraph:
+    """The co-occurrence graph built through the label-keyed constructor."""
+    start, end = segment
+    nodes = frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
+    return label_graph(nodes, co_occurrence_weights(network, segment, clusterer))

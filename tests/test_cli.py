@@ -263,6 +263,37 @@ class TestEvaluate:
         assert code == 1
         assert "k=" in err
 
+    def test_network_k_mismatch(self, scg_files, tmp_path, capsys):
+        _, truth = scg_files  # k = 8
+        net = tmp_path / "k6.txt"
+        net.write_text("".join(f"{t} a b\n" for t in range(6)))
+        code, stdout, err = run(capsys, "evaluate", "--pred", str(truth),
+                                "--truth", str(truth), "--input", str(net))
+        assert code == 1
+        assert "k=8" in err and "k=6" in err
+        assert "Traceback" not in err and stdout == ""
+
+    def test_partition_missing_snapshot_node(self, tmp_path, capsys):
+        net = tmp_path / "net.txt"
+        net.write_text("0 a b\n1 a c\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_text("segment 0 1\ncluster 0: a b\n")
+        code, stdout, err = run(capsys, "evaluate", "--pred", str(sol),
+                                "--truth", str(sol), "--input", str(net))
+        assert code == 1
+        assert "segment [0,1]" in err and "misses node 'c'" in err
+        assert "Traceback" not in err and stdout == ""
+
+    def test_partition_superset_accepted(self, tmp_path, capsys):
+        net = tmp_path / "net.txt"
+        net.write_text("0 a b\n1 a b\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_text("segment 0 1\ncluster 0: a b\ncluster 1: c\n")
+        code, stdout, _ = run(capsys, "evaluate", "--pred", str(sol),
+                              "--truth", str(sol), "--input", str(net))
+        assert code == 0
+        assert kv(stdout)["sim_b_nmi"] == ["1.000000"]
+
     def test_unknown_metric(self, scg_files, capsys):
         _, truth = scg_files
         code, _, err = run(capsys, "evaluate", "--pred", str(truth),
@@ -287,6 +318,20 @@ class TestRank:
         assert code == 0
         rows = kv(stdout)
         assert "aupr" in rows and "max_f" in rows and "auroc" in rows
+
+    def test_truth_k_mismatch(self, scg_files, tmp_path, capsys, monkeypatch):
+        net, _ = scg_files  # k = 8
+        truth = tmp_path / "k6.txt"
+        truth.write_text("segment 0 2\ncluster 0: a\nsegment 3 5\ncluster 0: a\n")
+
+        def no_table(*args):
+            raise AssertionError("table built before the truth was checked")
+
+        monkeypatch.setattr(cli, "build_table", no_table)
+        code, stdout, err = run(capsys, "rank", "--input", str(net), "--truth", str(truth))
+        assert code == 1
+        assert "truth covers k=6, network has k=8" in err
+        assert stdout == ""
 
     def test_deterministic(self, scg_files, capsys):
         net, _ = scg_files

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynseg.consensus import (
     ConsensusSpec,
-    co_occurrence_weights,
+    co_occurrence_graph,
     consensus_average_louvain,
     consensus_matrix,
     consensus_sum_graph,
@@ -10,7 +11,10 @@ from dynseg.consensus import (
     sum_graph,
 )
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
-from dynseg.static_cluster import ClustererSpec, WeightedGraph, louvain
+from dynseg.static_cluster import ClustererSpec, louvain
+from label_graphs import (
+    edge_weights, label_graph, reference_co_occurrence_graph, snapshot_graph,
+)
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
              ("d", "e"), ("e", "f"), ("d", "f"), ("c", "d")]
@@ -24,7 +28,7 @@ class TestSumGraph:
         g3 = Snapshot([], [("a", "c")])
         net = DynamicNetwork([g1, g2, g3])
         sg = sum_graph(net, 0, 2)
-        assert sg.edges == {("a", "b"): 2.0, ("b", "c"): 1.0, ("a", "c"): 1.0}
+        assert edge_weights(sg) == {("a", "b"): 2.0, ("b", "c"): 1.0, ("a", "c"): 1.0}
 
     def test_weights_exhaustive_small_segments(self):
         snaps = [
@@ -36,7 +40,7 @@ class TestSumGraph:
         for start in range(3):
             for end in range(start, 3):
                 sg = sum_graph(net, start, end)
-                for edge, w in sg.edges.items():
+                for edge, w in edge_weights(sg).items():
                     count = sum(
                         1 for j in range(start, end + 1) if edge in net[j].edges
                     )
@@ -45,33 +49,33 @@ class TestSumGraph:
                 seen = set()
                 for j in range(start, end + 1):
                     seen |= net[j].edges
-                assert set(sg.edges) == seen
+                assert set(edge_weights(sg)) == seen
 
     def test_disjoint_edge_sets_weight_one(self):
         g1 = Snapshot([], [("a", "b")])
         g2 = Snapshot([], [("c", "d")])
         net = DynamicNetwork([g1, g2])
         sg = sum_graph(net, 0, 1)
-        assert set(sg.edges.values()) == {1.0}
-        assert set(sg.edges) == {("a", "b"), ("c", "d")}
+        assert set(edge_weights(sg).values()) == {1.0}
+        assert set(edge_weights(sg)) == {("a", "b"), ("c", "d")}
 
     def test_singleton_segment_equals_static_clustering(self):
         net = DynamicNetwork([TRIANGLES])
         spec = ClustererSpec("louvain", seed=4)
         p = consensus_sum_graph(net, (0, 0), spec)
-        direct = louvain(WeightedGraph.from_snapshot(TRIANGLES), 4)
+        direct = louvain(snapshot_graph(TRIANGLES), 4)
         assert p.assignment == direct.assignment
 
     def test_identical_snapshots_match_single_snapshot_louvain(self):
         net = DynamicNetwork([TRIANGLES] * 3)
         spec = ClustererSpec("louvain", seed=4)
         p = consensus_sum_graph(net, (0, 2), spec)
-        direct = louvain(WeightedGraph.from_snapshot(TRIANGLES), 4)
+        direct = louvain(snapshot_graph(TRIANGLES), 4)
         assert p.groups() == direct.groups()
 
     def test_weight_scale_invariance_of_louvain(self):
-        g = WeightedGraph([], {e: 1.0 for e in TRI_EDGES})
-        scaled = WeightedGraph([], {e: 3.0 for e in TRI_EDGES})
+        g = label_graph([], {e: 1.0 for e in TRI_EDGES})
+        scaled = label_graph([], {e: 3.0 for e in TRI_EDGES})
         assert louvain(g, 9).assignment == louvain(scaled, 9).assignment
 
     def test_edgeless_segment_gives_singletons(self):
@@ -91,13 +95,13 @@ class TestAverageLouvain:
     def test_singleton_segment_equals_louvain(self):
         net = DynamicNetwork([TRIANGLES])
         p = consensus_average_louvain(net, (0, 0), seed=6)
-        direct = louvain(WeightedGraph.from_snapshot(TRIANGLES), 6)
+        direct = louvain(snapshot_graph(TRIANGLES), 6)
         assert p.assignment == direct.assignment
 
     def test_identical_snapshots_equal_louvain(self):
         net = DynamicNetwork([TRIANGLES] * 4)
         p = consensus_average_louvain(net, (0, 3), seed=6)
-        direct = louvain(WeightedGraph.from_snapshot(TRIANGLES), 6)
+        direct = louvain(snapshot_graph(TRIANGLES), 6)
         assert p.groups() == direct.groups()
 
     def test_opposing_snapshots_reject_merge(self):
@@ -114,7 +118,7 @@ class TestAverageLouvain:
         gain_b = (2 / 12) * (0 - 2 * 2 / 12)
         assert gain_a > 0
         assert gain_a + 10 * gain_b < 0
-        alone = louvain(WeightedGraph.from_snapshot(a), 0)
+        alone = louvain(snapshot_graph(a), 0)
         assert alone.assignment["u"] == alone.assignment["v"]
         net = DynamicNetwork([a] + [b] * 10)
         p = consensus_average_louvain(net, (0, 10), seed=0)
@@ -124,7 +128,7 @@ class TestAverageLouvain:
         empty = Snapshot(TRIANGLES.nodes, [])
         net = DynamicNetwork([TRIANGLES, empty, TRIANGLES])
         p = consensus_average_louvain(net, (0, 2), seed=3)
-        direct = louvain(WeightedGraph.from_snapshot(TRIANGLES), 3)
+        direct = louvain(snapshot_graph(TRIANGLES), 3)
         assert p.groups() == direct.groups()
 
 
@@ -134,7 +138,8 @@ class TestConsensusMatrix:
         together = Snapshot([], [("u", "v"), ("u", "w"), ("v", "w"), ("x", "y"), ("x", "z"), ("y", "z")])
         apart = Snapshot([], [("u", "w"), ("v", "x"), ("v", "y"), ("x", "y"), ("u", "z"), ("w", "z")])
         net = DynamicNetwork([together, together, together, apart])
-        weights = co_occurrence_weights(net, (0, 3), ClustererSpec("louvain", seed=1))
+        graph = co_occurrence_graph(net, (0, 3), ClustererSpec("louvain", seed=1))
+        weights = edge_weights(graph)
         assert weights[("u", "v")] == pytest.approx(0.75)
 
     def test_unanimous_partitions_reproduced(self):
@@ -153,7 +158,7 @@ class TestConsensusMatrix:
         g1 = Snapshot([], [("a", "b")])
         g2 = Snapshot([], [("c", "d")])
         net = DynamicNetwork([g1, g2])
-        weights = co_occurrence_weights(net, (0, 1), ClustererSpec("louvain"))
+        weights = edge_weights(co_occurrence_graph(net, (0, 1), ClustererSpec("louvain")))
         assert ("a", "c") not in weights
 
     def test_domain_is_union(self):
@@ -162,6 +167,55 @@ class TestConsensusMatrix:
         net = DynamicNetwork([g1, g2])
         p = consensus_matrix(net, (0, 1), ClustererSpec("louvain"))
         assert p.domain == {"a", "b", "c", "q"}
+
+
+LABELS = [f"n{i}" for i in range(8)]
+
+
+@st.composite
+def segments(draw):
+    """A network and a segment with empty, edgeless and isolated-node snapshots."""
+    k = draw(st.integers(1, 5))
+    snapshots = []
+    for _ in range(k):
+        nodes = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=8))
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        snapshots.append(Snapshot(nodes, edges))
+    net = DynamicNetwork(snapshots)
+    start = draw(st.integers(0, k - 1))
+    end = draw(st.integers(start, k - 1))
+    return net, (start, end)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(segments(), st.sampled_from(ClustererSpec.KINDS), st.integers(0, 2**31 - 1))
+def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
+    """Same labels, same rows in the same order, and bit-equal weights."""
+    net, segment = case
+    if not net.arrays.segment_node_ids(*segment).size:
+        return
+    spec = ClustererSpec(kind, seed)
+    got = co_occurrence_graph(net, segment, spec)
+    expected = reference_co_occurrence_graph(net, segment, spec)
+    assert got.labels == expected.labels
+    assert [list(row.items()) for row in got.adj] == [
+        list(row.items()) for row in expected.adj
+    ]
+
+
+def test_co_occurrence_rows_follow_first_shared_snapshot():
+    # a and c are first together in snapshot 0, a and b only in snapshot 1,
+    # so a's row lists c before b although (a, b) sorts before (a, c)
+    split = Snapshot([], [("a", "c"), ("b", "x")])
+    triangle = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c")])
+    net = DynamicNetwork([split, triangle])
+    graph = co_occurrence_graph(net, (0, 1), ClustererSpec("walktrap"))
+    assert graph.labels == ("a", "b", "c", "x")
+    assert [list(row.items()) for row in graph.adj] == [
+        [(2, 1.0), (1, 0.5)], [(3, 1.0), (0, 0.5), (2, 0.5)],
+        [(0, 1.0), (1, 0.5)], [(1, 1.0)],
+    ]
 
 
 class TestSegmentPartition:

@@ -246,6 +246,25 @@ class TestPartition:
         assert c.assignment == {"a": 0, "b": 1, "d": 1}
 
 
+# labels are whitespace-free; ':' and a leading '#' need no escaping
+SOLUTION_LABELS = st.one_of(
+    st.sampled_from(["a", "b:c", ":", "#", "#x", "x#", "::y", "cluster"]),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def solutions(draw):
+    k = draw(st.integers(1, 8))
+    points = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    partitions = []
+    for _ in range(len(points) + 1):
+        domain = draw(st.lists(SOLUTION_LABELS, unique=True, max_size=6))  # may be empty
+        cids = draw(st.lists(st.integers(-3, 3), min_size=len(domain), max_size=len(domain)))
+        partitions.append(Partition(dict(zip(domain, cids))))
+    return ScdOutput(ChangePointSet(tuple(points), k), tuple(partitions))
+
+
 class TestScdOutput:
     def _output(self):
         cps = ChangePointSet((2,), 4)
@@ -271,6 +290,17 @@ class TestScdOutput:
         with pytest.raises(ValueError):
             out.validate_for(bad)
 
+    def test_validate_for_superset(self):
+        out = self._output()
+        net = load_dynamic_network("0 a b\n1 a b\n2 a b\n3 b c")
+        out.validate_for(net, exact=False)
+        with pytest.raises(ValueError, match=r"segment \[0,1\] .*holds node 'c'"):
+            out.validate_for(net)
+        missing = load_dynamic_network("0 a b\n1 a d\n2 a b\n3 b c")
+        for exact in (True, False):
+            with pytest.raises(ValueError, match=r"segment \[0,1\] .*misses node 'd'"):
+                out.validate_for(missing, exact=exact)
+
     def test_serialization_format(self):
         out = self._output()
         text = dump_output(out)
@@ -289,6 +319,15 @@ class TestScdOutput:
         assert all(
             p.same_grouping(q) for p, q in zip(again.partitions, out.partitions)
         )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(solutions())
+    def test_round_trip_property(self, out):
+        text = dump_output(out)
+        again = load_output(text)
+        assert again.change_points == out.change_points
+        assert again.partitions == tuple(p.canonical() for p in out.partitions)
+        assert dump_output(again) == text
 
     def test_cluster_ids_follow_smallest_member(self):
         cps = ChangePointSet((), 1)

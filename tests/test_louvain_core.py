@@ -18,6 +18,7 @@ from dynseg._seeds import rng_for
 from dynseg.consensus import consensus_average_louvain
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
 from dynseg.static_cluster import WeightedGraph, louvain, stabilized_louvain
+from label_graphs import label_graph
 
 _GAIN_TOL = 1e-12
 
@@ -189,7 +190,7 @@ def reference_average_louvain(network, segment, seed):
     graphs = []
     for j in range(start, end + 1):
         g = network[j]
-        graphs.append(WeightedGraph(nodes, {e: 1.0 for e in g.edges}))
+        graphs.append(label_graph(nodes, {e: 1.0 for e in g.edges}))
     return reference_louvain_multi(graphs, seed)
 
 
@@ -223,7 +224,7 @@ def weighted_graphs(draw):
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     weights = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
-    return WeightedGraph(nodes, {e: draw(weights) for e in chosen})
+    return label_graph(nodes, {e: draw(weights) for e in chosen})
 
 
 @st.composite

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynseg.consensus import ConsensusSpec, segment_partition
-from dynseg.dyngraph import ChangePointSet
+from dynseg.dyngraph import ChangePointSet, DynamicNetwork, Snapshot
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
@@ -164,17 +165,47 @@ class TestBottomUp:
         assert table.entry(1).output.partitions[0].assignment == direct.assignment
 
 
+LABELS = [f"n{i}" for i in range(10)]
+CONSENSUS_SPECS = (
+    [ConsensusSpec("sum-graph", ClustererSpec(kind)) for kind in ClustererSpec.KINDS]
+    + [ConsensusSpec("average-louvain")]
+    + [ConsensusSpec("consensus-matrix", ClustererSpec(kind)) for kind in ClustererSpec.KINDS]
+)
+OBJECTIVES = [ObjectiveSpec.qb(c) for c in Criterion] + [ObjectiveSpec.qp(f) for f in FitMeasure]
+
+
+@st.composite
+def small_networks(draw):
+    """At most 6 snapshots over at most 10 nodes; some empty, some edgeless."""
+    snapshots = []
+    for _ in range(draw(st.integers(1, 6))):
+        nodes = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=10))
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        snapshots.append(Snapshot(nodes, edges))
+    return DynamicNetwork(snapshots)
+
+
 class TestHeuristicDominance:
-    def test_exhaustive_dominates(self):
-        for seed in range(4):
-            net = _network(k=5, seed=seed, l=2)
-            spec_args = dict(objective=ObjectiveSpec.qb(Criterion.BIC), seed=seed)
-            t_ex = exhaustive_search(net, _spec("exhaustive", **spec_args))
-            t_td = top_down_search(net, _spec("topdown", **spec_args))
-            t_bu = bottom_up_search(net, _spec("bottomup", **spec_args))
-            for l in t_ex.entries:
-                assert t_ex.entry(l).score >= t_td.entry(l).score
-                assert t_ex.entry(l).score >= t_bu.entry(l).score
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        small_networks(), st.sampled_from(CONSENSUS_SPECS), st.sampled_from(OBJECTIVES),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_exhaustive_dominates(self, net, consensus, objective, seed):
+        """Exhaustive equals enumeration, and no heuristic beats it at any l."""
+        assume(objective.criterion is not Criterion.BIC or num_observations(net) > 0)
+        spec = SearchSpec("exhaustive", objective, Criterion.AIC, consensus, seed)
+        store = SegmentStore(net)
+        t_ex = exhaustive_search(net, spec, store)
+        t_td = top_down_search(net, spec, store)
+        t_bu = bottom_up_search(net, spec, store)
+        oracle = brute_force_scores(net, spec)
+        assert set(t_ex.entries) == set(oracle) == set(range(1, net.k + 1))
+        for l in t_ex.entries:
+            assert t_ex.entry(l).score == oracle[l]  # bit-exact
+            assert t_ex.entry(l).score >= t_td.entry(l).score
+            assert t_ex.entry(l).score >= t_bu.entry(l).score
 
 
 class TestSolvers:

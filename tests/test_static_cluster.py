@@ -14,10 +14,11 @@ from dynseg.static_cluster import (
     stabilized_louvain,
     walktrap,
 )
+from label_graphs import edge_weights, label_graph
 
 
 def _wg(edges, nodes=()):
-    return WeightedGraph(nodes, {e: w for e, w in edges.items()})
+    return label_graph(nodes, edges)
 
 
 TWO_TRIANGLES = _wg({
@@ -29,16 +30,16 @@ K4 = _wg({(u, v): 1 for i, u in enumerate("wxyz") for v in "wxyz"[i + 1:]})
 
 
 def weighted_modularity(g: WeightedGraph, p: Partition) -> float:
-    two_m = 2.0 * sum(g.edges.values())
+    two_m = 2.0 * sum(edge_weights(g).values())
     if two_m == 0:
         return 0.0
     deg = {u: 0.0 for u in g.nodes}
-    for (u, v), w in g.edges.items():
+    for (u, v), w in edge_weights(g).items():
         deg[u] += w
         deg[v] += w
     q = 0.0
     for members in p.clusters().values():
-        inner = sum(w for (u, v), w in g.edges.items() if u in members and v in members)
+        inner = sum(w for (u, v), w in edge_weights(g).items() if u in members and v in members)
         tot = sum(deg[u] for u in members)
         q += 2.0 * inner / two_m - (tot / two_m) ** 2
     return q
@@ -53,12 +54,12 @@ def test_weighted_modularity_matches_networkx(data):
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
     weights = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
-    g = WeightedGraph(nodes, {e: data.draw(weights) for e in chosen})
+    g = label_graph(nodes, {e: data.draw(weights) for e in chosen})
     cids = data.draw(st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes)))
     p = Partition(dict(zip(nodes, cids)))
     graph = nx.Graph()
     graph.add_nodes_from(g.nodes)
-    graph.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    graph.add_weighted_edges_from((u, v, w) for (u, v), w in edge_weights(g).items())
     expected = nx.community.modularity(graph, p.clusters().values(), weight="weight")
     assert weighted_modularity(g, p) == pytest.approx(expected)
 
@@ -95,7 +96,7 @@ class TestWeightedGraph:
 
     def test_canonical_edge_keys(self):
         g = _wg({("b", "a"): 2})
-        assert g.edges == {("a", "b"): 2.0}
+        assert edge_weights(g) == {("a", "b"): 2.0}
 
     def test_adjacency_rows_fill_in_insertion_order(self):
         g = _wg({("c", "a"): 0.5, ("a", "b"): 0.25, ("b", "c"): 2})
@@ -103,6 +104,17 @@ class TestWeightedGraph:
         assert [list(row.items()) for row in g.adj] == [
             [(2, 0.5), (1, 0.25)], [(0, 0.25), (2, 2.0)], [(0, 0.5), (1, 2.0)],
         ]
+
+    def test_from_edges_fills_rows_in_input_order(self):
+        g = WeightedGraph.from_edges(
+            ("a", "b", "c", "d"), np.array([0, 0, 1]), np.array([2, 1, 2]),
+            np.array([0.5, 0.25, 2.0]),
+        )
+        assert g == _wg({("c", "a"): 0.5, ("a", "b"): 0.25, ("b", "c"): 2}, nodes=["d"])
+        assert [list(row.items()) for row in g.adj] == [
+            [(2, 0.5), (1, 0.25)], [(0, 0.25), (2, 2.0)], [(0, 0.5), (1, 2.0)], [],
+        ]
+        assert g.nodes == frozenset("abcd")
 
 
 class TestLevelGraph:
@@ -142,7 +154,7 @@ class TestLouvain:
         )
 
     def test_edgeless_graph_singletons(self):
-        g = WeightedGraph(["x", "y", "z"], {})
+        g = label_graph(["x", "y", "z"], {})
         assert louvain(g, 1).groups() == frozenset(
             [frozenset(["x"]), frozenset(["y"]), frozenset(["z"])]
         )
@@ -179,7 +191,7 @@ class TestLouvain:
                         edges[(nodes[i], nodes[j])] = float(rng.integers(1, 4))
             if not edges:
                 continue
-            g = WeightedGraph(nodes, edges)
+            g = label_graph(nodes, edges)
             found = weighted_modularity(g, louvain(g, trial))
             start = weighted_modularity(g, Partition.singletons(nodes))
             assert found >= start - 1e-12
@@ -209,7 +221,7 @@ class TestStabilizedLouvain:
 
 class TestLabelPropagation:
     def test_edgeless_singletons(self):
-        g = WeightedGraph(["p", "q"], {})
+        g = label_graph(["p", "q"], {})
         assert label_propagation(g, 0).num_clusters == 2
 
     def test_single_clique_converges_for_many_seeds(self):
@@ -254,13 +266,13 @@ class TestWalktrap:
         assert walktrap(K4).num_clusters == 1
 
     def test_isolated_nodes_stay_singletons(self):
-        g = WeightedGraph(["lonely"], {("a", "b"): 1.0})
+        g = label_graph(["lonely"], {("a", "b"): 1.0})
         p = walktrap(g)
         assert p.assignment.keys() == {"lonely", "a", "b"}
         assert {"lonely"} in [set(m) for m in p.clusters().values()]
 
     def test_edgeless(self):
-        g = WeightedGraph(["u", "v"], {})
+        g = label_graph(["u", "v"], {})
         assert walktrap(g).num_clusters == 2
 
     def test_determinism(self):
@@ -271,7 +283,7 @@ class TestWalktrap:
         with pytest.raises(ValueError, match="6 nodes with edges exceed the limit of 3"):
             walktrap(TWO_TRIANGLES)
         # isolated nodes hold no matrix rows and do not count
-        g = WeightedGraph(["x", "y"], {("a", "b"): 1.0, ("b", "c"): 2.0})
+        g = label_graph(["x", "y"], {("a", "b"): 1.0, ("b", "c"): 2.0})
         assert walktrap(g).assignment.keys() == {"a", "b", "c", "x", "y"}
 
 
@@ -294,7 +306,7 @@ class TestCommonContracts:
                 for j in range(i + 1, n):
                     if rng.random() < 0.25:
                         edges[(nodes[i], nodes[j])] = 1.0
-            g = WeightedGraph(nodes, edges)
+            g = label_graph(nodes, edges)
             p = self.METHODS[method_idx](g)
             assert p.domain == g.nodes
             assert all(len(m) >= 1 for m in p.clusters().values())
@@ -315,7 +327,7 @@ class TestCommonContracts:
         for group in (left, right):
             for a, b in zip(group, group[1:]):
                 edges[(min(a, b), max(a, b))] = edges.get((min(a, b), max(a, b)), 1.0)
-        g = WeightedGraph(left + right, edges)
+        g = label_graph(left + right, edges)
         p = self.METHODS[method_idx](g)
         for members in p.clusters().values():
             assert members <= set(left) or members <= set(right)

@@ -25,6 +25,7 @@ from dynseg.consensus import sum_graph
 from dynseg.dyngraph import Partition
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.static_cluster import WeightedGraph, walktrap
+from label_graphs import label_graph
 
 WALK_LENGTH = 4
 
@@ -171,7 +172,7 @@ def component_graphs(draw):
     ]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     weights = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
-    return WeightedGraph(nodes, {e: draw(weights) for e in chosen})
+    return label_graph(nodes, {e: draw(weights) for e in chosen})
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
