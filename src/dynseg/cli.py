@@ -30,6 +30,7 @@ from .dyngraph import (
 from .evaluation import (
     PartitionMetric,
     change_point_classification,
+    classification_positives,
     paired_t_test,
     ranking_from_cscd,
     sim_b,
@@ -226,6 +227,7 @@ def cmd_rank(args) -> int:
             truth = load_output(fh)
         if truth.k != network.k:
             raise ValueError(f"truth covers k={truth.k}, network has k={network.k}")
+        classification_positives(truth, network.k)
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
     table = build_table(network, spec)
     ranking = ranking_from_cscd(table)

@@ -279,20 +279,30 @@ class ClassificationScores:
     auroc: float
 
 
-def change_point_classification(
-    ranking: TimePointRanking, truth: ScdOutput | Sequence[int]
-) -> ClassificationScores:
-    """Sweep the ranked candidates top-1 .. top-(k-1) against the true points."""
+def classification_positives(truth: ScdOutput | Sequence[int], k: int) -> set[int]:
+    """The true change points of ``truth`` on 1 .. k-1.
+
+    Raises ``ValueError`` unless the classification can score them: it needs
+    at least one true change point and one true non-change point.
+    """
     if isinstance(truth, ScdOutput):
         positives = set(truth.change_points.points)
     else:
         positives = set(int(t) for t in truth)
-    k = ranking.k
-    candidates = ranking.ordered()
     if not positives or positives >= set(range(1, k)):
         raise ValueError(
             "classification needs at least one true change point and one true non-change point"
         )
+    return positives
+
+
+def change_point_classification(
+    ranking: TimePointRanking, truth: ScdOutput | Sequence[int]
+) -> ClassificationScores:
+    """Sweep the ranked candidates top-1 .. top-(k-1) against the true points."""
+    k = ranking.k
+    positives = classification_positives(truth, k)
+    candidates = ranking.ordered()
     num_pos = len(positives)
     num_neg = (k - 1) - num_pos
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,9 +25,9 @@ _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
 WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
 # Walktrap holds dense na x na float matrices for the na nodes that have
-# edges, about 3 * na**2 * 8 bytes at its peak (400 MB at this limit).  A
-# larger graph is rejected with a ValueError, which the command line reports
-# as exit 1.
+# edges, about 3 * na**2 * 8 bytes at its peak (400 MB at this limit), plus
+# one list entry per adjacent community pair it forms.  A larger graph is
+# rejected with a ValueError, which the command line reports as exit 1.
 WALKTRAP_MAX_NODES = 4000
 _DIST_BLOCK = 1 << 13  # entries per block of walktrap's initial profile differences
 
@@ -288,13 +289,21 @@ def walktrap(graph: WeightedGraph) -> Partition:
             f"{WALKTRAP_MAX_NODES} (WALKTRAP_MAX_NODES)"
         )
 
-    pos = {u: i for i, u in enumerate(active)}
     # community ids: node i is community i, merge i creates community na + i;
     # cadj[c] maps each adjacent live community to the edge weight between them
-    cadj: list[dict[int, float]] = [{pos[v]: w for v, w in adj[u].items()} for u in active]
+    if isolated:
+        pos = {u: i for i, u in enumerate(active)}
+        cadj = [{pos[v]: w for v, w in adj[u].items()} for u in active]
+    else:  # node ids are already community ids
+        cadj = [dict(nbrs) for nbrs in adj]
+    # flattened rows: row, neighbour and weight of every adjacency entry in
+    # row order (row ascending, then each row's dict order)
+    rows = np.repeat(np.arange(na), [len(nbrs) for nbrs in cadj])
+    cols = np.fromiter(chain.from_iterable(cadj), dtype=np.intp, count=len(rows))
     A = np.zeros((na, na))
-    for i, nbrs in enumerate(cadj):
-        A[i, list(nbrs)] = list(nbrs.values())
+    A[rows, cols] = np.fromiter(
+        chain.from_iterable(map(dict.values, cadj)), dtype=float, count=len(rows)
+    )
     deg = A.sum(axis=1)
     A /= deg[:, None]
     walk = np.linalg.matrix_power(A, WALK_LENGTH)
@@ -304,25 +313,37 @@ def walktrap(graph: WeightedGraph) -> Partition:
     del walk
     inv_d = 1.0 / deg  # distance terms are weighted by 1/degree
     two_m = float(deg.sum())
-    size = [1] * na
+    size = np.ones(2 * na - 1, dtype=np.int64)
     tot = deg.tolist()
     inner = [0.0] * na
     alive = [True] * na
 
-    pairs = np.array(
-        [(c1, c2) for c1, nbrs in enumerate(cadj) for c2 in nbrs if c1 < c2]
-    ).reshape(-1, 2)
-    r2 = np.empty(len(pairs))
+    # adjacent pairs (c1, c2), c1 < c2, in row order: the rows of each block
+    # product below, whose last bits depend on a row's position
+    upper = rows < cols
+    c1s, c2s = rows[upper], cols[upper]
+    r2 = np.empty(len(c1s))
     step = max(1, _DIST_BLOCK // na)  # bounds the difference block's size
-    for b in range(0, len(pairs), step):
-        delta = vec[pairs[b:b + step, 0]]
-        delta -= vec[pairs[b:b + step, 1]]
+    for b in range(0, len(c1s), step):
+        delta = vec[c1s[b:b + step]]
+        delta -= vec[c2s[b:b + step]]
         delta *= delta
         r2[b:b + step] = delta @ inv_d
-    # (delta-sigma, c1, c2) with c1 < c2, where two singletons have size
-    # factor 1/2; every pair is pushed once, so an entry is stale exactly when
-    # one of its communities has merged
-    heap = list(zip((0.5 / na * r2).tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    ds = 0.5 / na * r2  # delta-sigma; two singletons have size factor 1/2
+
+    # Per-community pair lists.  A pair (c1, c2), c1 < c2, belongs to c2, the
+    # later community, so a community's pairs are all made when it is; they
+    # are sorted once by (delta-sigma, c1) and kept as (delta-sigma, c1) in
+    # cand[cursor[c]:stop[c]].  The heap holds one entry (delta-sigma, c1, c)
+    # per community, for the pair at cursor[c], whose c1 was live when it was
+    # pushed.  Every live pair is no smaller than its owner's entry, so the
+    # first entry popped with both communities live is the smallest live
+    # (delta-sigma, c1, c2) of all pairs.
+    order = np.lexsort((c1s, ds, c2s))
+    cand = list(zip(ds[order].tolist(), c1s[order].tolist()))
+    stop = np.cumsum(np.bincount(c2s, minlength=na)).tolist()
+    cursor = [0] + stop[:-1]
+    heap = [cand[i] + (c,) for c, i in enumerate(cursor) if i < stop[c]]
     heapq.heapify(heap)
 
     # per-community modularity terms, summed afresh after every merge: an
@@ -333,36 +354,52 @@ def walktrap(graph: WeightedGraph) -> Partition:
     best_step = 0
     while heap:
         _, c1, c2 = heapq.heappop(heap)
-        if not (alive[c1] and alive[c2]):
+        if not alive[c2]:
             continue
-        cid = len(size)
+        if not alive[c1]:
+            # c1 has merged: move on to c2's next pair whose c1 is live
+            i, end = cursor[c2] + 1, stop[c2]
+            while i < end and not alive[cand[i][1]]:
+                i += 1
+            if i < end:
+                cursor[c2] = i
+                heapq.heappush(heap, cand[i] + (c2,))
+            continue
+        cid = na + len(merges)
         cross = cadj[c1].pop(c2)
         cadj[c2].pop(c1)
-        s1, s2 = size[c1], size[c2]
+        s1, s2 = size.item(c1), size.item(c2)
         vec[cid] = (s1 * vec[c1] + s2 * vec[c2]) / (s1 + s2)
-        size.append(s1 + s2)
+        size[cid] = s = s1 + s2
         tot.append(tot[c1] + tot[c2])
         inner.append(inner[c1] + inner[c2] + 2.0 * cross)
-        nbrs: dict[int, float] = {}
-        for old in (c1, c2):
-            for other, w in cadj[old].items():
-                nbrs[other] = nbrs.get(other, 0.0) + w
-                del cadj[other][old]
-            alive[old] = False
-            del terms[old]
-        cadj.append(nbrs)
-        alive.append(True)
+        # cid takes over c1's row and adds c2's; in every neighbour's row, cid
+        # enters last, after the remaining neighbours in their old order
+        nbrs = cadj[c1]
         for other, w in nbrs.items():
-            cadj[other][cid] = w
+            row = cadj[other]
+            del row[c1]
+            row[cid] = w
+        for other, w in cadj[c2].items():
+            row = cadj[other]
+            del row[c2]
+            row[cid] = nbrs[other] = nbrs.get(other, 0.0) + w
+        cadj.append(nbrs)
+        alive[c1] = alive[c2] = False
+        alive.append(True)
+        del terms[c1], terms[c2]
 
         others = list(nbrs)
-        delta = vec[others]
+        idx = np.array(others, dtype=np.intp)
+        delta = vec[idx]
         delta -= vec[cid]
         delta *= delta
-        s = size[cid]
-        for other, d2 in zip(others, (delta @ inv_d).tolist()):
-            so = size[other]
-            heapq.heappush(heap, ((s * so) / (s + so) / na * d2, other, cid))
+        so = size[idx]
+        cursor.append(len(cand))
+        cand.extend(sorted(zip(((s * so) / (s + so) / na * (delta @ inv_d)).tolist(), others)))
+        stop.append(len(cand))
+        if others:
+            heapq.heappush(heap, cand[cursor[cid]] + (cid,))
 
         merges.append((c1, c2))
         terms[cid] = inner[cid] / two_m - (tot[cid] / two_m) ** 2

@@ -333,6 +333,23 @@ class TestRank:
         assert "truth covers k=6, network has k=8" in err
         assert stdout == ""
 
+    def test_truth_without_change_point(self, scg_files, tmp_path, capsys, monkeypatch):
+        net, _ = scg_files  # k = 8
+        truth = tmp_path / "one_segment.txt"
+        truth.write_text("segment 0 7\ncluster 0: a\n")
+
+        def no_table(*args):
+            raise AssertionError("table built before the truth was checked")
+
+        monkeypatch.setattr(cli, "build_table", no_table)
+        code, stdout, err = run(capsys, "rank", "--input", str(net), "--truth", str(truth))
+        assert code == 1
+        assert (
+            "classification needs at least one true change point and one true "
+            "non-change point" in err
+        )
+        assert stdout == ""
+
     def test_deterministic(self, scg_files, capsys):
         net, _ = scg_files
         _, out1, _ = run(capsys, "rank", "--input", str(net), "--seed", "3")

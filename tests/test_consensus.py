@@ -188,7 +188,7 @@ def segments(draw):
     return net, (start, end)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(segments(), st.sampled_from(ClustererSpec.KINDS), st.integers(0, 2**31 - 1))
 def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
     """Same labels, same rows in the same order, and bit-equal weights."""

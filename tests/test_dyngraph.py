@@ -96,7 +96,7 @@ class TestLoadDynamicNetwork:
         # and the dump itself is stable
         assert dump_dynamic_network(again) == dump_dynamic_network(net)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(st.data())
     def test_round_trip_property(self, data):
         # isolated nodes, and empty snapshots that the dump skips, anywhere
@@ -320,7 +320,7 @@ class TestScdOutput:
             p.same_grouping(q) for p, q in zip(again.partitions, out.partitions)
         )
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(solutions())
     def test_round_trip_property(self, out):
         text = dump_output(out)

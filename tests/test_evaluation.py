@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import dynseg
@@ -446,6 +447,48 @@ class TestSimConsistency:
             agree += (p1 < p2) == (b1 < b2)
         assert total >= 100
         assert agree / total >= 0.95
+
+
+OUTPUT_NODES = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def output_pairs(draw):
+    """Two outputs over the same k snapshots and the same node set."""
+    k = draw(st.integers(1, 5))
+    nodes = draw(st.lists(st.sampled_from(OUTPUT_NODES), unique=True, min_size=1))
+
+    def output():
+        points = draw(st.sets(st.integers(1, k - 1))) if k > 1 else set()
+        ids = st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes))
+        partitions = tuple(
+            Partition(dict(zip(nodes, draw(ids)))) for _ in range(len(points) + 1)
+        )
+        return ScdOutput(ChangePointSet(tuple(sorted(points)), k), partitions)
+
+    return output(), output(), draw(st.permutations(range(4)))
+
+
+def _relabelled(output: ScdOutput, perm) -> ScdOutput:
+    partitions = tuple(
+        Partition({u: 10 + perm[c] for u, c in p.assignment.items()})
+        for p in output.partitions
+    )
+    return ScdOutput(output.change_points, partitions)
+
+
+@settings(max_examples=150)
+@given(output_pairs())
+def test_similarity_invariants(pair):
+    """Identity gives 1; swapping the outputs or relabelling clusters changes nothing."""
+    o1, o2, perm = pair
+    r1 = _relabelled(o1, perm)
+    for sim in (sim_t, sim_p, sim_b):
+        for metric in ALL_METRICS:
+            assert sim(o1, o1, metric) == 1.0
+            value = sim(o1, o2, metric)
+            assert sim(o2, o1, metric) == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert sim(r1, o2, metric) == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
 class TestPairedTTest:

@@ -234,7 +234,7 @@ def inits(draw, graph):
     return Partition(dict(zip(domain, cids)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(segments(), st.integers(0, 2**31 - 1))
 def test_average_louvain_matches_list_of_graphs(case, seed):
     net, segment = case
@@ -245,13 +245,13 @@ def test_average_louvain_matches_list_of_graphs(case, seed):
     assert got.assignment == reference_average_louvain(net, segment, seed).assignment
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(weighted_graphs(), st.integers(0, 2**31 - 1))
 def test_louvain_matches_list_of_graphs(graph, seed):
     assert louvain(graph, seed).assignment == reference_louvain_multi([graph], seed).assignment
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.data(), weighted_graphs(), st.integers(0, 2**31 - 1))
 def test_stabilized_louvain_matches_list_of_graphs(data, graph, seed):
     init = data.draw(inits(graph))

@@ -105,7 +105,7 @@ class TestModularity:
             with pytest.raises(ValueError):
                 fit_of(fit, p, Snapshot(["a", "b"]))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(st.data())
     def test_matches_networkx(self, data):
         nx = pytest.importorskip("networkx")

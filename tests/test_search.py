@@ -187,7 +187,7 @@ def small_networks(draw):
 
 
 class TestHeuristicDominance:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         small_networks(), st.sampled_from(CONSENSUS_SPECS), st.sampled_from(OBJECTIVES),
         st.integers(0, 2**31 - 1),

@@ -180,7 +180,7 @@ def cases(draw):
     return net, start, end, Partition(dict(zip(domain, cids)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(cases())
 def test_counts_and_log_likelihood_match_reference(case):
     net, start, end, p = case
@@ -190,7 +190,7 @@ def test_counts_and_log_likelihood_match_reference(case):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(cases(), st.data())
 def test_uncovered_snapshot_error_matches_reference(case, data):
     net, start, end, p = case
@@ -219,7 +219,7 @@ def test_uncovered_snapshot_error_matches_reference(case, data):
             snapshot_fit(fit, net, start, end, partial)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(cases(), st.sampled_from(list(FitMeasure)))
 def test_snapshot_fit_matches_reference(case, fit):
     net, start, end, p = case
@@ -231,7 +231,7 @@ def segment_labels(network, start, end):
     return frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(cases())
 def test_sum_graph_matches_string_loop(case):
     net, start, end, _ = case

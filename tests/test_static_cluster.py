@@ -45,7 +45,7 @@ def weighted_modularity(g: WeightedGraph, p: Partition) -> float:
     return q
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.data())
 def test_weighted_modularity_matches_networkx(data):
     nx = pytest.importorskip("networkx")
