@@ -25,9 +25,13 @@ _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
 WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
 # Walktrap holds dense na x na float matrices for the na nodes that have
-# edges, about 3 * na**2 * 8 bytes at its peak (400 MB at this limit), plus
-# one list entry per adjacent community pair it forms.  A larger graph is
-# rejected with a ValueError, which the command line reports as exit 1.
+# edges, about 3 * na**2 * 8 bytes (400 MB at this limit), plus the sorted
+# pair lists of its live communities.  The matrices dominate on sparse graphs
+# and the lists on dense ones: a complete 1000-node graph peaked at 151 MB
+# (traced), 24 MB of it matrices, and as the lists grow with the number of
+# adjacent pairs a dense graph near this limit needs a few GB.  A larger
+# graph is rejected with a ValueError, which the command line reports as
+# exit 1.
 WALKTRAP_MAX_NODES = 4000
 _DIST_BLOCK = 1 << 13  # entries per block of walktrap's initial profile differences
 
@@ -289,13 +293,10 @@ def walktrap(graph: WeightedGraph) -> Partition:
             f"{WALKTRAP_MAX_NODES} (WALKTRAP_MAX_NODES)"
         )
 
+    pos = {u: i for i, u in enumerate(active)}
     # community ids: node i is community i, merge i creates community na + i;
     # cadj[c] maps each adjacent live community to the edge weight between them
-    if isolated:
-        pos = {u: i for i, u in enumerate(active)}
-        cadj = [{pos[v]: w for v, w in adj[u].items()} for u in active]
-    else:  # node ids are already community ids
-        cadj = [dict(nbrs) for nbrs in adj]
+    cadj = [{pos[v]: w for v, w in adj[u].items()} for u in active]
     # flattened rows: row, neighbour and weight of every adjacency entry in
     # row order (row ascending, then each row's dict order)
     rows = np.repeat(np.arange(na), [len(nbrs) for nbrs in cadj])
@@ -334,16 +335,18 @@ def walktrap(graph: WeightedGraph) -> Partition:
     # Per-community pair lists.  A pair (c1, c2), c1 < c2, belongs to c2, the
     # later community, so a community's pairs are all made when it is; they
     # are sorted once by (delta-sigma, c1) and kept as (delta-sigma, c1) in
-    # cand[cursor[c]:stop[c]].  The heap holds one entry (delta-sigma, c1, c)
-    # per community, for the pair at cursor[c], whose c1 was live when it was
-    # pushed.  Every live pair is no smaller than its owner's entry, so the
-    # first entry popped with both communities live is the smallest live
-    # (delta-sigma, c1, c2) of all pairs.
+    # pairs[c], which is released when c merges.  The heap holds one entry
+    # (delta-sigma, c1, c) per community, for pairs[c][cursor[c]], whose c1
+    # was live when it was pushed.  Every live pair is no smaller than its
+    # owner's entry, so the first entry popped with both communities live is
+    # the smallest live (delta-sigma, c1, c2) of all pairs.
     order = np.lexsort((c1s, ds, c2s))
-    cand = list(zip(ds[order].tolist(), c1s[order].tolist()))
+    flat = list(zip(ds[order].tolist(), c1s[order].tolist()))
     stop = np.cumsum(np.bincount(c2s, minlength=na)).tolist()
-    cursor = [0] + stop[:-1]
-    heap = [cand[i] + (c,) for c, i in enumerate(cursor) if i < stop[c]]
+    pairs = [flat[a:b] for a, b in zip([0] + stop[:-1], stop)]
+    del rows, cols, upper, c1s, c2s, r2, ds, order, flat, stop
+    cursor = [0] * na
+    heap = [lst[0] + (c,) for c, lst in enumerate(pairs) if lst]
     heapq.heapify(heap)
 
     # per-community modularity terms, summed afresh after every merge: an
@@ -358,12 +361,13 @@ def walktrap(graph: WeightedGraph) -> Partition:
             continue
         if not alive[c1]:
             # c1 has merged: move on to c2's next pair whose c1 is live
-            i, end = cursor[c2] + 1, stop[c2]
-            while i < end and not alive[cand[i][1]]:
+            lst = pairs[c2]
+            i, end = cursor[c2] + 1, len(lst)
+            while i < end and not alive[lst[i][1]]:
                 i += 1
             if i < end:
                 cursor[c2] = i
-                heapq.heappush(heap, cand[i] + (c2,))
+                heapq.heappush(heap, lst[i] + (c2,))
             continue
         cid = na + len(merges)
         cross = cadj[c1].pop(c2)
@@ -387,6 +391,7 @@ def walktrap(graph: WeightedGraph) -> Partition:
         cadj.append(nbrs)
         alive[c1] = alive[c2] = False
         alive.append(True)
+        pairs[c1] = pairs[c2] = None
         del terms[c1], terms[c2]
 
         others = list(nbrs)
@@ -395,11 +400,11 @@ def walktrap(graph: WeightedGraph) -> Partition:
         delta -= vec[cid]
         delta *= delta
         so = size[idx]
-        cursor.append(len(cand))
-        cand.extend(sorted(zip(((s * so) / (s + so) / na * (delta @ inv_d)).tolist(), others)))
-        stop.append(len(cand))
-        if others:
-            heapq.heappush(heap, cand[cursor[cid]] + (cid,))
+        lst = sorted(zip(((s * so) / (s + so) / na * (delta @ inv_d)).tolist(), others))
+        pairs.append(lst)
+        cursor.append(0)
+        if lst:
+            heapq.heappush(heap, lst[0] + (cid,))
 
         merges.append((c1, c2))
         terms[cid] = inner[cid] / two_m - (tot[cid] / two_m) ** 2
