@@ -88,6 +88,22 @@ def consensus_average_louvain(
     )
 
 
+def _pair_keys(member: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys ``local[a] * n + local[b]``, a < b, of pairs with equal ``member``.
+
+    Memory is linear in the pairs.  For ascending ``local`` these are the keys
+    of the n x n upper-triangle mask of equal members, read row by row.
+    """
+    order = np.argsort(member, kind="stable")
+    ids, grouped = local[order], member[order]
+    pos = np.arange(len(ids))
+    # members of its cluster after each node, then those pairs one by one
+    later = np.searchsorted(grouped, grouped, side="right") - pos - 1
+    a = np.repeat(pos, later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    return np.sort(ids[a] * n + ids[b])
+
+
 def co_occurrence_graph(
     network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
 ) -> WeightedGraph:
@@ -120,8 +136,7 @@ def co_occurrence_graph(
         member = np.array([prev.assignment[x] for x in labels])
         local = np.searchsorted(seg_ids, ids)
         present[j - start, local] = True
-        a, b = np.nonzero(np.triu(member[:, None] == member[None, :], 1))
-        keys.append(local[a] * n + local[b])
+        keys.append(_pair_keys(member, local, n))
     pairs, first, together = np.unique(
         np.concatenate(keys), return_index=True, return_counts=True
     )

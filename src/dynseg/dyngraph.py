@@ -47,14 +47,6 @@ class Snapshot:
         self.nodes: frozenset[str] = frozenset(node_set)
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Snapshot)

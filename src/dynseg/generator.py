@@ -71,10 +71,6 @@ class PartitionGraph:
     cluster_sizes: tuple[tuple[int, ...], ...]
     transitions: tuple[tuple[tuple[int, int, int], ...], ...]
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_sizes)
-
 
 def sample_change_points(k: int, l: int, rng: np.random.Generator) -> ChangePointSet:
     """l-1 distinct time points drawn uniformly from [1, k-1], sorted."""

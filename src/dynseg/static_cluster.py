@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -135,50 +137,46 @@ class LevelGraph(NamedTuple):
 
 
 def _one_level(lg: LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:
-    """Local-moving phase on the current level; True if any node moved."""
-    n = len(comm)
+    """Fast local move (Traag, Waltman & van Eck 2019); True if any node moved.
+
+    Nodes start queued in a seeded random order; a node that moves queues, in
+    ascending id order, its neighbours that are neither queued nor in its new
+    community.  Null terms are Python float sums, so BLAS plays no part.
+    """
     adj, scale = lg.adj, lg.scale
     tot = np.zeros_like(lg.x)
     np.add.at(tot, comm, lg.x)
-    if lg.x.shape[1] == 1:
-        # one column: Python floats beat numpy rows
-        x, tot = lg.x[:, 0].tolist(), tot[:, 0].tolist()
-
-        def null(xu, cands: list[int]) -> list[float]:
-            return [xu * tot[c] for c in cands]
-    else:
-        x = lg.x
-
-        def null(xu, cands: list[int]) -> list[float]:
-            return (tot[cands] @ xu).tolist()
-
-    moved_any = False
-    while True:
-        moved = False
-        for u in rng.permutation(n).tolist():
-            a = comm[u]
-            xu = x[u]
-            tot[a] -= xu
-            # weight from u to each neighbouring community
-            w_uc: dict[int, float] = {}
-            for v, w in adj[u].items():
-                c = comm[v]
-                w_uc[c] = w_uc.get(c, 0.0) + w
-            others = sorted(c for c in w_uc if c != a)
-            nulls = null(xu, [a] + others)
-            best_c, best_gain = a, scale * w_uc.get(a, 0.0) - nulls[0]
-            for c, null_c in zip(others, nulls[1:]):
-                g = scale * w_uc[c] - null_c
+    x, tot = lg.x.tolist(), tot.tolist()
+    queue = deque(rng.permutation(len(comm)).tolist())
+    queued = [True] * len(comm)
+    moved = False
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        a = comm[u]
+        xu = x[u]
+        # weight from u to each neighbouring community
+        w_uc: dict[int, float] = {}
+        for v, w in adj[u].items():
+            c = comm[v]
+            w_uc[c] = w_uc.get(c, 0.0) + w
+        best_c = a
+        best_gain = scale * w_uc.get(a, 0.0) - sum(map(mul, xu, map(sub, tot[a], xu)))
+        for c in sorted(w_uc):
+            if c != a:
+                g = scale * w_uc[c] - sum(map(mul, xu, tot[c]))
                 if g > best_gain + _GAIN_TOL:
                     best_c, best_gain = c, g
+        if best_c != a:
             comm[u] = best_c
-            tot[best_c] += xu
-            if best_c != a:
-                moved = True
-        if not moved:
-            break
-        moved_any = True
-    return moved_any
+            tot[a] = list(map(sub, tot[a], xu))
+            tot[best_c] = list(map(add, tot[best_c], xu))
+            moved = True
+            for v in sorted(adj[u]):
+                if not queued[v] and comm[v] != best_c:
+                    queued[v] = True
+                    queue.append(v)
+    return moved
 
 
 def _contract(lg: LevelGraph, comm: list[int]) -> tuple[LevelGraph, dict[int, int]]:
@@ -248,8 +246,7 @@ def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
     rng = rng_for(seed, "lpa")
     for _ in range(MAX_SWEEPS):
         changed = False
-        for u in rng.permutation(n):
-            u = int(u)
+        for u in rng.permutation(n).tolist():
             if not adj[u]:
                 continue
             weight: dict[int, float] = {}

@@ -8,11 +8,15 @@ every run checks the same instances.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import dynseg
 from dynseg._seeds import derive_seed
 from dynseg.cli import main as cli_main
 from dynseg.consensus import ConsensusSpec, segment_partition
@@ -412,5 +416,40 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         not problems,
         "generate/detect/rank/evaluate/benchmark byte-identical across reruns, "
         "benchmark also under --jobs 4"
+        + (f"; problems: {problems}" if problems else ""),
+    )
+
+
+def test_criterion_9_louvain_independent_of_blas_threads_and_hash_seed(tmp_path):
+    # Louvain sums its null-model terms in Python floats and pins every
+    # order it visits, so neither OpenBLAS threads nor string hashing may
+    # change a byte of a solution or of its report.
+    net = tmp_path / "net.txt"
+    assert cli_main(["generate", "--k", "8", "--l", "2", "--n", "24", "--cmin", "4",
+                     "--cin", "12", "--cout", "2", "--seed", "13",
+                     "--output", str(net), "--truth", str(tmp_path / "t.txt")]) == 0
+    src = os.path.dirname(os.path.dirname(dynseg.__file__))
+    problems = []
+    for consensus in ("avg-louvain", "cmatrix-louvain"):
+        outputs = set()
+        for blas, hash_seed in itertools.product(("1", "2"), ("0", "1")):
+            sol = tmp_path / f"{consensus}-{blas}-{hash_seed}.txt"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONHASHSEED=hash_seed)
+            run = subprocess.run(
+                [sys.executable, "-m", "dynseg.cli", "detect", "--input", str(net),
+                 "--output", str(sol), "--seed", "3", "--consensus", consensus],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            report_lines = [line for line in run.stdout.splitlines()
+                            if not line.startswith(("wall_time\t", "output\t"))]
+            outputs.add((sol.read_text(), tuple(report_lines)))
+        if len(outputs) != 1:
+            problems.append(f"{consensus}: {len(outputs)} distinct outputs")
+    report(
+        "criterion 9 (Louvain determinism)",
+        not problems,
+        "avg-louvain and cmatrix-louvain detect byte-identical under "
+        "OPENBLAS_NUM_THREADS 1/2 and PYTHONHASHSEED 0/1"
         + (f"; problems: {problems}" if problems else ""),
     )

@@ -1,8 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynseg.consensus import (
     ConsensusSpec,
+    _pair_keys,
     co_occurrence_graph,
     consensus_average_louvain,
     consensus_matrix,
@@ -202,6 +206,35 @@ def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
     assert [list(row.items()) for row in got.adj] == [
         list(row.items()) for row in expected.adj
     ]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pair_keys_match_upper_triangle_mask(data):
+    """The cluster-by-cluster keys equal the n x n mask's, read row by row."""
+    size = data.draw(st.integers(1, 30))
+    member = np.array(data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)))
+    local = np.array(sorted(data.draw(
+        st.lists(st.integers(0, 59), unique=True, min_size=size, max_size=size)
+    )))
+    a, b = np.nonzero(np.triu(member[:, None] == member[None, :], 1))
+    expected = local[a] * 60 + local[b]
+    got = _pair_keys(member, local, 60)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+
+
+def test_pair_keys_memory_is_linear_in_nodes_and_pairs():
+    # the n x n mask took two 100 MB boolean arrays on these 10,000 singletons
+    member = np.arange(10_000)
+    tracemalloc.start()
+    try:
+        keys = _pair_keys(member, member, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.size == 0
+    assert peak < 2_000_000
 
 
 def test_co_occurrence_rows_follow_first_shared_snapshot():

@@ -29,9 +29,9 @@ class TestLoadDynamicNetwork:
 
     def test_duplicate_edges_collapse(self):
         net = load_dynamic_network("0 a b\n0 a b")
-        assert net[0].num_edges == 1
+        assert len(net[0].edges) == 1
         net = load_dynamic_network("0 a b\n0 b a")
-        assert net[0].num_edges == 1
+        assert len(net[0].edges) == 1
 
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(FormatError, match="line 1"):
@@ -63,12 +63,12 @@ class TestLoadDynamicNetwork:
     def test_isolated_node_line(self):
         net = load_dynamic_network("0 a b\n0 c")
         assert net[0].nodes == {"a", "b", "c"}
-        assert net[0].num_edges == 1
+        assert len(net[0].edges) == 1
 
     def test_missing_intermediate_time_gives_empty_snapshot(self):
         net = load_dynamic_network("0 a b\n2 a b")
         assert net.k == 3
-        assert net[1].num_nodes == 0
+        assert len(net[1].nodes) == 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(FormatError):
@@ -85,7 +85,7 @@ class TestLoadDynamicNetwork:
         assert net.k == 200001
         assert peak < 20 * 2**20
         assert net[1] is net[199999]
-        assert net[1].num_nodes == 0
+        assert len(net[1].nodes) == 0
         assert arrays.edge_offsets[199999] == arrays.edge_offsets[200000] == 1
 
     def test_round_trip(self):

@@ -87,7 +87,7 @@ class TestPartitionGraph:
     def test_single_layer_no_edges(self):
         cfg = GeneratorConfig(l=1, **{k: v for k, v in DEFAULT.items() if k != "l"})
         graph = build_partition_graph(cfg, rng_for(1, "g"))
-        assert graph.num_layers == 1
+        assert len(graph.layer_sizes) == 1
         assert graph.transitions == ()
 
     def test_layer_sizes_within_bounds(self):

@@ -36,15 +36,15 @@ GOLDEN = {
     ),
     "modularity:avg-louvain:topdown": (
         "03de0896fecf38b41c27b6470e7628e688393a235b4cc788fc7a6a111cb48e72",
-        "10b3de2251299bdfa3c9e88f7c16f6e428a121de36970a7972dd0f9487007d31",
+        "74e159283182c3c4614d6805d84fb62c90866ba800c81588e61c4c531cafab2a",
     ),
     "conductance:cmatrix-louvain:bottomup": (
         "8726c91ef2d5fdfbfccfe86185b890d13e12fb654eb262d5d82303f8c3973d9a",
-        "123654854f18f754a6d163ea3f1b0235415d0dc9ba4beb51ec33a6c1a7629517",
+        "19d8c8da9234adf651964555448d3102eaf0419c139adb866e711d1b6f3f2792",
     ),
     "ncut:sum-louvain:topdown": (
         "8726c91ef2d5fdfbfccfe86185b890d13e12fb654eb262d5d82303f8c3973d9a",
-        "f81aede01184712ae3fa1e8210ecfbf9c0658a9da38f430516d90711074c3827",
+        "d21c70d37e5fcac81178bb1af98dc742814dfb4c55c30eb1b0503f0b9357530e",
     ),
     "avgodf:cmatrix-walktrap:exhaustive": (
         "8726c91ef2d5fdfbfccfe86185b890d13e12fb654eb262d5d82303f8c3973d9a",

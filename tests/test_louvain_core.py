@@ -3,12 +3,16 @@
 The reference below is the Louvain code that ``static_cluster`` used before
 it folded average-Louvain into one scaled union graph: one ``_LevelGraph``
 per snapshot, with self-loops and a ``two_m`` each, every move scored by
-the mean gain over the list and every graph contracted in parallel.  It is
-kept unchanged; the new core must return the identical assignment.
+the mean gain over the list and every graph contracted in parallel.  Its
+local move follows the core's queue (Traag, Waltman & van Eck 2019): one
+seeded permutation per level, and a moved node wakes its neighbours over
+the union of the graphs' rows in ascending id order.  The core must return
+the identical assignment.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -49,51 +53,56 @@ def _one_level(
             tot[comm[u]] = tot.get(comm[u], 0.0) + d
         tots.append(tot)
 
+    # the fast local move: a node that moves wakes, in ascending id order,
+    # its neighbours in any graph that are neither queued nor in its new
+    # community
+    queue = deque(rng.permutation(n).tolist())
+    queued = [True] * n
     moved_any = False
-    while True:
-        moved = False
-        for u in rng.permutation(n):
-            u = int(u)
-            a = comm[u]
-            for lg, tot in zip(graphs, tots):
-                tot[a] -= lg.deg[u]
-            # weight from u to each candidate community, per graph
-            links: list[dict[int, float]] = []
-            candidates: set[int] = {a}
-            for lg in graphs:
-                w_uc: dict[int, float] = {}
-                for v, w in lg.adj[u].items():
-                    c = comm[v]
-                    w_uc[c] = w_uc.get(c, 0.0) + w
-                links.append(w_uc)
-                candidates.update(w_uc)
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        a = comm[u]
+        for lg, tot in zip(graphs, tots):
+            tot[a] -= lg.deg[u]
+        # weight from u to each candidate community, per graph
+        links: list[dict[int, float]] = []
+        candidates: set[int] = {a}
+        for lg in graphs:
+            w_uc: dict[int, float] = {}
+            for v, w in lg.adj[u].items():
+                c = comm[v]
+                w_uc[c] = w_uc.get(c, 0.0) + w
+            links.append(w_uc)
+            candidates.update(w_uc)
 
-            def gain(c: int) -> float:
-                g = 0.0
-                for lg, tot, w_uc in zip(graphs, tots, links):
-                    if lg.two_m == 0:
-                        continue
-                    g += (2.0 / lg.two_m) * (
-                        w_uc.get(c, 0.0) - lg.deg[u] * tot.get(c, 0.0) / lg.two_m
-                    )
-                return g / num_graphs
-
-            stay = gain(a)
-            best_c, best_gain = a, stay
-            for c in sorted(candidates):
-                if c == a:
+        def gain(c: int) -> float:
+            g = 0.0
+            for lg, tot, w_uc in zip(graphs, tots, links):
+                if lg.two_m == 0:
                     continue
-                g = gain(c)
-                if g > best_gain + _GAIN_TOL:
-                    best_c, best_gain = c, g
-            comm[u] = best_c
-            for lg, tot in zip(graphs, tots):
-                tot[best_c] = tot.get(best_c, 0.0) + lg.deg[u]
-            if best_c != a:
-                moved = True
-        if not moved:
-            break
-        moved_any = True
+                g += (2.0 / lg.two_m) * (
+                    w_uc.get(c, 0.0) - lg.deg[u] * tot.get(c, 0.0) / lg.two_m
+                )
+            return g / num_graphs
+
+        stay = gain(a)
+        best_c, best_gain = a, stay
+        for c in sorted(candidates):
+            if c == a:
+                continue
+            g = gain(c)
+            if g > best_gain + _GAIN_TOL:
+                best_c, best_gain = c, g
+        comm[u] = best_c
+        for lg, tot in zip(graphs, tots):
+            tot[best_c] = tot.get(best_c, 0.0) + lg.deg[u]
+        if best_c != a:
+            moved_any = True
+            for v in sorted(set().union(*(lg.adj[u] for lg in graphs))):
+                if not queued[v] and comm[v] != best_c:
+                    queued[v] = True
+                    queue.append(v)
     return moved_any
 
 

@@ -87,7 +87,7 @@ def reference_adjacency(g):
 
 
 def reference_modularity(p, g):
-    m = g.num_edges
+    m = len(g.edges)
     if m == 0:
         return 0.0
     _, clusters, m_c, _ = reference_cluster_stats(p, g)
@@ -100,7 +100,7 @@ def reference_modularity(p, g):
 
 
 def reference_loss_fit(kind, p, g):
-    m = g.num_edges
+    m = len(g.edges)
     if m == 0:
         return 0.0
     restricted, clusters, m_c, b_c = reference_cluster_stats(p, g)

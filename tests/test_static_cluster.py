@@ -85,6 +85,33 @@ def brute_force_best_modularity(g: WeightedGraph) -> float:
     return best
 
 
+@settings(max_examples=200)
+@given(st.data(), st.integers(0, 2**31 - 1))
+def test_row_order_does_not_change_partitions(data, seed):
+    """Shuffling each adjacency row's dict order changes no partition.
+
+    Unit weights make every sum exact, so only an order taken from the rows
+    could differ: Louvain wakes a moved node's neighbours in ascending id
+    order, and label propagation breaks ties by the smallest label.
+    """
+    labels = [f"v{i}" for i in range(12)]
+    nodes = data.draw(st.lists(st.sampled_from(labels), unique=True, min_size=1))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = label_graph(nodes, {e: 1.0 for e in chosen})
+    shuffled = WeightedGraph(
+        g.labels, [dict(data.draw(st.permutations(list(row.items())))) for row in g.adj]
+    )
+    cids = data.draw(st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes)))
+    init = Partition(dict(zip(g.labels, cids)))
+    for run in (
+        lambda h: louvain(h, seed),
+        lambda h: stabilized_louvain(h, init, seed),
+        lambda h: label_propagation(h, seed),
+    ):
+        assert run(shuffled).assignment == run(g).assignment
+
+
 class TestWeightedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
