@@ -114,7 +114,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _emit(lines: list[str], out=None) -> None:
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{line}\n" for line in lines)
     sys.stdout.write(text)
     if out:
         _write(out, text)

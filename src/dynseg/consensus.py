@@ -50,12 +50,11 @@ def _segment_edges(
     network: DynamicNetwork, start: int, end: int
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The segment's sorted labels and its edges (u < v) in segment-local ids, in time order."""
-    arrays = network.arrays
-    present = np.zeros(len(arrays.labels), dtype=bool)
-    present[arrays.segment_node_ids(start, end)] = True
+    present = np.zeros(len(network.labels), dtype=bool)
+    present[network.segment_node_ids(start, end)] = True
     local = np.cumsum(present) - 1  # global id -> id within the segment
-    u, v = arrays.segment_edges(start, end)
-    labels = arrays.labels
+    u, v = network.segment_edges(start, end)
+    labels = network.labels
     return tuple(labels[i] for i in np.flatnonzero(present).tolist()), local[u], local[v]
 
 
@@ -82,7 +81,7 @@ def consensus_average_louvain(
 ) -> Partition:
     start, end = segment
     labels, u, v = _segment_edges(network, start, end)
-    offsets = network.arrays.edge_offsets[start:end + 2]
+    offsets = network.edge_offsets[start:end + 2]
     return louvain_multi(
         labels, LevelGraph.of_snapshots(len(labels), u, v, offsets - offsets[0]), seed
     )
@@ -115,18 +114,17 @@ def co_occurrence_graph(
     order within one, because the final clusterer's float sums follow it.
     """
     start, end = segment
-    arrays = network.arrays
-    seg_ids = np.unique(arrays.segment_node_ids(start, end))
+    seg_ids = np.unique(network.segment_node_ids(start, end))
     n = len(seg_ids)
     present = np.zeros((end - start + 1, n), dtype=bool)
     keys = []  # u * n + v of each pair placed together, snapshot by snapshot
     prev: Partition | None = None
     for j in range(start, end + 1):
-        ids = arrays.segment_node_ids(j, j)
+        ids = network.segment_node_ids(j, j)
         if not ids.size:
             continue
-        u, v = arrays.segment_edges(j, j)
-        labels = tuple(arrays.labels[i] for i in ids.tolist())
+        u, v = network.segment_edges(j, j)
+        labels = tuple(network.labels[i] for i in ids.tolist())
         graph = WeightedGraph.from_edges(
             labels, np.searchsorted(ids, u), np.searchsorted(ids, v), np.ones(len(u))
         )
@@ -143,7 +141,7 @@ def co_occurrence_graph(
     order = np.argsort(first)
     a, b = np.divmod(pairs[order], n)
     shared = np.count_nonzero(present[:, a] & present[:, b], axis=0)
-    labels = tuple(arrays.labels[i] for i in seg_ids.tolist())
+    labels = tuple(network.labels[i] for i in seg_ids.tolist())
     return WeightedGraph.from_edges(labels, a, b, together[order] / shared)
 
 
@@ -162,7 +160,7 @@ def segment_partition(
     A segment whose snapshots are all empty gets the empty partition.
     """
     start, end = segment
-    if not network.arrays.segment_node_ids(start, end).size:
+    if not network.segment_node_ids(start, end).size:
         return Partition({})
     seg_seed = derive_seed(spec.seed, "segment", start, end)
     if spec.method == "sum-graph":

@@ -10,6 +10,7 @@ partition in a full solution.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -26,10 +27,6 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def _canonical_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 class Snapshot:
     """One static graph: a node set and a set of undirected simple edges."""
 
@@ -43,7 +40,7 @@ class Snapshot:
                 raise ValueError(f"self-loop on node {u!r}")
             node_set.add(u)
             node_set.add(v)
-            edge_set.add(_canonical_edge(u, v))
+            edge_set.add((u, v) if u <= v else (v, u))
         self.nodes: frozenset[str] = frozenset(node_set)
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
 
@@ -61,16 +58,17 @@ class Snapshot:
         return f"Snapshot(|V|={len(self.nodes)}, |E|={len(self.edges)})"
 
 
-class IdArrays:
-    """A dynamic network's snapshots with node labels interned as integer ids.
+class DynamicNetwork:
+    """A sequence of k >= 1 snapshots over one label table, held as id arrays.
 
-    ``labels`` is the sorted label table and ``label_index`` maps a label to
-    its id, so ids order like labels.  Snapshot j's node ids are
-    ``node_ids[node_offsets[j]:node_offsets[j + 1]]`` and its edges are the
-    same slice of ``edge_u``/``edge_v`` under ``edge_offsets``, with u < v;
-    within a snapshot both are in ascending order.  A segment's nodes and
-    edges are therefore one contiguous slice, and an empty snapshot costs
-    one entry per offset array.
+    ``labels`` is the sorted table of every node label and ``label_index``
+    maps a label to its id, so ids order like labels.  Snapshot j's node ids
+    are ``node_ids[node_offsets[j]:node_offsets[j + 1]]`` and its edges are
+    the same slice of ``edge_u``/``edge_v`` under ``edge_offsets``, with
+    u < v; within a snapshot both are in ascending order.  A segment's nodes
+    and edges are therefore one contiguous slice, and an empty snapshot
+    costs one entry per offset array.  ``network[j]`` builds snapshot j as a
+    ``Snapshot`` from its slices.
     """
 
     __slots__ = (
@@ -79,25 +77,43 @@ class IdArrays:
     )
 
     def __init__(self, snapshots: Sequence[Snapshot]):
-        universe: set[str] = set()
-        for g in snapshots:
-            universe.update(g.nodes)
-        self.labels: tuple[str, ...] = tuple(sorted(universe))
-        index = {u: i for i, u in enumerate(self.labels)}
-        self.label_index: dict[str, int] = index
-        node_ids: list[int] = []
-        edge_ends: list[int] = []
-        for g in snapshots:
-            if g.nodes:
-                node_ids.extend(sorted(index[u] for u in g.nodes))
-                for u, v in sorted(g.edges):
-                    edge_ends += (index[u], index[v])
-        self.node_ids = _frozen(node_ids)
-        self.edge_u = _frozen(edge_ends[0::2])
-        self.edge_v = _frozen(edge_ends[1::2])
-        k = len(snapshots)
-        self.node_offsets = _offsets((len(g.nodes) for g in snapshots), k)
-        self.edge_offsets = _offsets((len(g.edges) for g in snapshots), k)
+        index: dict[str, int] = {}
+        nodes = [
+            (t, index.setdefault(u, len(index))) for t, g in enumerate(snapshots) for u in g.nodes
+        ]
+        edges = [(t, index[u], index[v]) for t, g in enumerate(snapshots) for u, v in g.edges]
+        self._build(len(snapshots), list(index), nodes, edges)
+
+    @classmethod
+    def from_records(cls, k: int, labels: Sequence[str], nodes, edges) -> "DynamicNetwork":
+        """Network of k snapshots from id records.
+
+        ``labels`` are distinct, in any order, and ids index them.  ``nodes``
+        holds (t, id) records and ``edges`` (t, u, v) records, as rows or
+        flattened, with 0 <= t < k and u != v.  An edge's endpoints join its
+        snapshot; repeated records and edge orientation do not matter.
+        """
+        network = cls.__new__(cls)
+        network._build(k, labels, nodes, edges)
+        return network
+
+    def _build(self, k: int, labels: Sequence[str], nodes, edges) -> None:
+        if k < 1:
+            raise ValueError("a dynamic network needs at least one snapshot")
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[order] = np.arange(len(labels))
+        self.labels: tuple[str, ...] = tuple(labels[i] for i in order)
+        self.label_index: dict[str, int] = dict(zip(self.labels, range(len(order))))
+        nt, nid = np.asarray(nodes, dtype=np.intp).reshape(-1, 2).T
+        et, eu, ev = np.asarray(edges, dtype=np.intp).reshape(-1, 3).T
+        eu, ev = rank[eu], rank[ev]
+        self.edge_offsets, self.edge_u, self.edge_v = _sorted_records(
+            k, et, np.minimum(eu, ev), np.maximum(eu, ev)
+        )
+        self.node_offsets, self.node_ids = _sorted_records(
+            k, np.concatenate([nt, et, et]), np.concatenate([rank[nid], eu, ev])
+        )
 
     def segment_node_ids(self, start: int, end: int) -> np.ndarray:
         """Node ids of snapshots start..end, snapshot by snapshot."""
@@ -108,57 +124,46 @@ class IdArrays:
         lo, hi = self.edge_offsets[start], self.edge_offsets[end + 1]
         return self.edge_u[lo:hi], self.edge_v[lo:hi]
 
-
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-def _offsets(counts: Iterator[int], k: int) -> np.ndarray:
-    """Prefix sums 0, c0, c0+c1, ... of k per-snapshot counts."""
-    out = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(counts, dtype=np.intp, count=k), out=out[1:])
-    out.flags.writeable = False
-    return out
-
-
-class DynamicNetwork:
-    """Ordered sequence of snapshots sharing one label universe."""
-
-    __slots__ = ("snapshots", "_arrays")
-
-    def __init__(self, snapshots: Sequence[Snapshot]):
-        if len(snapshots) < 1:
-            raise ValueError("a dynamic network needs at least one snapshot")
-        self.snapshots: tuple[Snapshot, ...] = tuple(snapshots)
-        self._arrays: IdArrays | None = None
-
-    @property
-    def arrays(self) -> IdArrays:
-        """The integer-indexed snapshots, built on first use."""
-        if self._arrays is None:
-            self._arrays = IdArrays(self.snapshots)
-        return self._arrays
-
     @property
     def k(self) -> int:
-        return len(self.snapshots)
+        return len(self.node_offsets) - 1
 
     def __getitem__(self, j: int) -> Snapshot:
-        return self.snapshots[j]
+        j = range(self.k)[j]
+        labels = self.labels
+        u, v = self.segment_edges(j, j)
+        return Snapshot(
+            [labels[i] for i in self.segment_node_ids(j, j).tolist()],
+            [(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())],
+        )
 
     def __iter__(self) -> Iterator[Snapshot]:
-        return iter(self.snapshots)
+        return (self[j] for j in range(self.k))
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return self.k
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DynamicNetwork) and self.snapshots == other.snapshots
+        return isinstance(other, DynamicNetwork) and self.labels == other.labels and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__[2:]
+        )
 
     def __hash__(self) -> int:
-        return hash(self.snapshots)
+        return hash((self.labels, self.node_offsets.tobytes(), self.edge_offsets.tobytes()))
+
+
+def _sorted_records(k: int, t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """Offsets per snapshot, then the columns, of records sorted by (t, *columns)
+    with repeats dropped; every array is read-only."""
+    order = np.lexsort((*columns[::-1], t))
+    t, *columns = (c[order] for c in (t, *columns))
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = np.any([c[1:] != c[:-1] for c in (t, *columns)], axis=0)
+    out = [np.searchsorted(t[keep], np.arange(k + 1))] + [c[keep] for c in columns]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,12 +225,7 @@ class ChangePointSet:
         """Index of the segment containing snapshot j."""
         if not 0 <= j <= self.k - 1:
             raise ValueError(f"time index {j} outside [0, {self.k - 1}]")
-        i = 0
-        for t in self.points:
-            if j < t:
-                break
-            i += 1
-        return i
+        return bisect.bisect_right(self.points, j)
 
 
 class Partition:
@@ -269,11 +269,6 @@ class Partition:
     @property
     def num_clusters(self) -> int:
         return len(self.clusters())
-
-    def restrict(self, nodes: Iterable[str]) -> "Partition":
-        """Partition of ``domain intersect nodes``; empty clusters drop out."""
-        keep = self.domain & frozenset(nodes)
-        return Partition({u: self.assignment[u] for u in keep})
 
     def groups(self) -> frozenset[frozenset[str]]:
         """The clustering as a set of member sets, ignoring cluster ids."""
@@ -334,9 +329,9 @@ class ScdOutput:
         """
         if network.k != self.k:
             raise ValueError(f"output covers k={self.k}, network has k={network.k}")
-        labels = network.arrays.labels
+        labels = network.labels
         for p, (start, end) in zip(self.partitions, self.segmentation()):
-            ids = np.unique(network.arrays.segment_node_ids(start, end))
+            ids = np.unique(network.segment_node_ids(start, end))
             nodes = {labels[i] for i in ids.tolist()}
             missing = nodes - p.domain
             extra = p.domain - nodes if exact else set()
@@ -358,22 +353,19 @@ class ScdOutput:
 #   <t> <u> <v>   edge in snapshot t (u != v)
 #   <t> <u>       isolated-node declaration
 # Lines starting with '#' are comments; blank lines are ignored.  Every time
-# index up to the largest costs a snapshot slot, so indices are capped.
+# index up to the largest costs an offset entry, so indices are capped.
 # ---------------------------------------------------------------------------
 
 MAX_TIME_INDEX = 1_000_000
 
 
 def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
-
-    nodes_by_t: dict[int, set[str]] = {}
-    edges_by_t: dict[int, set[tuple[str, str]]] = {}
-    max_t = -1
-    for line_no, raw in enumerate(lines, start=1):
+    text = source if isinstance(source, str) else source.read()
+    index: dict[str, int] = {}  # label -> id, in order of first appearance
+    nodes: list[int] = []  # t, id of each record, flattened
+    edges: list[int] = []  # t, u, v of each record, flattened
+    k = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -388,22 +380,18 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
             raise FormatError(f"negative time index {t}", line_no)
         if t > MAX_TIME_INDEX:
             raise FormatError(f"time index {t} above {MAX_TIME_INDEX}", line_no)
-        max_t = max(max_t, t)
-        nodes_by_t.setdefault(t, set()).update(parts[1:])
-        if len(parts) == 3:
-            u, v = parts[1], parts[2]
-            if u == v:
-                raise FormatError(f"self-loop on node {u!r}", line_no)
-            edges_by_t.setdefault(t, set()).add(_canonical_edge(u, v))
-    if max_t < 0:
+        if t >= k:
+            k = t + 1
+        if len(parts) == 2:
+            nodes += (t, index.setdefault(parts[1], len(index)))
+            continue
+        u, v = parts[1], parts[2]
+        if u == v:
+            raise FormatError(f"self-loop on node {u!r}", line_no)
+        edges += (t, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+    if not k:
         raise FormatError("no snapshot records found")
-    # every skipped time index shares one empty snapshot
-    empty = Snapshot()
-    snapshots = [
-        Snapshot(nodes_by_t[t], edges_by_t.get(t, ())) if t in nodes_by_t else empty
-        for t in range(max_t + 1)
-    ]
-    return DynamicNetwork(snapshots)
+    return DynamicNetwork.from_records(k, list(index), nodes, edges)
 
 
 def dump_dynamic_network(network: DynamicNetwork) -> str:
@@ -412,15 +400,16 @@ def dump_dynamic_network(network: DynamicNetwork) -> str:
     The format holds no snapshot after the last record, so a network whose
     last snapshot is empty cannot be written and raises ValueError.
     """
-    if not network.snapshots[-1].nodes:
+    sizes = np.diff(network.node_offsets)
+    if not sizes[-1]:
         raise ValueError("the last snapshot is empty; the format cannot express it")
+    labels = network.labels
     out: list[str] = []
-    for t, g in enumerate(network.snapshots):
-        covered = {u for e in g.edges for u in e}
-        for u in sorted(g.nodes - covered):
-            out.append(f"{t} {u}")
-        for u, v in sorted(g.edges):
-            out.append(f"{t} {u} {v}")
+    for t in np.flatnonzero(sizes).tolist():
+        u, v = network.segment_edges(t, t)
+        isolated = np.setdiff1d(network.segment_node_ids(t, t), np.concatenate([u, v]))
+        out += [f"{t} {labels[i]}" for i in isolated.tolist()]
+        out += [f"{t} {labels[a]} {labels[b]}" for a, b in zip(u.tolist(), v.tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -445,14 +434,10 @@ def dump_output(output: ScdOutput) -> str:
 
 
 def load_output(source: TextIO | str) -> ScdOutput:
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
-
+    text = source if isinstance(source, str) else source.read()
     segments: list[tuple[int, int]] = []
-    cluster_sets: list[list[set[str]]] = []
-    for line_no, raw in enumerate(lines, start=1):
+    assignments: list[dict[str, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -465,15 +450,22 @@ def load_output(source: TextIO | str) -> ScdOutput:
             except ValueError:
                 raise FormatError("bad segment bounds", line_no) from None
             segments.append((start, end))
-            cluster_sets.append([])
+            assignments.append({})
+            cid = 0
         elif line.startswith("cluster "):
             if not segments:
                 raise FormatError("cluster line before any segment line", line_no)
-            _, _, rest = line.partition(":")
-            members = set(rest.split())
+            head, colon, rest = line.partition(":")
+            if not colon or len(head.split()) != 2:
+                raise FormatError("cluster line lacks the ':' after its id", line_no)
+            members = rest.split()
             if not members:
                 raise FormatError("empty cluster", line_no)
-            cluster_sets[-1].append(members)
+            assignment = assignments[-1]
+            for u in members:
+                if assignment.setdefault(u, cid) != cid:
+                    raise FormatError(f"node {u!r} assigned to two clusters", line_no)
+            cid += 1
         else:
             raise FormatError(f"unrecognized line {line!r}", line_no)
     if not segments:
@@ -484,5 +476,5 @@ def load_output(source: TextIO | str) -> ScdOutput:
         raise FormatError(str(exc)) from None
     k = segments[-1][1] + 1
     points = tuple(start for start, _ in segments[1:])
-    partitions = tuple(Partition.from_clusters(cs) for cs in cluster_sets)
+    partitions = tuple(Partition(a) for a in assignments)
     return ScdOutput(ChangePointSet(points, k), partitions)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import special
@@ -32,20 +32,22 @@ class PartitionMetric(str, Enum):
 # Contingency machinery
 # ---------------------------------------------------------------------------
 
-def _aligned_labels(p1: Partition, p2: Partition) -> tuple[np.ndarray, np.ndarray]:
+def _aligned_codes(p1: Partition, p2: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The two partitions' cluster ids of every node, nodes in sorted order."""
     if p1.domain != p2.domain:
         raise ValueError("partitions must share the same domain")
-    nodes = sorted(p1.domain)
-    dense1: dict[int, int] = {}
-    dense2: dict[int, int] = {}
-    l1 = np.empty(len(nodes), dtype=np.int64)
-    l2 = np.empty(len(nodes), dtype=np.int64)
-    for i, u in enumerate(nodes):
-        c1 = p1.assignment[u]
-        c2 = p2.assignment[u]
-        l1[i] = dense1.setdefault(c1, len(dense1))
-        l2[i] = dense2.setdefault(c2, len(dense2))
-    return l1, l2
+    nodes = sorted(p1.assignment)
+    return tuple(
+        np.array([p.assignment[u] for u in nodes], dtype=np.int64) for p in (p1, p2)
+    )
+
+
+def _dense(codes: np.ndarray) -> np.ndarray:
+    """Codes renumbered 0, 1, ... in order of first appearance."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 def _contingency(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -102,14 +104,15 @@ def _expected_mutual_information(table: np.ndarray, n: int) -> float:
     return emi
 
 
-def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:
-    """(homogeneity, completeness, v-measure) treating p1 as the reference."""
-    l1, l2 = _aligned_labels(p1, p2)
-    n = len(l1)
-    table = _contingency(l1, l2)
-    h1 = _entropy(table.sum(axis=1), n)
-    h2 = _entropy(table.sum(axis=0), n)
-    mi = _mutual_information(table, n)
+def _information(table: np.ndarray, n: int) -> tuple[float, float, float]:
+    """Entropies of the row and the column clustering, and their mutual information."""
+    return (
+        _entropy(table.sum(axis=1), n), _entropy(table.sum(axis=0), n),
+        _mutual_information(table, n),
+    )
+
+
+def _vmeasure(h1: float, h2: float, mi: float) -> tuple[float, float, float]:
     hom = 1.0 if h1 == 0 else mi / h1  # 1 - H(p1|p2)/H(p1)
     com = 1.0 if h2 == 0 else mi / h2
     if hom + com == 0:
@@ -117,12 +120,17 @@ def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, flo
     return hom, com, 2.0 * hom * com / (hom + com)
 
 
-def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) -> float:
-    if p1.domain != p2.domain:
-        raise ValueError("partitions must share the same domain")
-    if p1.same_grouping(p2):
+def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:
+    """(homogeneity, completeness, v-measure) treating p1 as the reference."""
+    l1, l2 = (_dense(c) for c in _aligned_codes(p1, p2))
+    return _vmeasure(*_information(_contingency(l1, l2), len(l1)))
+
+
+def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> float:
+    """Similarity of two clusterings of the same elements, given as code arrays."""
+    l1, l2 = _dense(c1), _dense(c2)
+    if np.array_equal(l1, l2):
         return 1.0
-    l1, l2 = _aligned_labels(p1, p2)
     n = len(l1)
     table = _contingency(l1, l2)
 
@@ -139,10 +147,7 @@ def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) 
             return 0.0
         return (index - expected) / (max_index - expected)
 
-    h1 = _entropy(table.sum(axis=1), n)
-    h2 = _entropy(table.sum(axis=0), n)
-    mi = _mutual_information(table, n)
-
+    h1, h2, mi = _information(table, n)
     if metric is PartitionMetric.NMI:
         normalizer = 0.5 * (h1 + h2)
         if normalizer == 0:
@@ -156,25 +161,62 @@ def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) 
             return 0.0
         return (mi - emi) / denom
 
-    return vmeasure_components(p1, p2)[2]
+    return _vmeasure(h1, h2, mi)[2]
+
+
+def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) -> float:
+    return _similarity(metric, *_aligned_codes(p1, p2))
 
 
 # ---------------------------------------------------------------------------
 # Output similarity
 # ---------------------------------------------------------------------------
 
-def time_point_partition(output: ScdOutput) -> Partition:
-    """Snapshot indices grouped by the segment containing them."""
-    assign = {
-        str(j): output.change_points.seg_index(j) for j in range(output.k)
-    }
-    return Partition(assign)
-
-
 def sim_t(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
+    """Similarity of the time-point partitions: snapshots grouped by segment."""
     if o1.k != o2.k:
         raise ValueError("outputs cover different numbers of snapshots")
-    return partition_similarity(metric, time_point_partition(o1), time_point_partition(o2))
+    t = np.arange(o1.k)
+    return _similarity(
+        metric, *(np.searchsorted(o.change_points.points, t, side="right") for o in (o1, o2))
+    )
+
+
+def _code_rows(output: ScdOutput, index: dict[str, int]) -> Iterator[np.ndarray]:
+    """For each snapshot, the covering partition's cluster code of every id,
+    -1 where it has none; codes are distinct across segments."""
+    codes: dict[tuple[int, int], int] = {}
+    for s, (p, (start, end)) in enumerate(zip(output.partitions, output.segmentation())):
+        row = np.full(len(index), -1, dtype=np.int64)
+        for u, cid in p.assignment.items():
+            if u in index:
+                row[index[u]] = codes.setdefault((s, cid), len(codes))
+        yield from [row] * (end - start + 1)
+
+
+def _snapshot_codes(
+    o1: ScdOutput, o2: ScdOutput, network: DynamicNetwork | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per snapshot, the ids scored there and both outputs' cluster codes on them.
+
+    The ids are the snapshot's nodes when the network is given, else the
+    nodes both covering partitions hold; both outputs must cover them.
+    """
+    if o1.k != o2.k:
+        raise ValueError("outputs cover different numbers of snapshots")
+    if network is None:
+        labels = sorted(set().union(*(p.assignment for p in o1.partitions + o2.partitions)))
+        index = {u: i for i, u in enumerate(labels)}
+    else:
+        index = network.label_index
+    for j, (r1, r2) in enumerate(zip(_code_rows(o1, index), _code_rows(o2, index))):
+        ids = (
+            np.flatnonzero((r1 >= 0) & (r2 >= 0)) if network is None
+            else network.segment_node_ids(j, j)
+        )
+        if (r1[ids] < 0).any() or (r2[ids] < 0).any():
+            raise ValueError(f"an output misses a node of snapshot {j}")
+        yield ids, r1[ids], r2[ids]
 
 
 def sim_p(
@@ -186,36 +228,13 @@ def sim_p(
     """Mean per-snapshot similarity of the covering segment partitions.
 
     Both partitions are restricted to the snapshot's node set when the
-    network is provided, else to their common domain.
+    network is provided, else to their common domain; a snapshot with no
+    node to score counts 1.
     """
-    if o1.k != o2.k:
-        raise ValueError("outputs cover different numbers of snapshots")
     total = 0.0
-    for j in range(o1.k):
-        p1 = o1.partition_at(j)
-        p2 = o2.partition_at(j)
-        scope = network[j].nodes if network is not None else (p1.domain & p2.domain)
-        q1 = p1.restrict(scope)
-        q2 = p2.restrict(scope)
-        if not q1.assignment and not q2.assignment:
-            total += 1.0
-            continue
-        total += partition_similarity(metric, q1, q2)
+    for _, c1, c2 in _snapshot_codes(o1, o2, network):
+        total += _similarity(metric, c1, c2)
     return total / o1.k
-
-
-def node_time_partition(
-    output: ScdOutput, elements: Sequence[tuple[str, int]]
-) -> Partition:
-    """Cluster node-time pairs: together iff same segment and same cluster there."""
-    assign: dict[str, int] = {}
-    keys: dict[tuple[int, int], int] = {}
-    for u, t in elements:
-        seg = output.change_points.seg_index(t)
-        cid = output.partitions[seg].assignment[u]
-        key = (seg, cid)
-        assign[f"{u}\x1f{t}"] = keys.setdefault(key, len(keys))
-    return Partition(assign)
 
 
 def sim_b(
@@ -224,22 +243,13 @@ def sim_b(
     metric: PartitionMetric,
     network: DynamicNetwork | None = None,
 ) -> float:
-    if o1.k != o2.k:
-        raise ValueError("outputs cover different numbers of snapshots")
-    elements: list[tuple[str, int]] = []
-    for t in range(o1.k):
-        if network is not None:
-            scope = network[t].nodes
-        else:
-            scope = o1.partition_at(t).domain & o2.partition_at(t).domain
-        elements.extend((u, t) for u in sorted(scope))
-    if not elements:
+    """Similarity of the node-time partitions: (node, snapshot) pairs grouped
+    by segment and cluster there, over the pairs sim_p scores."""
+    ids, c1, c2 = (np.concatenate(c) for c in zip(*_snapshot_codes(o1, o2, network)))
+    if not len(ids):
         raise ValueError("empty node-time domain")
-    return partition_similarity(
-        metric,
-        node_time_partition(o1, elements),
-        node_time_partition(o2, elements),
-    )
+    order = np.argsort(ids, kind="stable")  # node by node, each in time order
+    return _similarity(metric, c1[order], c2[order])
 
 
 # ---------------------------------------------------------------------------

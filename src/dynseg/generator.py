@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import rng_for
-from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput, Snapshot
+from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput
 
 
 class GenerationError(RuntimeError):
@@ -318,21 +318,21 @@ def generate_snapshots(
     output: ScdOutput, cfg: GeneratorConfig, rng: np.random.Generator
 ) -> DynamicNetwork:
     """Independent blockmodel draws, one per snapshot, under the segment partitions."""
-    n = cfg.n
-    labels = [str(u) for u in range(n)]
+    n, k = cfg.n, cfg.k
     p_in = cfg.c_in / n
     p_out = cfg.c_out / n
     iu, iv = np.triu_indices(n, k=1)
-    snapshots: list[Snapshot] = []
+    edges: list[np.ndarray] = []
     for p, (start, end) in zip(output.partitions, output.segmentation()):
         memb = np.array([p.assignment[str(u)] for u in range(n)])
         same = memb[iu] == memb[iv]
         probs = np.where(same, p_in, p_out)
-        for _ in range(start, end + 1):
-            hit = rng.random(len(probs)) < probs
-            edges = [(labels[int(a)], labels[int(b)]) for a, b in zip(iu[hit], iv[hit])]
-            snapshots.append(Snapshot(labels, edges))
-    return DynamicNetwork(snapshots)
+        for t in range(start, end + 1):
+            hit = np.flatnonzero(rng.random(len(probs)) < probs)
+            edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
+    # node u is labelled str(u), and every snapshot holds every node
+    nodes = np.column_stack([np.repeat(np.arange(k), n), np.tile(np.arange(n), k)])
+    return DynamicNetwork.from_records(k, [str(u) for u in range(n)], nodes, np.concatenate(edges))
 
 
 def generate(cfg: GeneratorConfig) -> tuple[DynamicNetwork, ScdOutput]:

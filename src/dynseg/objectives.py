@@ -75,17 +75,16 @@ def _segment_clusters(
     """
     cids = sorted(set(p.assignment.values()))
     code = {cid: a for a, cid in enumerate(cids)}
-    arrays = network.arrays
-    index = arrays.label_index
+    index = network.label_index
     known = [(index[u], code[cid]) for u, cid in p.assignment.items() if u in index]
-    z = np.full(len(arrays.labels), -1, dtype=np.intp)
+    z = np.full(len(network.labels), -1, dtype=np.intp)
     if known:
         ids, codes = zip(*known)
         z[list(ids)] = codes
     nc, span = len(cids), end - start + 1
 
-    zn = z[arrays.segment_node_ids(start, end)]
-    snap = np.repeat(np.arange(span), np.diff(arrays.node_offsets[start:end + 2]))
+    zn = z[network.segment_node_ids(start, end)]
+    snap = np.repeat(np.arange(span), np.diff(network.node_offsets[start:end + 2]))
     missing = np.flatnonzero(zn < 0)
     if len(missing):
         raise ValueError(f"partition does not cover snapshot {start + snap[missing[0]]}")
@@ -116,9 +115,8 @@ def snapshot_fit(
     """
     z, zn, snap, sizes = _segment_clusters(network, start, end, p)
     span, nc = sizes.shape
-    arrays = network.arrays
-    u, v = arrays.segment_edges(start, end)
-    m = np.diff(arrays.edge_offsets[start:end + 2])
+    u, v = network.segment_edges(start, end)
+    m = np.diff(network.edge_offsets[start:end + 2])
     esnap = np.repeat(np.arange(span), m)
     a, b = z[u], z[v]
     cut = a != b
@@ -137,8 +135,8 @@ def snapshot_fit(
     present = sizes > 0
     if fit is FitMeasure.AVERAGE_ODF:
         # each edge end's position in the node slice, by (snapshot, id) key
-        width = len(arrays.labels)
-        keys = snap * width + arrays.segment_node_ids(start, end)
+        width = len(network.labels)
+        keys = snap * width + network.segment_node_ids(start, end)
         ends = np.concatenate([
             np.searchsorted(keys, esnap * width + u), np.searchsorted(keys, esnap * width + v)
         ])
@@ -185,7 +183,7 @@ def _segment_counts(
     pairs = np.triu(sizes.T @ sizes, 1)
     np.fill_diagonal(pairs, (sizes * (sizes - 1) // 2).sum(axis=0))
 
-    u, v = network.arrays.segment_edges(start, end)
+    u, v = network.segment_edges(start, end)
     a, b = z[u], z[v]
     edges = np.bincount(np.minimum(a, b) * nc + np.maximum(a, b), minlength=nc * nc)
     return edges.reshape(nc, nc), pairs, sizes
@@ -239,7 +237,7 @@ def num_parameters(output: ScdOutput) -> int:
 
 def num_observations(network: DynamicNetwork) -> int:
     """Node pairs observed across all snapshots."""
-    n = np.diff(network.arrays.node_offsets)
+    n = np.diff(network.node_offsets)
     return int((n * (n - 1) // 2).sum())
 
 

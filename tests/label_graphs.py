@@ -4,7 +4,8 @@ The library builds every ``WeightedGraph`` from id arrays
 (``WeightedGraph.from_edges``).  The tests state their graphs by label, so
 the label-keyed constructor lives here, together with the string-keyed
 co-occurrence count that serves as the reference for
-``consensus.co_occurrence_graph``.
+``consensus.co_occurrence_graph`` and ``restrict``, a partition cut down to
+a node set, for the label-keyed reference loops.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def label_graph(
         iu, iv = index[u], index[v]
         adj[iu][iv] = adj[iv][iu] = w
     return WeightedGraph(labels, adj)
+
+
+def restrict(p: Partition, nodes: Iterable[str]) -> Partition:
+    """Partition of ``p.domain`` intersect ``nodes``; empty clusters drop out."""
+    return Partition({u: p.assignment[u] for u in p.domain & frozenset(nodes)})
 
 
 def snapshot_graph(g: Snapshot) -> WeightedGraph:

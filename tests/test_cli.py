@@ -311,6 +311,16 @@ class TestRank:
         assert len(lines) == 1
         assert lines[0].split("\t")[0] == "1"
 
+    def test_single_snapshot_writes_empty_report(self, tmp_path, capsys):
+        # k=1 has no candidate time point, so the report has no line
+        net = tmp_path / "n.txt"
+        net.write_text("0 a b\n0 b c\n")
+        out = tmp_path / "rank.txt"
+        code, stdout, _ = run(capsys, "rank", "--input", str(net), "--output", str(out))
+        assert code == 0
+        assert stdout == ""
+        assert out.read_bytes() == b""
+
     def test_truth_appends_classification(self, scg_files, capsys):
         net, truth = scg_files
         code, stdout, _ = run(capsys, "rank", "--input", str(net),

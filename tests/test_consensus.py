@@ -197,7 +197,7 @@ def segments(draw):
 def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
     """Same labels, same rows in the same order, and bit-equal weights."""
     net, segment = case
-    if not net.arrays.segment_node_ids(*segment).size:
+    if not net.segment_node_ids(*segment).size:
         return
     spec = ClustererSpec(kind, seed)
     got = co_occurrence_graph(net, segment, spec)

@@ -74,19 +74,19 @@ class TestLoadDynamicNetwork:
         with pytest.raises(FormatError):
             load_dynamic_network("# only a comment\n")
 
-    def test_skipped_time_indices_share_one_snapshot(self):
+    def test_skipped_time_indices_cost_one_offset_entry(self):
         tracemalloc.start()
         try:
             net = load_dynamic_network("0 a b\n200000 a c\n")
-            arrays = net.arrays
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert net.k == 200001
         assert peak < 20 * 2**20
-        assert net[1] is net[199999]
-        assert len(net[1].nodes) == 0
-        assert arrays.edge_offsets[199999] == arrays.edge_offsets[200000] == 1
+        assert net[1] == net[199999] == Snapshot()
+        assert net.node_offsets[1] == net.node_offsets[200000] == 2
+        assert net.edge_offsets[199999] == net.edge_offsets[200000] == 1
+        assert len(net.node_ids) == 4 and len(net.edge_u) == 2
 
     def test_round_trip(self):
         text = "0 a b\n0 zz\n1 a c\n3 b c\n"
@@ -128,20 +128,42 @@ class TestLoadDynamicNetwork:
 class TestIdArrays:
     def test_layout(self):
         net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
-        arrays = net.arrays
-        assert net.arrays is arrays
-        assert arrays.labels == ("a", "b", "c")
-        assert arrays.label_index == {"a": 0, "b": 1, "c": 2}
-        assert arrays.node_offsets.tolist() == [0, 3, 5, 5, 7]
-        assert arrays.node_ids.tolist() == [0, 1, 2, 1, 2, 0, 2]
-        assert arrays.edge_offsets.tolist() == [0, 1, 2, 2, 3]
-        assert list(zip(arrays.edge_u.tolist(), arrays.edge_v.tolist())) == [
+        assert net.labels == ("a", "b", "c")
+        assert net.label_index == {"a": 0, "b": 1, "c": 2}
+        assert net.node_offsets.tolist() == [0, 3, 5, 5, 7]
+        assert net.node_ids.tolist() == [0, 1, 2, 1, 2, 0, 2]
+        assert net.edge_offsets.tolist() == [0, 1, 2, 2, 3]
+        assert list(zip(net.edge_u.tolist(), net.edge_v.tolist())) == [
             (0, 1), (1, 2), (0, 2),
         ]
-        assert arrays.segment_node_ids(1, 2).tolist() == [1, 2]
-        assert [a.tolist() for a in arrays.segment_edges(1, 3)] == [[1, 0], [2, 2]]
-        with pytest.raises(ValueError):
-            arrays.node_ids[0] = 2
+        assert net.segment_node_ids(1, 2).tolist() == [1, 2]
+        assert [a.tolist() for a in net.segment_edges(1, 3)] == [[1, 0], [2, 2]]
+        for name in DynamicNetwork.__slots__[2:]:
+            with pytest.raises(ValueError):
+                getattr(net, name)[0] = 2
+
+    def test_views_and_equality(self):
+        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
+        assert net[0] == Snapshot(["c"], [("a", "b")])
+        assert net[-1] == Snapshot([], [("a", "c")])
+        assert [len(g.nodes) for g in net] == [3, 2, 0, 2]
+        with pytest.raises(IndexError):
+            net[4]
+        assert DynamicNetwork(list(net)) == net
+        assert hash(DynamicNetwork(list(net))) == hash(net)
+        assert net != load_dynamic_network("0 b a\n0 c\n1 c b\n3 a b\n")
+
+    def test_snapshots_and_loader_build_the_same_arrays(self):
+        # labels sort as strings, so ids follow "10" < "9"; edges given
+        # either way round and repeated collapse
+        snapshots = [Snapshot(["9"], [("10", "2"), ("2", "10")]), Snapshot(["x"])]
+        net = DynamicNetwork(snapshots)
+        assert net.labels == ("10", "2", "9", "x")
+        assert net.node_ids.tolist() == [0, 1, 2, 3]
+        assert (net.edge_u.tolist(), net.edge_v.tolist()) == ([0], [1])
+        assert load_dynamic_network("0 2 10\n0 10 2\n0 9\n1 x\n") == net
+        with pytest.raises(ValueError, match="at least one snapshot"):
+            DynamicNetwork([])
 
 
 class TestSnapshot:
@@ -227,12 +249,6 @@ class TestPartition:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             Partition.from_clusters([["a", "b"], ["b"]])
-
-    def test_restrict_drops_empty_clusters(self):
-        p = Partition.from_clusters([["a", "b"], ["c"]])
-        q = p.restrict({"a", "b"})
-        assert q.domain == {"a", "b"}
-        assert q.num_clusters == 1
 
     def test_same_grouping_ignores_ids(self):
         p = Partition({"a": 5, "b": 5, "c": 9})
@@ -339,6 +355,20 @@ class TestScdOutput:
     def test_load_rejects_gaps(self):
         with pytest.raises(FormatError):
             load_output("segment 0 1\ncluster 0: a\nsegment 3 4\ncluster 0: a\n")
+
+    def test_load_rejects_node_in_two_clusters_with_line(self):
+        text = "segment 0 0\ncluster 0: a b\n# note\ncluster 1: c b\n"
+        with pytest.raises(FormatError, match="^line 4: node 'b' assigned to two clusters$"):
+            load_output(text)
+        # a repeat within one cluster line is one member
+        assert load_output("segment 0 0\ncluster 0: a a b\n").partitions[0].num_clusters == 1
+
+    def test_load_rejects_cluster_line_without_colon(self):
+        for line in ("cluster 0 a b", "cluster 0 a:b"):
+            with pytest.raises(FormatError, match="line 2: cluster line lacks the ':'"):
+                load_output(f"segment 0 0\n{line}\n")
+        with pytest.raises(FormatError, match="line 2: empty cluster"):
+            load_output("segment 0 0\ncluster 0:\n")
 
     def test_load_skips_comments(self):
         out = load_output("# header\nsegment 0 0\ncluster 0: a b\n")

@@ -16,19 +16,18 @@ from dynseg.evaluation import (
     PartitionMetric,
     TimePointRanking,
     change_point_classification,
-    node_time_partition,
     paired_t_test,
     partition_similarity,
     ranking_from_cscd,
     sim_b,
     sim_p,
     sim_t,
-    time_point_partition,
     vmeasure_components,
     _contingency,
     _expected_mutual_information,
     _mutual_information,
 )
+from label_graphs import restrict
 
 ALL_METRICS = list(PartitionMetric)
 
@@ -178,6 +177,11 @@ class TestVMeasure:
         assert completeness == 1.0
 
 
+def time_point_partition(output: ScdOutput) -> Partition:
+    """Snapshot indices, as strings, grouped by the segment containing them."""
+    return Partition({str(j): output.change_points.seg_index(j) for j in range(output.k)})
+
+
 def _uniform_output(points, k, clusters):
     p = Partition.from_clusters(clusters)
     cps = ChangePointSet(points, k)
@@ -298,15 +302,6 @@ class TestSimB:
         expected = mi / (0.5 * (h1 + h2))
         assert got == pytest.approx(expected)
 
-    def test_node_time_partition_structure(self):
-        out = _uniform_output((1,), 2, [["a", "b"]])
-        elements = [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
-        ntp = node_time_partition(out, elements)
-        assert ntp.groups() == frozenset([
-            frozenset({"a\x1f0", "b\x1f0"}),
-            frozenset({"a\x1f1", "b\x1f1"}),
-        ])
-
 
 class TestRanking:
     def _table(self, per_l_points, k):
@@ -421,7 +416,7 @@ class TestSimConsistency:
         cfg = GeneratorConfig(k=6, l=3, n=30, c_min=5, c_in=20, c_out=4, seed=31)
         net, truth = generate(cfg)
         rng = np.random.default_rng(17)
-        nodes = list(net.arrays.labels)
+        nodes = list(net.labels)
         outputs = []
         for level in range(24):
             # one corruption level per output, applied to every segment
@@ -475,6 +470,79 @@ def _relabelled(output: ScdOutput, perm) -> ScdOutput:
         for p in output.partitions
     )
     return ScdOutput(output.change_points, partitions)
+
+
+def reference_sim_p(o1, o2, metric, network=None):
+    """sim_p through restricted label-keyed partitions."""
+    total = 0.0
+    for j in range(o1.k):
+        p1, p2 = o1.partition_at(j), o2.partition_at(j)
+        scope = network[j].nodes if network is not None else p1.domain & p2.domain
+        q1, q2 = restrict(p1, scope), restrict(p2, scope)
+        total += partition_similarity(metric, q1, q2) if q1.assignment else 1.0
+    return total / o1.k
+
+
+def reference_sim_b(o1, o2, metric, network=None):
+    """sim_b through label-keyed node-time partitions, keys "<node>\x1f<t>"."""
+    elements = []
+    for t in range(o1.k):
+        p1, p2 = o1.partition_at(t), o2.partition_at(t)
+        scope = network[t].nodes if network is not None else p1.domain & p2.domain
+        elements += [(u, t) for u in sorted(scope)]
+
+    def node_time(output):
+        keys = {}
+        return Partition({
+            f"{u}\x1f{t}": keys.setdefault(
+                (output.change_points.seg_index(t), output.partition_at(t).assignment[u]),
+                len(keys),
+            )
+            for u, t in elements
+        })
+
+    return partition_similarity(metric, node_time(o1), node_time(o2))
+
+
+@st.composite
+def network_output_pairs(draw):
+    """A network and two outputs whose partitions cover each segment's nodes,
+    plus nodes of other snapshots or of none."""
+    k = draw(st.integers(1, 6))
+    nodes = st.lists(st.sampled_from(OUTPUT_NODES), unique=True, min_size=1)
+    network = DynamicNetwork([Snapshot(draw(nodes)) for _ in range(k)])
+
+    def output():
+        points = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+        partitions = []
+        for start, end in ChangePointSet(tuple(points), k).segmentation():
+            held = set().union(*(network[j].nodes for j in range(start, end + 1)))
+            domain = sorted(held | set(draw(st.lists(st.sampled_from(OUTPUT_NODES + ["x"])))))
+            ids = draw(st.lists(st.integers(0, 3), min_size=len(domain), max_size=len(domain)))
+            partitions.append(Partition(dict(zip(domain, ids))))
+        return ScdOutput(ChangePointSet(tuple(points), k), tuple(partitions))
+
+    return network, output(), output()
+
+
+@settings(max_examples=150)
+@given(network_output_pairs())
+def test_sim_p_and_sim_b_match_label_keyed_references(case):
+    """Bit-equal to the label-keyed loops, with the network and without it;
+    k <= 9 keeps the element order of "<node>\x1f<t>" keys numeric in t."""
+    network, o1, o2 = case
+    for metric in ALL_METRICS:
+        for net in (network, None):
+            assert sim_p(o1, o2, metric, net) == reference_sim_p(o1, o2, metric, net)
+            assert sim_b(o1, o2, metric, net) == reference_sim_b(o1, o2, metric, net)
+
+
+def test_sim_p_and_sim_b_reject_an_uncovered_snapshot_node():
+    network = DynamicNetwork([Snapshot(["a", "b"]), Snapshot(["a", "c"])])
+    out = _uniform_output((), 2, [["a", "b"]])  # misses c, which snapshot 1 holds
+    for sim in (sim_p, sim_b):
+        with pytest.raises(ValueError, match="misses a node of snapshot 1"):
+            sim(out, out, PartitionMetric.NMI, network)
 
 
 @settings(max_examples=150)

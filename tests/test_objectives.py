@@ -29,6 +29,7 @@ from dynseg.objectives import (
     segment_log_likelihood,
     snapshot_fit,
 )
+from label_graphs import restrict
 
 TRIANGLES = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c"),
                           ("d", "e"), ("e", "f"), ("d", "f")])
@@ -120,7 +121,7 @@ class TestModularity:
         graph = nx.Graph()
         graph.add_nodes_from(nodes)
         graph.add_edges_from(edges)
-        communities = p.restrict(g.nodes).clusters().values()
+        communities = restrict(p, g.nodes).clusters().values()
         assert modularity_of(p, g) == pytest.approx(nx.community.modularity(graph, communities))
 
 
@@ -179,7 +180,7 @@ class TestLossFits:
         # the textbook variant (b_c/(2 m_c + b_c)) must order partitions the
         # same way on clear-cut cases and both vanish on boundary-free ones
         def textbook(p, g):
-            restricted = p.restrict(g.nodes)
+            restricted = restrict(p, g.nodes)
             clusters = restricted.clusters()
             m_c = {cid: 0 for cid in clusters}
             b_c = {cid: 0 for cid in clusters}
@@ -246,7 +247,7 @@ from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import FitMeasure, snapshot_fit
 
 net, _ = generate(GeneratorConfig(k=6, l=2, n=40, c_min=4, c_in=10, c_out=3, seed=5))
-p = Partition({u: i % 7 for i, u in enumerate(net.arrays.labels)})
+p = Partition({u: i % 7 for i, u in enumerate(net.labels)})
 for fit in FitMeasure:
     for start in range(net.k):
         for end in range(start, net.k):
@@ -461,7 +462,7 @@ class TestFitCorrelation:
                 # degrade: random points and a random partition reused everywhere
                 l = int(rng.integers(1, 5))
                 pts = tuple(sorted(rng.choice(np.arange(1, 4), size=l - 1, replace=False).tolist()))
-                nodes = list(net.arrays.labels)
+                nodes = list(net.labels)
                 labels = rng.integers(0, int(rng.integers(1, 6)) + 1, size=len(nodes))
                 p = Partition({u: int(c) for u, c in zip(nodes, labels)})
                 out = ScdOutput(ChangePointSet(pts, 4), tuple([p] * l))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from dynseg.consensus import sum_graph
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot, load_dynamic_network
 from dynseg.objectives import FitMeasure, _segment_counts, segment_log_likelihood, snapshot_fit
-from label_graphs import edge_weights
+from label_graphs import edge_weights, restrict
 
 LABELS = ["a", "b", "c", "d", "e", "f"]
 EXTRA = ["x", "y"]  # partition labels that no snapshot holds
@@ -27,7 +27,7 @@ def reference_counts(network, start, end, p):
     pair_counts: dict[tuple[int, int], int] = {}
     for j in range(start, end + 1):
         g = network[j]
-        restricted = p.restrict(g.nodes)
+        restricted = restrict(p, g.nodes)
         if len(restricted.assignment) != len(g.nodes):
             raise ValueError(f"partition does not cover snapshot {j}")
         sizes = {cid: len(m) for cid, m in restricted.clusters().items()}
@@ -60,7 +60,7 @@ def reference_log_likelihood(network, start, end, p):
 
 
 def reference_cluster_stats(p, g):
-    restricted = p.restrict(g.nodes)
+    restricted = restrict(p, g.nodes)
     if len(restricted.assignment) != len(g.nodes):
         missing = sorted(g.nodes - restricted.domain)[:3]
         raise ValueError(f"partition does not cover snapshot nodes, e.g. {missing}")
@@ -174,7 +174,7 @@ def cases(draw):
     start = draw(st.integers(0, net.k - 1))
     end = draw(st.integers(start, net.k - 1))
     extra = draw(st.lists(st.sampled_from(EXTRA), unique=True))
-    domain = list(net.arrays.labels) + extra
+    domain = list(net.labels) + extra
     # few ids give shared clusters, many give singletons; ids may be negative
     cids = draw(st.lists(st.integers(-3, 40), min_size=len(domain), max_size=len(domain)))
     return net, start, end, Partition(dict(zip(domain, cids)))
