@@ -66,7 +66,7 @@ def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
     counts = np.diff(firsts, append=len(keys)).astype(float)
     a, b = np.divmod(keys[firsts], n)
-    return WeightedGraph.from_edges(labels, a, b, counts)
+    return WeightedGraph(labels, a, b, counts)
 
 
 def consensus_sum_graph(
@@ -123,15 +123,11 @@ def co_occurrence_graph(
         ids = network.segment_node_ids(j, j)
         if not ids.size:
             continue
-        u, v = network.segment_edges(j, j)
-        labels = tuple(network.labels[i] for i in ids.tolist())
-        graph = WeightedGraph.from_edges(
-            labels, np.searchsorted(ids, u), np.searchsorted(ids, v), np.ones(len(u))
-        )
+        graph = sum_graph(network, j, j)  # the snapshot's edges in stored order
         spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
         # the initialized variant chains each snapshot from its predecessor
         prev = cluster(graph, spec_j, init=prev)
-        member = np.array([prev.assignment[x] for x in labels])
+        member = np.array([prev.assignment[x] for x in graph.labels])
         local = np.searchsorted(seg_ids, ids)
         present[j - start, local] = True
         keys.append(_pair_keys(member, local, n))
@@ -142,7 +138,7 @@ def co_occurrence_graph(
     a, b = np.divmod(pairs[order], n)
     shared = np.count_nonzero(present[:, a] & present[:, b], axis=0)
     labels = tuple(network.labels[i] for i in seg_ids.tolist())
-    return WeightedGraph.from_edges(labels, a, b, together[order] / shared)
+    return WeightedGraph(labels, a, b, together[order] / shared)
 
 
 def consensus_matrix(

@@ -155,6 +155,8 @@ def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> floa
         return mi / normalizer
 
     if metric is PartitionMetric.AMI:
+        if n in table.shape:
+            return 0.0  # all singletons on one side: MI equals EMI exactly
         emi = _expected_mutual_information(table, n)
         denom = 0.5 * (h1 + h2) - emi
         if abs(denom) < 1e-15:

@@ -14,7 +14,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
@@ -41,19 +40,16 @@ _DIST_BLOCK = 1 << 13  # entries per block of walktrap's initial profile differe
 class WeightedGraph(NamedTuple):
     """Undirected graph with positive edge weights and no self-loops.
 
-    Held as the sorted node labels plus, per node id, a dict from neighbour
-    id to edge weight; clusterers read this adjacency directly.
+    Edge i joins ids ``a[i]`` and ``b[i]`` of the sorted node ``labels``, in
+    either orientation, with weight ``w[i]``; no pair appears twice.  The
+    edge order fixes the order of every floating-point sum the clusterers
+    take over a node's edges.
     """
 
     labels: tuple[str, ...]
-    adj: list[dict[int, float]]
-
-    @classmethod
-    def from_edges(
-        cls, labels: tuple[str, ...], a: np.ndarray, b: np.ndarray, w: np.ndarray
-    ) -> "WeightedGraph":
-        """Edges ``(a[i], b[i])`` of weight ``w[i]`` between ids of ``labels``."""
-        return cls(labels, _rows(len(labels), a, b, w))
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -61,8 +57,8 @@ class WeightedGraph(NamedTuple):
 
 
 def _rows(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
-    # rows fill in input order, which fixes the order of every floating-point
-    # sum over a node's fractional edge weights
+    # per node, a dict from neighbour to edge weight for the clusterers that
+    # loop in Python; rows fill in edge order
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for x, y, z in zip(a.tolist(), b.tolist(), w.tolist()):
         adj[x][y] = adj[y][x] = z
@@ -104,12 +100,13 @@ class LevelGraph(NamedTuple):
 
     @classmethod
     def of_graph(cls, graph: WeightedGraph) -> "LevelGraph":
-        """Modularity of one graph, read through the graph's own adjacency."""
-        deg = np.array([sum(nbrs.values()) for nbrs in graph.adj], dtype=float)
+        """Modularity of one graph."""
+        adj = _rows(len(graph.labels), graph.a, graph.b, graph.w)
+        deg = np.array([sum(nbrs.values()) for nbrs in adj], dtype=float)
         two_m = float(deg.sum())
         if two_m == 0:
-            return cls(graph.adj, np.zeros((len(deg), 1)), 0.0)
-        return cls(graph.adj, (math.sqrt(2.0) / two_m * deg)[:, None], 2.0 / two_m)
+            return cls(adj, np.zeros((len(deg), 1)), 0.0)
+        return cls(adj, (math.sqrt(2.0) / two_m * deg)[:, None], 2.0 / two_m)
 
     @classmethod
     def of_snapshots(
@@ -238,10 +235,11 @@ def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
     Node order is reshuffled from the seed each sweep; among maximal-weight
     labels the smallest id wins, which also stops label thrashing.
     """
-    labels, adj = graph.labels, graph.adj
+    labels = graph.labels
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
+    adj = _rows(n, graph.a, graph.b, graph.w)
     lab = list(range(n))
     rng = rng_for(seed, "lpa")
     for _ in range(MAX_SWEEPS):
@@ -275,12 +273,12 @@ def walktrap(graph: WeightedGraph) -> Partition:
     with more than ``WALKTRAP_MAX_NODES`` nodes that have edges is rejected
     with a ``ValueError`` before anything is allocated.
     """
-    labels, adj = graph.labels, graph.adj
+    labels = graph.labels
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
-    active = [u for u in range(n) if adj[u]]
-    isolated = [u for u in range(n) if not adj[u]]
+    has_edges = (np.bincount(graph.a, minlength=n) + np.bincount(graph.b, minlength=n)) > 0
+    active = np.flatnonzero(has_edges).tolist()
     if not active:
         return Partition.singletons(labels)
     na = len(active)
@@ -290,18 +288,14 @@ def walktrap(graph: WeightedGraph) -> Partition:
             f"{WALKTRAP_MAX_NODES} (WALKTRAP_MAX_NODES)"
         )
 
-    pos = {u: i for i, u in enumerate(active)}
-    # community ids: node i is community i, merge i creates community na + i;
-    # cadj[c] maps each adjacent live community to the edge weight between them
-    cadj = [{pos[v]: w for v, w in adj[u].items()} for u in active]
-    # flattened rows: row, neighbour and weight of every adjacency entry in
-    # row order (row ascending, then each row's dict order)
-    rows = np.repeat(np.arange(na), [len(nbrs) for nbrs in cadj])
-    cols = np.fromiter(chain.from_iterable(cadj), dtype=np.intp, count=len(rows))
+    # community ids: node active[i] is community i, merge i creates community
+    # na + i; cadj[c] maps each adjacent live community to the edge weight
+    # between them
+    local = np.cumsum(has_edges) - 1
+    u, v = local[graph.a], local[graph.b]
+    cadj = _rows(na, u, v, graph.w)
     A = np.zeros((na, na))
-    A[rows, cols] = np.fromiter(
-        chain.from_iterable(map(dict.values, cadj)), dtype=float, count=len(rows)
-    )
+    A[u, v] = A[v, u] = graph.w
     deg = A.sum(axis=1)
     A /= deg[:, None]
     walk = np.linalg.matrix_power(A, WALK_LENGTH)
@@ -316,10 +310,12 @@ def walktrap(graph: WeightedGraph) -> Partition:
     inner = [0.0] * na
     alive = [True] * na
 
-    # adjacent pairs (c1, c2), c1 < c2, in row order: the rows of each block
-    # product below, whose last bits depend on a row's position
-    upper = rows < cols
-    c1s, c2s = rows[upper], cols[upper]
+    # adjacent pairs (c1, c2), c1 < c2, in row order (c1 ascending, then
+    # cadj[c1]'s order, which is edge order): the rows of each block product
+    # below, whose last bits depend on a row's position
+    lo = np.minimum(u, v)
+    order = np.argsort(lo, kind="stable")
+    c1s, c2s = lo[order], np.maximum(u, v)[order]
     r2 = np.empty(len(c1s))
     step = max(1, _DIST_BLOCK // na)  # bounds the difference block's size
     for b in range(0, len(c1s), step):
@@ -341,7 +337,7 @@ def walktrap(graph: WeightedGraph) -> Partition:
     flat = list(zip(ds[order].tolist(), c1s[order].tolist()))
     stop = np.cumsum(np.bincount(c2s, minlength=na)).tolist()
     pairs = [flat[a:b] for a, b in zip([0] + stop[:-1], stop)]
-    del rows, cols, upper, c1s, c2s, r2, ds, order, flat, stop
+    del u, v, lo, c1s, c2s, r2, ds, order, flat, stop
     cursor = [0] * na
     heap = [lst[0] + (c,) for c, lst in enumerate(pairs) if lst]
     heapq.heapify(heap)
@@ -417,7 +413,7 @@ def walktrap(graph: WeightedGraph) -> Partition:
         group[next_id] = group.pop(c1) + group.pop(c2)
         next_id += 1
     clusters = [[labels[u] for u in g] for g in group.values()]
-    clusters.extend([[labels[u]] for u in isolated])
+    clusters.extend([[labels[u]] for u in np.flatnonzero(~has_edges).tolist()])
     return Partition.from_clusters(clusters).canonical()
 
 

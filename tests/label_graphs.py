@@ -1,16 +1,20 @@
 """Label-keyed graph builders for the tests.
 
-The library builds every ``WeightedGraph`` from id arrays
-(``WeightedGraph.from_edges``).  The tests state their graphs by label, so
-the label-keyed constructor lives here, together with the string-keyed
-co-occurrence count that serves as the reference for
-``consensus.co_occurrence_graph`` and ``restrict``, a partition cut down to
-a node set, for the label-keyed reference loops.
+A ``WeightedGraph`` is its sorted labels and its edge arrays ``(a, b, w)``,
+which the library's builders fill from id arrays.  The tests state their
+graphs by label, so the label-keyed constructor lives here.  So do ``rows``,
+the per-node neighbour dicts filled in edge order, which the reference
+clusterers read and which the clusterers that loop in Python build for
+themselves; the string-keyed co-occurrence count that serves as the
+reference for ``consensus.co_occurrence_graph``; and ``restrict``, a
+partition cut down to a node set, for the label-keyed reference loops.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from dynseg._seeds import derive_seed
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
@@ -20,7 +24,8 @@ from dynseg.static_cluster import ClustererSpec, WeightedGraph, cluster
 def label_graph(
     nodes: Iterable[str], edges: Mapping[tuple[str, str], float]
 ) -> WeightedGraph:
-    """Graph on ``nodes`` plus every edge endpoint; rows fill in edge order."""
+    """Graph on ``nodes`` plus every edge endpoint; edges keep their order,
+    each as (smaller id, larger id)."""
     node_set = set(nodes)
     canon: dict[tuple[str, str], float] = {}
     for (u, v), w in edges.items():
@@ -33,11 +38,17 @@ def label_graph(
         canon[(u, v) if u <= v else (v, u)] = float(w)
     labels = tuple(sorted(node_set))
     index = {u: i for i, u in enumerate(labels)}
-    adj: list[dict[int, float]] = [{} for _ in labels]
-    for (u, v), w in canon.items():
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = adj[iv][iu] = w
-    return WeightedGraph(labels, adj)
+    a = np.array([index[u] for u, _ in canon], dtype=np.intp)
+    b = np.array([index[v] for _, v in canon], dtype=np.intp)
+    return WeightedGraph(labels, a, b, np.array(list(canon.values()), dtype=float))
+
+
+def rows(graph: WeightedGraph) -> list[dict[int, float]]:
+    """Per node id, a dict from neighbour id to edge weight, filled in edge order."""
+    adj: list[dict[int, float]] = [{} for _ in graph.labels]
+    for u, v, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist()):
+        adj[u][v] = adj[v][u] = w
+    return adj
 
 
 def restrict(p: Partition, nodes: Iterable[str]) -> Partition:
@@ -50,13 +61,11 @@ def snapshot_graph(g: Snapshot) -> WeightedGraph:
 
 
 def edge_weights(graph: WeightedGraph) -> dict[tuple[str, str], float]:
-    """A fresh {(u, v): weight} dict with u < v."""
+    """A fresh {(u, v): weight} dict with u < v, in edge order."""
     labels = graph.labels
     return {
-        (labels[u], labels[v]): w
-        for u, nbrs in enumerate(graph.adj)
-        for v, w in nbrs.items()
-        if u < v
+        (labels[min(u, v)], labels[max(u, v)]): w
+        for u, v, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist())
     }
 
 

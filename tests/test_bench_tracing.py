@@ -3,9 +3,11 @@
 ``bench/tracing.py`` wraps library functions and reads counts from their
 arguments, swallowing attribute errors so that a changed signature cannot
 break a traced run.  A reader that no longer matches the library's types
-would therefore read 0 without failing; these tests pin the counts.
+would therefore read 0 without failing; these tests pin the counts and
+that every wrapped function still exists under its traced name.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -43,3 +45,13 @@ def test_nodes_counts_graph_nodes(tracing):
     network = load_dynamic_network(NETWORK)
     assert tracing._nodes(sum_graph(network, 0, 2)) == {"nodes": 4}
     assert tracing._nodes(sum_graph(network, 1, 1)) == {"nodes": 2}
+
+
+def test_targets_name_existing_attributes(tracing):
+    # a renamed or moved function would leave its span, and its metrics, at 0
+    missing = [
+        f"{module_name}.{attr}"
+        for module_name, attr, *_ in tracing.TARGETS
+        if not hasattr(importlib.import_module(module_name), attr)
+    ]
+    assert missing == []

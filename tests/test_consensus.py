@@ -17,7 +17,7 @@ from dynseg.consensus import (
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
 from dynseg.static_cluster import ClustererSpec, louvain
 from label_graphs import (
-    edge_weights, label_graph, reference_co_occurrence_graph, snapshot_graph,
+    edge_weights, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
 )
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
@@ -195,7 +195,7 @@ def segments(draw):
 @settings(max_examples=300)
 @given(segments(), st.sampled_from(ClustererSpec.KINDS), st.integers(0, 2**31 - 1))
 def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
-    """Same labels, same rows in the same order, and bit-equal weights."""
+    """Same labels, same edges in the same order, and bit-equal weights."""
     net, segment = case
     if not net.segment_node_ids(*segment).size:
         return
@@ -203,9 +203,25 @@ def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
     got = co_occurrence_graph(net, segment, spec)
     expected = reference_co_occurrence_graph(net, segment, spec)
     assert got.labels == expected.labels
-    assert [list(row.items()) for row in got.adj] == [
-        list(row.items()) for row in expected.adj
-    ]
+    for x, y in zip(got[1:], expected[1:]):
+        assert x.tolist() == y.tolist()
+
+
+@settings(max_examples=300)
+@given(segments())
+def test_single_snapshot_sum_graph_is_the_stored_snapshot(case):
+    """``sum_graph(network, j, j)`` holds snapshot j's stored edges in local
+    ids and stored order, each of weight 1.0; the co-occurrence graph
+    clusters these graphs."""
+    net, _ = case
+    for j in range(net.k):
+        graph = sum_graph(net, j, j)
+        ids = net.segment_node_ids(j, j)
+        u, v = net.segment_edges(j, j)
+        assert graph.labels == tuple(net.labels[i] for i in ids.tolist())
+        assert graph.a.tolist() == np.searchsorted(ids, u).tolist()
+        assert graph.b.tolist() == np.searchsorted(ids, v).tolist()
+        assert graph.w.dtype == float and graph.w.tolist() == [1.0] * len(u)
 
 
 @settings(max_examples=300)
@@ -245,7 +261,7 @@ def test_co_occurrence_rows_follow_first_shared_snapshot():
     net = DynamicNetwork([split, triangle])
     graph = co_occurrence_graph(net, (0, 1), ClustererSpec("walktrap"))
     assert graph.labels == ("a", "b", "c", "x")
-    assert [list(row.items()) for row in graph.adj] == [
+    assert [list(row.items()) for row in rows(graph)] == [
         [(2, 1.0), (1, 0.5)], [(3, 1.0), (0, 0.5), (2, 0.5)],
         [(0, 1.0), (1, 0.5)], [(1, 1.0)],
     ]

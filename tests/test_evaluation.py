@@ -223,6 +223,15 @@ class TestSimT:
         )
         assert completeness == 1.0
 
+    def test_ami_against_all_singletons_is_exactly_zero(self):
+        # l = k puts every snapshot in its own segment: MI equals EMI, so the
+        # AMI is 0 without the rounding noise of subtracting the two
+        singletons = _uniform_output(tuple(range(1, 16)), 16, [["a"]])
+        for points in ((8,), (4, 8, 12), (3, 5, 9, 10, 14)):
+            other = _uniform_output(points, 16, [["a"]])
+            assert sim_t(singletons, other, PartitionMetric.AMI) == 0.0
+            assert sim_t(other, singletons, PartitionMetric.AMI) == 0.0
+
     def test_k_mismatch(self):
         with pytest.raises(ValueError):
             sim_t(_uniform_output((), 2, [["a"]]), _uniform_output((), 3, [["a"]]),

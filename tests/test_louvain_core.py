@@ -22,7 +22,7 @@ from dynseg._seeds import rng_for
 from dynseg.consensus import consensus_average_louvain
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
 from dynseg.static_cluster import WeightedGraph, louvain, stabilized_louvain
-from label_graphs import label_graph, restrict
+from label_graphs import label_graph, restrict, rows
 
 _GAIN_TOL = 1e-12
 
@@ -167,7 +167,7 @@ def reference_louvain_multi(
     if not labels:
         raise ValueError("no nodes to cluster")
     init_ids = _init_ids(init, labels) if init is not None else None
-    final = _louvain_core([g.adj for g in graphs], len(labels), seed, init_ids)
+    final = _louvain_core([rows(g) for g in graphs], len(labels), seed, init_ids)
     return Partition({labels[i]: c for i, c in enumerate(final)}).canonical()
 
 

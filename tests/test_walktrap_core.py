@@ -37,7 +37,7 @@ from dynseg.static_cluster import (
     _DIST_BLOCK,
     walktrap,
 )
-from label_graphs import label_graph
+from label_graphs import label_graph, rows
 
 WALK_LENGTH = 4
 
@@ -53,7 +53,7 @@ def reference_walktrap(graph: WeightedGraph) -> Partition:
     squared-distance increase; the dendrogram is cut at the level with the
     highest weighted modularity.  Degree-0 nodes stay singletons.
     """
-    labels, adj = graph.labels, graph.adj
+    labels, adj = graph.labels, rows(graph)
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
@@ -177,7 +177,7 @@ def heap_walktrap(graph: WeightedGraph) -> Partition:
     with more than ``WALKTRAP_MAX_NODES`` nodes that have edges is rejected
     with a ``ValueError`` before anything is allocated.
     """
-    labels, adj = graph.labels, graph.adj
+    labels, adj = graph.labels, rows(graph)
     if not labels:
         raise ValueError("no nodes to cluster")
     n = len(labels)
@@ -370,7 +370,7 @@ TIE_GRAPHS = [
 
 
 def _ids_graph(n, edges, weights=None, isolated=0, seed=None):
-    """Graph on ``n + isolated`` nodes from integer edges; rows fill in edge order.
+    """Graph on ``n + isolated`` nodes from integer edges, kept in the given order.
 
     With a seed, the nodes get shuffled ids (the isolated ones fall in
     between) and the edges are given in shuffled order.
@@ -384,7 +384,7 @@ def _ids_graph(n, edges, weights=None, isolated=0, seed=None):
         order = rng.permutation(len(a))
         a, b, w = a[order], b[order], w[order]
     labels = tuple(f"v{i:04d}" for i in range(n + isolated))
-    return WeightedGraph.from_edges(labels, ids[a], ids[b], w)
+    return WeightedGraph(labels, ids[a], ids[b], w)
 
 
 @pytest.mark.parametrize("n, edges", TIE_GRAPHS)
