@@ -39,7 +39,7 @@ from .evaluation import (
 )
 from .generator import GenerationError, GeneratorConfig, generate
 from .objectives import Criterion, FitMeasure, ObjectiveSpec
-from .search import SearchSpec, SegmentStore, build_table
+from .search import SearchSpec, SegmentStore, build_table, worker_count
 from .static_cluster import ClustererSpec
 
 OBJECTIVES = ("bic", "aic", "modularity", "conductance", "ncut", "avgodf")
@@ -132,6 +132,11 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--consensus", choices=CONSENSUS_CHOICES, default="sum-walktrap")
     p.add_argument("--search", choices=SEARCH_CHOICES, default="bottomup")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=os.cpu_count() or 1,
+        help="at most this many worker processes, capped by the CPU and task "
+        "counts; 1 runs in-process (default: the CPU count)",
+    )
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, include_l: bool = True) -> None:
@@ -151,7 +156,7 @@ def cmd_detect(args) -> int:
         raise ValueError(f"--segments {args.segments} out of range [1, {network.k}]")
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
     started = time.perf_counter()
-    table = build_table(network, spec)
+    table = build_table(network, spec, SegmentStore(network, args.jobs))
     chosen = args.segments if args.segments is not None else table.select(spec.selection)
     elapsed = time.perf_counter() - started
     output = table.entry(chosen).output
@@ -229,7 +234,7 @@ def cmd_rank(args) -> int:
             raise ValueError(f"truth covers k={truth.k}, network has k={network.k}")
         classification_positives(truth, network.k)
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
-    table = build_table(network, spec)
+    table = build_table(network, spec, SegmentStore(network, args.jobs))
     ranking = ranking_from_cscd(table)
     lines = [f"{t}\t{int(ranking.scores[t])}" for t in ranking.ordered()]
     if truth is not None:
@@ -242,7 +247,11 @@ def cmd_rank(args) -> int:
 
 
 def _bench_instance(task: tuple[GeneratorConfig, list[str]]) -> list[dict]:
-    """Generate one network and solve every configuration on one segment store."""
+    """Generate one network and solve every configuration on one segment store.
+
+    The store runs in-process: the benchmark already maps its tasks over
+    worker processes, and pools must not nest.
+    """
     cfg, configs = task
     network, truth = generate(cfg)
     store = SegmentStore(network)
@@ -293,7 +302,7 @@ def cmd_benchmark(args) -> int:
         for l in l_values
         for idx in range(args.instances)
     ]
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    workers = worker_count(args.jobs, len(tasks))
     if workers > 1:
         # Imported here: the import costs about 30 ms that other commands skip.
         from concurrent.futures import ProcessPoolExecutor
@@ -372,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="generate/detect/evaluate over a grid")
     p.add_argument("--l-values", default="1,2,4,8,16")
     p.add_argument("--instances", type=_positive_int, default=10)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--compare", help="two objective:consensus:search configurations")
     p.add_argument("--output")
     _add_generator_flags(p, include_l=False)

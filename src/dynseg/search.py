@@ -8,11 +8,15 @@ table's consensus_calls is exactly the number of distinct segments it
 evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most that for
 top-down splitting, and at most 4k-5 for bottom-up merging.  Tables built
 under several objectives on one store cluster each shared segment once.
+The exhaustive program fills the store with all its segments up front, in
+worker processes when the store may use more than one.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import objectives
 from .consensus import ConsensusSpec, segment_partition
@@ -21,6 +25,11 @@ from .objectives import Criterion, ObjectiveSpec
 from .static_cluster import ClustererSpec
 
 STRATEGIES = ("exhaustive", "topdown", "bottomup")
+
+# Chunks per worker in a parallel fill: segments are dealt out in turn, so
+# each chunk holds short and long ones, and a few chunks per worker even out
+# what is left when one worker finishes early.
+_CHUNKS_PER_WORKER = 4
 
 
 def default_consensus() -> ConsensusSpec:
@@ -86,16 +95,58 @@ class _Segment:
     log_likelihood: float | None = None
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks under ``--jobs``: at
+    most ``jobs``, capped by the task and CPU counts; 1 runs them in-process."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _segment_terms(
+    network: DynamicNetwork, consensus: ConsensusSpec, start: int, end: int, with_ll: bool
+) -> tuple[Partition, int, float | None]:
+    """A segment's partition, parameter count and, if ``with_ll``, log-likelihood.
+
+    Every segment draws its own derived seed, so the terms do not depend on
+    which process computes them or in what order.
+    """
+    p = segment_partition(network, (start, end), consensus)
+    ll = objectives.segment_log_likelihood(network, start, end, p) if with_ll else None
+    return p, objectives.segment_num_parameters(p), ll
+
+
+_worker_network: DynamicNetwork | None = None
+
+
+def _init_worker(network: DynamicNetwork) -> None:
+    """Pool initializer: the worker's network, inherited under fork and
+    unpickled under spawn."""
+    global _worker_network
+    _worker_network = network
+
+
+def _worker_terms(
+    consensus: ConsensusSpec, with_ll: bool, chunk: list[tuple[int, int]]
+) -> list[tuple[dict[str, int], int, float | None]]:
+    """A worker's terms of a chunk of segments; partitions go back as assignments."""
+    out = []
+    for start, end in chunk:
+        p, n_par, ll = _segment_terms(_worker_network, consensus, start, end, with_ll)
+        out.append((p.assignment, n_par, ll))
+    return out
+
+
 class SegmentStore:
     """The objective-independent terms of one network's segments, memoized by
     (consensus spec with its seed, start, end).
 
     Tables built on one store under several objectives cluster each segment
-    they share once.
+    they share once.  ``fill`` computes many segments at once, in up to
+    ``jobs`` worker processes.
     """
 
-    def __init__(self, network: DynamicNetwork):
+    def __init__(self, network: DynamicNetwork, jobs: int = 1):
         self.network = network
+        self.jobs = jobs
         self._memo: dict[tuple[ConsensusSpec, int, int], _Segment] = {}
 
     def segment(
@@ -104,14 +155,43 @@ class SegmentStore:
         """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
         seg = self._memo.get((consensus, start, end))
         if seg is None:
-            p = segment_partition(self.network, (start, end), consensus)
-            seg = _Segment(p, objectives.segment_num_parameters(p))
+            seg = _Segment(*_segment_terms(self.network, consensus, start, end, with_ll))
             self._memo[consensus, start, end] = seg
         if with_ll and seg.log_likelihood is None:
             seg.log_likelihood = objectives.segment_log_likelihood(
                 self.network, start, end, seg.partition
             )
         return seg
+
+    def fill(
+        self, consensus: ConsensusSpec, segments: list[tuple[int, int]], with_ll: bool = False
+    ) -> None:
+        """Compute the terms of every segment not yet in the memo.
+
+        With more than one worker, a process pool opened for this call maps
+        interleaved chunks of the segments; the network reaches the workers
+        through the pool's initializer.
+        """
+        missing = [s for s in dict.fromkeys(segments) if (consensus, *s) not in self._memo]
+        workers = worker_count(self.jobs, len(missing))
+        if workers == 1:
+            for start, end in missing:
+                self.segment(consensus, start, end, with_ll)
+            return
+        # Imported here: the import costs about 30 ms that serial runs skip.
+        from concurrent.futures import ProcessPoolExecutor
+
+        n_chunks = min(len(missing), _CHUNKS_PER_WORKER * workers)
+        chunks = [missing[i::n_chunks] for i in range(n_chunks)]
+        with ProcessPoolExecutor(
+            workers, initializer=_init_worker, initargs=(self.network,)
+        ) as pool:
+            results = pool.map(partial(_worker_terms, consensus, with_ll), chunks)
+            for chunk, terms in zip(chunks, results):
+                for (start, end), (assignment, n_par, ll) in zip(chunk, terms):
+                    self._memo[consensus, start, end] = _Segment(
+                        Partition(assignment), n_par, ll
+                    )
 
 
 class _SegmentScorer:
@@ -197,6 +277,11 @@ def exhaustive_search(
     """
     scorer = _SegmentScorer(network, spec, store)
     k = network.k
+    scorer.store.fill(
+        scorer.consensus,
+        [(t, i) for i in range(k) for t in range(i + 1)],
+        with_ll=scorer.weight is not None,
+    )
     best: list[dict[int, float]] = [{0: 0.0}] + [{} for _ in range(k)]
     back: list[dict[int, int]] = [{} for _ in range(k + 1)]
     for i in range(1, k + 1):

@@ -128,7 +128,7 @@ class TestDetect:
             consensus_calls=1, entries={},
             entry=lambda l: SimpleNamespace(output=bad), select=lambda criterion: 1,
         )
-        monkeypatch.setattr(cli, "build_table", lambda network, spec: table)
+        monkeypatch.setattr(cli, "build_table", lambda network, spec, store: table)
         net = tmp_path / "one.txt"
         net.write_text("0 a b\n0 b c\n")
         out = tmp_path / "sol.txt"
@@ -232,6 +232,86 @@ class TestDetect:
         code, stdout, _ = run(capsys, "detect", "--input", str(net), *flags)
         assert code == 0
         assert "chosen_l" in kv(stdout)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Two CPUs, and a process pool that records the ``max_workers`` of every
+    pool started."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
+
+
+class TestParallelExhaustive:
+    """Exhaustive search fills its segment store in worker processes."""
+
+    @pytest.mark.parametrize("objective", ["bic", "modularity"])
+    @pytest.mark.parametrize("consensus", [
+        "sum-walktrap", "sum-lpa", "sum-louvain", "avg-louvain", "cmatrix-louvain",
+    ])
+    def test_jobs_do_not_change_outputs(self, scg_files, tmp_path, capsys, pool_sizes,
+                                        objective, consensus):
+        net, truth = scg_files  # k = 8
+        flags = ["--input", str(net), "--search", "exhaustive", "--objective", objective,
+                 "--consensus", consensus, "--seed", "7"]
+        written = {}
+        for jobs in ("1", "2"):
+            sol, ranks = tmp_path / f"sol{jobs}.txt", tmp_path / f"rank{jobs}.txt"
+            code, stdout, _ = run(capsys, "detect", *flags, "--jobs", jobs,
+                                  "--output", str(sol))
+            assert code == 0
+            assert kv(stdout)["consensus_calls"] == ["36"]  # (k^2 + k) / 2
+            code, _, _ = run(capsys, "rank", *flags, "--truth", str(truth),
+                             "--jobs", jobs, "--output", str(ranks))
+            assert code == 0
+            written[jobs] = (sol.read_bytes(), ranks.read_bytes())
+        assert written["2"] == written["1"]
+        assert pool_sizes == [2, 2]  # one pool per --jobs 2 run, none for --jobs 1
+
+    @pytest.mark.parametrize("search", ["topdown", "bottomup"])
+    def test_greedy_searches_start_no_pool(self, scg_files, capsys, pool_sizes, search):
+        net, _ = scg_files
+        assert run(capsys, "detect", "--input", str(net), "--search", search,
+                   "--jobs", "2")[0] == 0
+        assert pool_sizes == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the lowered limit")
+    def test_worker_error_exits_one(self, scg_files, tmp_path, capsys, monkeypatch,
+                                    pool_sizes):
+        monkeypatch.setattr(static_cluster, "WALKTRAP_MAX_NODES", 3)
+        net, _ = scg_files
+        out = tmp_path / "sol.txt"
+        code, stdout, err = run(capsys, "detect", "--input", str(net), "--search",
+                                "exhaustive", "--jobs", "2", "--output", str(out))
+        assert code == 1
+        assert "exceed the limit of 3 (WALKTRAP_MAX_NODES)" in err
+        assert stdout == "" and not out.exists()
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("command", ["detect", "rank", "benchmark"])
+    def test_jobs_defaults_to_the_cpu_count(self, monkeypatch, command):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = cli.build_parser().parse_args(
+            [command] + (["--input", "net.txt"] if command != "benchmark" else [])
+        )
+        assert args.jobs == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.build_parser().parse_args(["benchmark"]).jobs == 1
+
+    @pytest.mark.parametrize("command", ["detect", "rank"])
+    def test_jobs_must_be_positive(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", "net.txt", "--jobs", "0"])
+        assert exc.value.code == 2
 
 
 class TestEvaluate:
@@ -441,7 +521,7 @@ class TestBenchmark:
         args = list(self.BASE)
         args[args.index("--instances") + 1] = instances
         serial, pooled = tmp_path / "serial.txt", tmp_path / "pooled.txt"
-        assert run(capsys, *args, "--output", str(serial))[0] == 0
+        assert run(capsys, *args, "--jobs", "1", "--output", str(serial))[0] == 0
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run(capsys, *args, "--jobs", "64", "--output", str(pooled))[0] == 0
         assert inline_pool == workers

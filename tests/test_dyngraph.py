@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -152,6 +153,13 @@ class TestIdArrays:
         assert DynamicNetwork(list(net)) == net
         assert hash(DynamicNetwork(list(net))) == hash(net)
         assert net != load_dynamic_network("0 b a\n0 c\n1 c b\n3 a b\n")
+
+    def test_pickles(self):
+        # a spawned worker process receives its network pickled
+        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy == net and copy.label_index == net.label_index
+        assert [copy[j] for j in range(copy.k)] == list(net)
 
     def test_snapshots_and_loader_build_the_same_arrays(self):
         # labels sort as strings, so ids follow "10" < "9"; edges given

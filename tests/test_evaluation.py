@@ -614,6 +614,14 @@ class TestPairedTTest:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_does_not_load_scipy(self):
+        # detect never needs scipy; evaluation imports it where it is used
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        code = ("import sys, dynseg.cli; "
+                "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])

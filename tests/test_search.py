@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +33,7 @@ from dynseg.search import (
     solve_cscd,
     solve_scd,
     top_down_search,
+    worker_count,
 )
 from dynseg.static_cluster import ClustererSpec
 
@@ -389,3 +392,72 @@ class TestSegmentStore:
         net, other = _network(k=4, seed=1), _network(k=4, seed=1)
         with pytest.raises(ValueError, match="another network"):
             build_table(net, _spec(), SegmentStore(other))
+
+
+class TestParallelFill:
+    """A store filled in worker processes equals one filled in-process."""
+
+    CONSENSUS = ConsensusSpec("sum-graph", ClustererSpec("louvain"), 5)
+
+    @pytest.mark.parametrize("with_ll", [True, False])
+    def test_parallel_fill_equals_serial(self, monkeypatch, with_ll):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = _network(k=8, seed=3, l=3, n=20)
+        segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
+        serial = SegmentStore(net)
+        serial.fill(self.CONSENSUS, segments, with_ll)
+
+        parent, real = os.getpid(), search.segment_partition
+
+        def in_workers_only(*args):
+            assert os.getpid() != parent, "a segment was clustered in the parent"
+            return real(*args)
+
+        monkeypatch.setattr(search, "segment_partition", in_workers_only)
+        parallel = SegmentStore(net, jobs=2)
+        parallel.fill(self.CONSENSUS, segments, with_ll)
+        for start, end in segments:
+            want = serial.segment(self.CONSENSUS, start, end)
+            got = parallel.segment(self.CONSENSUS, start, end)
+            assert list(got.partition.assignment.items()) == \
+                list(want.partition.assignment.items())
+            assert got.num_parameters == want.num_parameters
+            if with_ll:
+                assert got.log_likelihood.hex() == want.log_likelihood.hex()
+            else:
+                assert got.log_likelihood is None is want.log_likelihood
+
+    def test_fill_computes_only_missing_segments(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = _network(k=5, seed=4)
+        segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
+        store = SegmentStore(net, jobs=2)
+        store.fill(self.CONSENSUS, segments + segments[::-1], with_ll=True)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a memoized segment was computed again")
+
+        monkeypatch.setattr(search, "segment_partition", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        store.fill(self.CONSENSUS, segments, with_ll=True)
+        assert store.segment(self.CONSENSUS, 0, net.k - 1, with_ll=True).log_likelihood < 0
+
+    def test_exhaustive_tables_equal_under_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = _network(k=6, seed=21, l=3)
+        for objective in TestSegmentStore.OBJECTIVES:
+            spec = _spec(objective=objective, seed=7)
+            table = build_table(net, spec, SegmentStore(net, jobs=2))
+            _assert_same_table(table, build_table(net, spec))
+            assert table.consensus_calls == 21  # (k^2 + k) / 2, the table's own count
+
+    @pytest.mark.parametrize("jobs, tasks, cpus, workers", [
+        (4, 10, 2, 2),     # capped by the CPU count
+        (8, 3, 8, 3),      # capped by the task count
+        (1, 10, 8, 1),     # --jobs 1 runs in-process
+        (8, 0, 8, 1),      # nothing to do
+        (8, 10, None, 1),  # an unknown CPU count counts as one
+    ])
+    def test_worker_count(self, monkeypatch, jobs, tasks, cpus, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count(jobs, tasks) == workers
