@@ -14,7 +14,6 @@ volatile content, so reruns are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -39,7 +38,7 @@ from .evaluation import (
 )
 from .generator import GenerationError, GeneratorConfig, generate
 from .objectives import Criterion, FitMeasure, ObjectiveSpec
-from .search import SearchSpec, SegmentStore, build_table, worker_count
+from .search import SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
 from .static_cluster import ClustererSpec
 
 OBJECTIVES = ("bic", "aic", "modularity", "conductance", "ncut", "avgodf")
@@ -133,9 +132,9 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--search", choices=SEARCH_CHOICES, default="bottomup")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--jobs", type=_positive_int, default=os.cpu_count() or 1,
-        help="at most this many worker processes, capped by the CPU and task "
-        "counts; 1 runs in-process (default: the CPU count)",
+        "--jobs", type=_positive_int, default=usable_cpus(),
+        help="at most this many worker processes, capped by the task count and "
+        "the CPUs this process may use; 1 runs in-process (default: those CPUs)",
     )
 
 

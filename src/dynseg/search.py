@@ -9,7 +9,8 @@ evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most that for
 top-down splitting, and at most 4k-5 for bottom-up merging.  Tables built
 under several objectives on one store cluster each shared segment once.
 The exhaustive program fills the store with all its segments up front, in
-worker processes when the store may use more than one.
+worker processes when the store may use more than one and the segments hold
+enough edges to repay starting them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ STRATEGIES = ("exhaustive", "topdown", "bottomup")
 # each chunk holds short and long ones, and a few chunks per worker even out
 # what is left when one worker finishes early.
 _CHUNKS_PER_WORKER = 4
+
+# Edge records the missing segments of a fill must read (the sum over the
+# segments of their snapshots' edge counts) before a pool starts.  Below it,
+# starting the workers and sending the partitions back cost more than they
+# save.  On two CPUs with sum-lpa, the cheapest clusterer, exhaustive detect
+# ran faster in-process at up to about 85,000 visits (k=16, n=20) and faster
+# in a pool from about 105,000 (k=12, n=50; k=18, n=20); a costlier
+# clusterer only moves the break-even lower.
+MIN_PARALLEL_EDGE_VISITS = 100_000
 
 
 def default_consensus() -> ConsensusSpec:
@@ -95,10 +105,19 @@ class _Segment:
     log_likelihood: float | None = None
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, which a cpuset or
+    ``taskset`` narrows, where the platform has one; else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` independent tasks under ``--jobs``: at
-    most ``jobs``, capped by the task and CPU counts; 1 runs them in-process."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    most ``jobs``, capped by the task count and the usable CPUs; 1 runs them
+    in-process."""
+    return max(1, min(jobs, tasks, usable_cpus()))
 
 
 def _segment_terms(
@@ -168,12 +187,17 @@ class SegmentStore:
     ) -> None:
         """Compute the terms of every segment not yet in the memo.
 
-        With more than one worker, a process pool opened for this call maps
-        interleaved chunks of the segments; the network reaches the workers
-        through the pool's initializer.
+        When the missing segments hold at least ``MIN_PARALLEL_EDGE_VISITS``
+        edge records and more than one worker may run, a process pool opened
+        for this call maps interleaved chunks of the segments; the network
+        reaches the workers through the pool's initializer.
         """
-        missing = [s for s in dict.fromkeys(segments) if (consensus, *s) not in self._memo]
-        workers = worker_count(self.jobs, len(missing))
+        missing = [s for s in segments if (consensus, *s) not in self._memo]
+        offsets = self.network.edge_offsets
+        visits = sum(int(offsets[end + 1] - offsets[start]) for start, end in missing)
+        workers = 1
+        if visits >= MIN_PARALLEL_EDGE_VISITS:
+            workers = worker_count(self.jobs, len(missing))
         if workers == 1:
             for start, end in missing:
                 self.segment(consensus, start, end, with_ll)

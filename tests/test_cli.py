@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import dynseg
-from dynseg import cli, static_cluster
+from dynseg import cli, search, static_cluster
 from dynseg.cli import main
 from dynseg.dyngraph import (
     ChangePointSet,
@@ -235,9 +235,9 @@ class TestDetect:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Two CPUs, and a process pool that records the ``max_workers`` of every
-    pool started."""
+def pool_sizes(monkeypatch, set_cpus):
+    """Two CPUs, a pool for any amount of work, and a process pool that
+    records the ``max_workers`` of every pool started."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -246,7 +246,8 @@ def pool_sizes(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "MIN_PARALLEL_EDGE_VISITS", 0)
+    set_cpus(2)
     return sizes
 
 
@@ -298,13 +299,14 @@ class TestParallelExhaustive:
         assert pool_sizes == [2]
 
     @pytest.mark.parametrize("command", ["detect", "rank", "benchmark"])
-    def test_jobs_defaults_to_the_cpu_count(self, monkeypatch, command):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def test_jobs_defaults_to_the_usable_cpus(self, monkeypatch, set_cpus, command):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        set_cpus(3)  # a cpuset or taskset narrower than the machine
         args = cli.build_parser().parse_args(
             [command] + (["--input", "net.txt"] if command != "benchmark" else [])
         )
         assert args.jobs == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        set_cpus(None)
         assert cli.build_parser().parse_args(["benchmark"]).jobs == 1
 
     @pytest.mark.parametrize("command", ["detect", "rank"])
@@ -516,13 +518,13 @@ class TestBenchmark:
         (1, "2", []),      # one worker: runs in-process, no pool
         (None, "2", []),   # unknown CPU count counts as one
     ])
-    def test_worker_count_capped(self, tmp_path, capsys, monkeypatch, inline_pool,
+    def test_worker_count_capped(self, tmp_path, capsys, set_cpus, inline_pool,
                                  cpus, instances, workers):
         args = list(self.BASE)
         args[args.index("--instances") + 1] = instances
         serial, pooled = tmp_path / "serial.txt", tmp_path / "pooled.txt"
         assert run(capsys, *args, "--jobs", "1", "--output", str(serial))[0] == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        set_cpus(cpus)
         assert run(capsys, *args, "--jobs", "64", "--output", str(pooled))[0] == 0
         assert inline_pool == workers
         assert pooled.read_bytes() == serial.read_bytes()
@@ -532,9 +534,9 @@ class TestBenchmark:
         (("--cmin", "11"), "2*c_min <= n"),
         (("--l-values", "2,1,2"), "--l-values repeats a segment count: 2,1,2"),
     ])
-    def test_bad_grid_rejected_before_workers(self, tmp_path, capsys, monkeypatch,
+    def test_bad_grid_rejected_before_workers(self, tmp_path, capsys, set_cpus,
                                               inline_pool, flags, message):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_cpus(4)
         out = tmp_path / "report.txt"
         code, stdout, err = run(capsys, *self.BASE, *flags, "--jobs", "2",
                                 "--output", str(out))
@@ -545,9 +547,9 @@ class TestBenchmark:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the lowered limit")
-    def test_worker_error_exits_one(self, capsys, monkeypatch):
+    def test_worker_error_exits_one(self, capsys, monkeypatch, set_cpus):
         monkeypatch.setattr(static_cluster, "WALKTRAP_MAX_NODES", 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(2)
         code, stdout, err = run(capsys, *self.BASE, "--jobs", "2")
         assert code == 1
         assert "WALKTRAP_MAX_NODES" in err and stdout == ""

@@ -33,6 +33,7 @@ from dynseg.search import (
     solve_cscd,
     solve_scd,
     top_down_search,
+    usable_cpus,
     worker_count,
 )
 from dynseg.static_cluster import ClustererSpec
@@ -399,9 +400,14 @@ class TestParallelFill:
 
     CONSENSUS = ConsensusSpec("sum-graph", ClustererSpec("louvain"), 5)
 
+    @pytest.fixture
+    def two_workers(self, monkeypatch, set_cpus):
+        """Two CPUs, and a pool for any amount of work."""
+        set_cpus(2)
+        monkeypatch.setattr(search, "MIN_PARALLEL_EDGE_VISITS", 0)
+
     @pytest.mark.parametrize("with_ll", [True, False])
-    def test_parallel_fill_equals_serial(self, monkeypatch, with_ll):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_parallel_fill_equals_serial(self, monkeypatch, two_workers, with_ll):
         net = _network(k=8, seed=3, l=3, n=20)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
         serial = SegmentStore(net)
@@ -427,12 +433,11 @@ class TestParallelFill:
             else:
                 assert got.log_likelihood is None is want.log_likelihood
 
-    def test_fill_computes_only_missing_segments(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_fill_computes_only_missing_segments(self, monkeypatch, two_workers):
         net = _network(k=5, seed=4)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
         store = SegmentStore(net, jobs=2)
-        store.fill(self.CONSENSUS, segments + segments[::-1], with_ll=True)
+        store.fill(self.CONSENSUS, segments, with_ll=True)
 
         def no_work(*args, **kwargs):
             raise AssertionError("a memoized segment was computed again")
@@ -442,8 +447,29 @@ class TestParallelFill:
         store.fill(self.CONSENSUS, segments, with_ll=True)
         assert store.segment(self.CONSENSUS, 0, net.k - 1, with_ll=True).log_likelihood < 0
 
-    def test_exhaustive_tables_equal_under_jobs(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_pool_starts_at_the_edge_visit_threshold(self, monkeypatch, set_cpus):
+        # the missing segments' edge records decide; memoized ones count for nothing
+        set_cpus(2)
+        net = _network(k=4, seed=2)
+        segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
+        offsets = net.edge_offsets
+        visits = sum(int(offsets[end + 1] - offsets[start]) for start, end in segments[1:])
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for threshold, want in ((visits + 1, []), (visits, [2])):
+            monkeypatch.setattr(search, "MIN_PARALLEL_EDGE_VISITS", threshold)
+            store = SegmentStore(net, jobs=2)
+            store.segment(self.CONSENSUS, *segments[0])
+            store.fill(self.CONSENSUS, segments)
+            assert pools == want
+
+    def test_exhaustive_tables_equal_under_jobs(self, two_workers):
         net = _network(k=6, seed=21, l=3)
         for objective in TestSegmentStore.OBJECTIVES:
             spec = _spec(objective=objective, seed=7)
@@ -452,12 +478,20 @@ class TestParallelFill:
             assert table.consensus_calls == 21  # (k^2 + k) / 2, the table's own count
 
     @pytest.mark.parametrize("jobs, tasks, cpus, workers", [
-        (4, 10, 2, 2),     # capped by the CPU count
+        (4, 10, 2, 2),     # capped by the usable CPUs
         (8, 3, 8, 3),      # capped by the task count
         (1, 10, 8, 1),     # --jobs 1 runs in-process
         (8, 0, 8, 1),      # nothing to do
-        (8, 10, None, 1),  # an unknown CPU count counts as one
+        (8, 10, None, 1),  # no affinity set and an unknown CPU count count as one
     ])
-    def test_worker_count(self, monkeypatch, jobs, tasks, cpus, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_worker_count(self, set_cpus, jobs, tasks, cpus, workers):
+        set_cpus(cpus)
         assert worker_count(jobs, tasks) == workers
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch, set_cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        set_cpus(2)  # a 64-CPU host that lets this process run on 2
+        assert usable_cpus() == 2
+        assert worker_count(64, 528) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cpus() == 64
