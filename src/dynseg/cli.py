@@ -37,7 +37,7 @@ from .evaluation import (
     sim_t,
 )
 from .generator import GenerationError, GeneratorConfig, generate
-from .objectives import Criterion, FitMeasure, ObjectiveSpec
+from .objectives import Criterion, FitMeasure, ObjectiveSpec, num_observations, penalty_weight
 from .search import SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
 from .static_cluster import ClustererSpec
 
@@ -154,6 +154,14 @@ def cmd_detect(args) -> int:
     if args.segments is not None and not 1 <= args.segments <= network.k:
         raise ValueError(f"--segments {args.segments} out of range [1, {network.k}]")
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
+    if args.segments is None and spec.objective.family == "qp":
+        # a fit objective leaves the count to a criterion, which must be defined
+        try:
+            penalty_weight(num_observations(network), spec.selection)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}, so it cannot choose the segment count; give --segments"
+            ) from None
     started = time.perf_counter()
     table = build_table(network, spec, SegmentStore(network, args.jobs))
     chosen = args.segments if args.segments is not None else table.select(spec.selection)

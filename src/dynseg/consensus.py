@@ -127,10 +127,9 @@ def co_occurrence_graph(
         spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
         # the initialized variant chains each snapshot from its predecessor
         prev = cluster(graph, spec_j, init=prev)
-        member = np.array([prev.assignment[x] for x in graph.labels])
         local = np.searchsorted(seg_ids, ids)
         present[j - start, local] = True
-        keys.append(_pair_keys(member, local, n))
+        keys.append(_pair_keys(prev.codes, local, n))
     pairs, first, together = np.unique(
         np.concatenate(keys), return_index=True, return_counts=True
     )

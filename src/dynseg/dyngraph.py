@@ -228,68 +228,79 @@ class ChangePointSet:
         return bisect.bisect_right(self.points, j)
 
 
-class Partition:
-    """Assignment of every node in a domain to exactly one cluster."""
+def dense_codes(ids: Iterable[int]) -> np.ndarray:
+    """Integer ids renumbered 0, 1, ... in order of first appearance, as a
+    read-only array."""
+    rank: dict[int, int] = {}
+    codes = np.array([rank.setdefault(i, len(rank)) for i in np.asarray(ids).tolist()], np.int64)
+    codes.flags.writeable = False
+    return codes
 
-    __slots__ = ("assignment", "_clusters")
+
+class Partition:
+    """Assignment of every node in a domain to exactly one cluster.
+
+    ``labels`` is the domain as a sorted tuple and ``codes[i]`` is the
+    cluster of ``labels[i]``, in a read-only int array.  Codes are canonical
+    by construction: clusters are numbered 0, 1, ... in order of first
+    appearance over the sorted labels, that is by smallest member, so two
+    partitions are equal exactly when they group the same nodes alike.
+    """
+
+    __slots__ = ("labels", "codes")
 
     def __init__(self, assignment: Mapping[str, int]):
-        self.assignment: dict[str, int] = dict(assignment)
-        self._clusters: dict[int, frozenset[str]] | None = None
+        self.labels = tuple(sorted(assignment))
+        self.codes = dense_codes([assignment[u] for u in self.labels])
 
     @classmethod
-    def from_clusters(cls, clusters: Iterable[Iterable[str]]) -> "Partition":
-        assignment: dict[str, int] = {}
-        for cid, members in enumerate(clusters):
-            members = list(members)
-            if not members:
-                raise ValueError("empty cluster")
-            for u in members:
-                if u in assignment:
-                    raise ValueError(f"node {u!r} assigned to two clusters")
-                assignment[u] = cid
-        return cls(assignment)
+    def from_codes(cls, labels: tuple[str, ...], ids: Iterable[int]) -> "Partition":
+        """Partition of sorted distinct ``labels``; ``ids[i]`` is an int id of
+        the cluster of ``labels[i]``.  The tuple is kept, not copied."""
+        p = cls.__new__(cls)
+        p.labels, p.codes = labels, dense_codes(ids)
+        return p
 
-    @classmethod
-    def singletons(cls, nodes: Iterable[str]) -> "Partition":
-        return cls.from_clusters([u] for u in sorted(set(nodes)))
+    def __getstate__(self):
+        return self.labels, self.codes.tobytes()
+
+    def __setstate__(self, state) -> None:
+        self.labels, raw = state
+        self.codes = np.frombuffer(raw, dtype=np.int64)  # read-only, already canonical
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        """A fresh {label: code} dict."""
+        return dict(zip(self.labels, self.codes.tolist()))
 
     @property
     def domain(self) -> frozenset[str]:
-        return frozenset(self.assignment)
+        return frozenset(self.labels)
 
-    def clusters(self) -> dict[int, frozenset[str]]:
-        if self._clusters is None:
-            by_id: dict[int, set[str]] = {}
-            for u, cid in self.assignment.items():
-                by_id.setdefault(cid, set()).add(u)
-            self._clusters = {cid: frozenset(m) for cid, m in by_id.items()}
-        return self._clusters
+    def codes_by_id(self, index: Mapping[str, int]) -> np.ndarray:
+        """The code of every id of ``index``, a map from labels onto ids
+        0, 1, ...; -1 where this partition lacks the label."""
+        ids = np.array([index.get(u, -1) for u in self.labels], dtype=np.intp)
+        out = np.full(len(index), -1, dtype=np.int64)
+        out[ids[ids >= 0]] = self.codes[ids >= 0]
+        return out
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters())
-
-    def groups(self) -> frozenset[frozenset[str]]:
-        """The clustering as a set of member sets, ignoring cluster ids."""
-        return frozenset(self.clusters().values())
-
-    def same_grouping(self, other: "Partition") -> bool:
-        return self.domain == other.domain and self.groups() == other.groups()
-
-    def canonical(self) -> "Partition":
-        """Relabel cluster ids 0,1,... ordered by smallest member."""
-        ordered = sorted(self.clusters().values(), key=min)
-        return Partition({u: cid for cid, members in enumerate(ordered) for u in members})
+        return int(self.codes.max()) + 1 if len(self.codes) else 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.assignment == other.assignment
+        return (
+            isinstance(other, Partition)
+            and self.labels == other.labels
+            and np.array_equal(self.codes, other.codes)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.groups())
+        return hash((self.labels, self.codes.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Partition(|V|={len(self.assignment)}, |p|={self.num_clusters})"
+        return f"Partition(|V|={len(self.labels)}, |p|={self.num_clusters})"
 
 
 @dataclass(frozen=True)
@@ -332,9 +343,11 @@ class ScdOutput:
         labels = network.labels
         for p, (start, end) in zip(self.partitions, self.segmentation()):
             ids = np.unique(network.segment_node_ids(start, end))
-            nodes = {labels[i] for i in ids.tolist()}
-            missing = nodes - p.domain
-            extra = p.domain - nodes if exact else set()
+            nodes = tuple(labels[i] for i in ids.tolist())
+            if nodes == p.labels:
+                continue
+            missing = set(nodes).difference(p.labels)
+            extra = set(p.labels).difference(nodes) if exact else set()
             if missing or extra:
                 problem = (
                     f"misses node {min(missing)!r}" if missing
@@ -428,8 +441,10 @@ def dump_output(output: ScdOutput) -> str:
     out: list[str] = []
     for p, (start, end) in zip(output.partitions, output.segmentation()):
         out.append(f"segment {start} {end}")
-        for cid, members in enumerate(sorted(p.clusters().values(), key=min)):
-            out.append(f"cluster {cid}: " + " ".join(sorted(members)))
+        members: list[list[str]] = [[] for _ in range(p.num_clusters)]
+        for u, c in zip(p.labels, p.codes.tolist()):
+            members[c].append(u)
+        out += [f"cluster {c}: " + " ".join(m) for c, m in enumerate(members)]
     return "\n".join(out) + "\n"
 
 

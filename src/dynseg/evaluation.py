@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dyngraph import DynamicNetwork, Partition, ScdOutput
+from .dyngraph import DynamicNetwork, Partition, ScdOutput, dense_codes
 
 
 class PartitionMetric(str, Enum):
@@ -32,21 +32,10 @@ class PartitionMetric(str, Enum):
 # ---------------------------------------------------------------------------
 
 def _aligned_codes(p1: Partition, p2: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The two partitions' cluster ids of every node, nodes in sorted order."""
-    if p1.domain != p2.domain:
+    """The two partitions' codes of every node, nodes in sorted order."""
+    if p1.labels != p2.labels:
         raise ValueError("partitions must share the same domain")
-    nodes = sorted(p1.assignment)
-    return tuple(
-        np.array([p.assignment[u] for u in nodes], dtype=np.int64) for p in (p1, p2)
-    )
-
-
-def _dense(codes: np.ndarray) -> np.ndarray:
-    """Codes renumbered 0, 1, ... in order of first appearance."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
+    return p1.codes, p2.codes
 
 
 def _contingency(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -123,13 +112,13 @@ def _vmeasure(h1: float, h2: float, mi: float) -> tuple[float, float, float]:
 
 def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:
     """(homogeneity, completeness, v-measure) treating p1 as the reference."""
-    l1, l2 = (_dense(c) for c in _aligned_codes(p1, p2))
+    l1, l2 = _aligned_codes(p1, p2)
     return _vmeasure(*_information(_contingency(l1, l2), len(l1)))
 
 
 def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> float:
     """Similarity of two clusterings of the same elements, given as code arrays."""
-    l1, l2 = _dense(c1), _dense(c2)
+    l1, l2 = dense_codes(c1), dense_codes(c2)
     if np.array_equal(l1, l2):
         return 1.0
     n = len(l1)
@@ -188,12 +177,11 @@ def sim_t(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
 def _code_rows(output: ScdOutput, index: dict[str, int]) -> Iterator[np.ndarray]:
     """For each snapshot, the covering partition's cluster code of every id,
     -1 where it has none; codes are distinct across segments."""
-    codes: dict[tuple[int, int], int] = {}
-    for s, (p, (start, end)) in enumerate(zip(output.partitions, output.segmentation())):
-        row = np.full(len(index), -1, dtype=np.int64)
-        for u, cid in p.assignment.items():
-            if u in index:
-                row[index[u]] = codes.setdefault((s, cid), len(codes))
+    offset = 0
+    for p, (start, end) in zip(output.partitions, output.segmentation()):
+        row = p.codes_by_id(index)
+        row[row >= 0] += offset
+        offset += p.num_clusters
         yield from [row] * (end - start + 1)
 
 
@@ -208,7 +196,7 @@ def _snapshot_codes(
     if o1.k != o2.k:
         raise ValueError("outputs cover different numbers of snapshots")
     if network is None:
-        labels = sorted(set().union(*(p.assignment for p in o1.partitions + o2.partitions)))
+        labels = sorted(set().union(*(p.labels for p in o1.partitions + o2.partitions)))
         index = {u: i for i, u in enumerate(labels)}
     else:
         index = network.label_index

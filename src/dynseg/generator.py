@@ -322,17 +322,18 @@ def generate_snapshots(
     p_in = cfg.c_in / n
     p_out = cfg.c_out / n
     iu, iv = np.triu_indices(n, k=1)
+    index = {str(u): u for u in range(n)}  # node u is labelled str(u)
     edges: list[np.ndarray] = []
     for p, (start, end) in zip(output.partitions, output.segmentation()):
-        memb = np.array([p.assignment[str(u)] for u in range(n)])
+        memb = p.codes_by_id(index)
         same = memb[iu] == memb[iv]
         probs = np.where(same, p_in, p_out)
         for t in range(start, end + 1):
             hit = np.flatnonzero(rng.random(len(probs)) < probs)
             edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
-    # node u is labelled str(u), and every snapshot holds every node
+    # every snapshot holds every node
     nodes = np.column_stack([np.repeat(np.arange(k), n), np.tile(np.arange(n), k)])
-    return DynamicNetwork.from_records(k, [str(u) for u in range(n)], nodes, np.concatenate(edges))
+    return DynamicNetwork.from_records(k, list(index), nodes, np.concatenate(edges))
 
 
 def generate(cfg: GeneratorConfig) -> tuple[DynamicNetwork, ScdOutput]:

@@ -67,21 +67,14 @@ def _segment_clusters(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cluster coding of snapshots start..end under p, from the id arrays.
 
-    Cluster a is the a-th smallest cluster id of p; labels of p outside the
-    network are ignored.  Returns the code of every label id (-1 where p has
-    none), the code and the snapshot (0-based within the segment) of every
-    entry of the segment's node slice, and the cluster sizes, one row per
-    snapshot.  Raises if p misses a node of some snapshot.
+    Cluster a is code a of p; labels of p outside the network are ignored.
+    Returns the code of every label id (-1 where p has none), the code and
+    the snapshot (0-based within the segment) of every entry of the
+    segment's node slice, and the cluster sizes, one row per snapshot.
+    Raises if p misses a node of some snapshot.
     """
-    cids = sorted(set(p.assignment.values()))
-    code = {cid: a for a, cid in enumerate(cids)}
-    index = network.label_index
-    known = [(index[u], code[cid]) for u, cid in p.assignment.items() if u in index]
-    z = np.full(len(network.labels), -1, dtype=np.intp)
-    if known:
-        ids, codes = zip(*known)
-        z[list(ids)] = codes
-    nc, span = len(cids), end - start + 1
+    z = p.codes_by_id(network.label_index)
+    nc, span = p.num_clusters, end - start + 1
 
     zn = z[network.segment_node_ids(start, end)]
     snap = np.repeat(np.arange(span), np.diff(network.node_offsets[start:end + 2]))
@@ -110,8 +103,8 @@ def snapshot_fit(
     node's fraction of neighbours outside its cluster, a degree-0 node
     counting 0.  A loss is the mean over the clusters present in the
     snapshot.  A snapshot without edges has modularity 0 and loss 0.
-    Cluster terms are added in cluster-id order, so no value depends on
-    string hashing.
+    Cluster terms are added in code order, so no value depends on string
+    hashing.
     """
     z, zn, snap, sizes = _segment_clusters(network, start, end, p)
     span, nc = sizes.shape

@@ -122,7 +122,7 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 def _segment_terms(
     network: DynamicNetwork, consensus: ConsensusSpec, start: int, end: int, with_ll: bool
-) -> tuple[Partition, int, float | None]:
+) -> _Segment:
     """A segment's partition, parameter count and, if ``with_ll``, log-likelihood.
 
     Every segment draws its own derived seed, so the terms do not depend on
@@ -130,7 +130,7 @@ def _segment_terms(
     """
     p = segment_partition(network, (start, end), consensus)
     ll = objectives.segment_log_likelihood(network, start, end, p) if with_ll else None
-    return p, objectives.segment_num_parameters(p), ll
+    return _Segment(p, objectives.segment_num_parameters(p), ll)
 
 
 _worker_network: DynamicNetwork | None = None
@@ -145,13 +145,9 @@ def _init_worker(network: DynamicNetwork) -> None:
 
 def _worker_terms(
     consensus: ConsensusSpec, with_ll: bool, chunk: list[tuple[int, int]]
-) -> list[tuple[dict[str, int], int, float | None]]:
-    """A worker's terms of a chunk of segments; partitions go back as assignments."""
-    out = []
-    for start, end in chunk:
-        p, n_par, ll = _segment_terms(_worker_network, consensus, start, end, with_ll)
-        out.append((p.assignment, n_par, ll))
-    return out
+) -> list[_Segment]:
+    """A worker's terms of a chunk of segments."""
+    return [_segment_terms(_worker_network, consensus, *s, with_ll) for s in chunk]
 
 
 class SegmentStore:
@@ -174,7 +170,7 @@ class SegmentStore:
         """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
         seg = self._memo.get((consensus, start, end))
         if seg is None:
-            seg = _Segment(*_segment_terms(self.network, consensus, start, end, with_ll))
+            seg = _segment_terms(self.network, consensus, start, end, with_ll)
             self._memo[consensus, start, end] = seg
         if with_ll and seg.log_likelihood is None:
             seg.log_likelihood = objectives.segment_log_likelihood(
@@ -211,11 +207,8 @@ class SegmentStore:
             workers, initializer=_init_worker, initargs=(self.network,)
         ) as pool:
             results = pool.map(partial(_worker_terms, consensus, with_ll), chunks)
-            for chunk, terms in zip(chunks, results):
-                for (start, end), (assignment, n_par, ll) in zip(chunk, terms):
-                    self._memo[consensus, start, end] = _Segment(
-                        Partition(assignment), n_par, ll
-                    )
+            for chunk, segs in zip(chunks, results):
+                self._memo.update(((consensus, *s), seg) for s, seg in zip(chunk, segs))
 
 
 class _SegmentScorer:

@@ -4,8 +4,8 @@ Four methods: Louvain, Louvain initialized from a given partition,
 asynchronous label propagation, and random-walk agglomerative clustering.
 All of them are deterministic given (graph, spec): randomized node orders
 come from the spec's seed and every tie-break is pinned.  Returned
-partitions cover exactly the graph's nodes and carry canonical cluster ids
-(0, 1, ... ordered by each cluster's smallest member).
+partitions are built on the graph's own labels tuple, so they cover exactly
+its nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._seeds import rng_for
-from .dyngraph import Partition
+from .dyngraph import Partition, dense_codes
 
 _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
@@ -206,13 +206,15 @@ def louvain_multi(
         level, renum = _contract(level, comm)
         membership = [renum[comm[c]] for c in membership]
         comm = list(range(len(renum)))
-    return Partition({u: comm[membership[i]] for i, u in enumerate(labels)}).canonical()
+    return Partition.from_codes(labels, [comm[c] for c in membership])
 
 
 def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
-    # ids in order of first appearance; nodes absent from init start as singletons
-    ids: dict = {}
-    return [ids.setdefault(init.assignment.get(u, (u,)), len(ids)) for u in labels]
+    # init's code of each label, a fresh id past its codes for a label it
+    # lacks (a singleton), renumbered in order of first appearance
+    ids = init.codes_by_id(dict(zip(labels, range(len(labels)))))
+    ids[ids < 0] = init.num_clusters + np.flatnonzero(ids < 0)
+    return dense_codes(ids).tolist()
 
 
 def louvain(graph: WeightedGraph, seed: int) -> Partition:
@@ -257,7 +259,7 @@ def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
                 changed = True
         if not changed:
             break
-    return Partition({labels[i]: l for i, l in enumerate(lab)}).canonical()
+    return Partition.from_codes(labels, lab)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ def walktrap(graph: WeightedGraph) -> Partition:
     has_edges = (np.bincount(graph.a, minlength=n) + np.bincount(graph.b, minlength=n)) > 0
     active = np.flatnonzero(has_edges).tolist()
     if not active:
-        return Partition.singletons(labels)
+        return Partition.from_codes(labels, range(n))
     na = len(active)
     if na > WALKTRAP_MAX_NODES:
         raise ValueError(
@@ -406,15 +408,14 @@ def walktrap(graph: WeightedGraph) -> Partition:
             best_q = q
             best_step = len(merges)
 
-    # replay merges up to the best level
-    group: dict[int, list[int]] = {i: [active[i]] for i in range(na)}
-    next_id = na
-    for c1, c2 in merges[:best_step]:
-        group[next_id] = group.pop(c1) + group.pop(c2)
-        next_id += 1
-    clusters = [[labels[u] for u in g] for g in group.values()]
-    clusters.extend([[labels[u]] for u in np.flatnonzero(~has_edges).tolist()])
-    return Partition.from_clusters(clusters).canonical()
+    # replay merges up to the best level, latest first: both halves of a merge
+    # take the community id that the merged community ends up in
+    root = list(range(na + best_step))
+    for cid, (c1, c2) in reversed(list(enumerate(merges[:best_step], start=na))):
+        root[c1] = root[c2] = root[cid]
+    ids = np.arange(n)  # a degree-0 node keeps its own id, below every community's
+    ids[active] = n + np.array(root[:na], dtype=np.intp)
+    return Partition.from_codes(labels, ids)
 
 
 # ---------------------------------------------------------------------------

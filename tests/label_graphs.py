@@ -8,6 +8,8 @@ clusterers read and which the clusterers that loop in Python build for
 themselves; the string-keyed co-occurrence count that serves as the
 reference for ``consensus.co_occurrence_graph``; and ``restrict``, a
 partition cut down to a node set, for the label-keyed reference loops.
+``from_clusters``, ``singletons`` and ``clusters_of`` state partitions by
+their member sets, and ``is_canonical`` checks the code order.
 """
 
 from __future__ import annotations
@@ -54,6 +56,42 @@ def rows(graph: WeightedGraph) -> list[dict[int, float]]:
 def restrict(p: Partition, nodes: Iterable[str]) -> Partition:
     """Partition of ``p.domain`` intersect ``nodes``; empty clusters drop out."""
     return Partition({u: p.assignment[u] for u in p.domain & frozenset(nodes)})
+
+
+def from_clusters(clusters: Iterable[Iterable[str]]) -> Partition:
+    """Partition with these member lists; rejects an empty cluster and a
+    node listed twice."""
+    assignment: dict[str, int] = {}
+    for cid, members in enumerate(clusters):
+        members = list(members)
+        if not members:
+            raise ValueError("empty cluster")
+        for u in members:
+            if u in assignment:
+                raise ValueError(f"node {u!r} assigned to two clusters")
+            assignment[u] = cid
+    return Partition(assignment)
+
+
+def singletons(nodes: Iterable[str]) -> Partition:
+    return from_clusters([u] for u in sorted(set(nodes)))
+
+
+def clusters_of(p: Partition) -> list[frozenset[str]]:
+    """Member sets of p's clusters, in code order."""
+    out: list[set[str]] = [set() for _ in range(p.num_clusters)]
+    for u, c in zip(p.labels, p.codes.tolist()):
+        out[c].add(u)
+    return [frozenset(m) for m in out]
+
+
+def is_canonical(codes) -> bool:
+    """Whether codes number clusters 0, 1, ... in order of first appearance."""
+    first: list[int] = []
+    for c in codes:
+        if c not in first:
+            first.append(c)
+    return first == list(range(len(first)))
 
 
 def snapshot_graph(g: Snapshot) -> WeightedGraph:

@@ -121,6 +121,32 @@ class TestDetect:
             assert code == 1
             assert f"--segments {bad} out of range [1, 2]" in err
 
+    def test_undefined_selection_criterion_checked_before_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # no snapshot holds two nodes, so BIC, which picks the segment count
+        # for a fit objective, is undefined
+        def no_search(*_):
+            raise AssertionError("the table must not be built")
+
+        monkeypatch.setattr(cli, "build_table", no_search)
+        net = tmp_path / "lonely.txt"
+        net.write_text("0 a\n1 b\n")
+        for objective in ("modularity", "conductance"):
+            code, _, err = run(capsys, "detect", "--input", str(net), "--objective", objective)
+            assert code == 1
+            assert "BIC undefined" in err and "--segments" in err
+
+    def test_fit_objective_with_segments_needs_no_criterion(self, tmp_path, capsys):
+        net = tmp_path / "lonely.txt"
+        net.write_text("0 a\n1 b\n")
+        out = tmp_path / "sol.txt"
+        code, stdout, _ = run(capsys, "detect", "--input", str(net), "--objective",
+                              "modularity", "--segments", "1", "--output", str(out))
+        assert code == 0
+        assert kv(stdout)["chosen_l"] == ["1"]
+        assert out.read_text() == "segment 0 1\ncluster 0: a\ncluster 1: b\n"
+
     def test_invalid_output_is_not_written(self, tmp_path, capsys, monkeypatch):
         # the chosen partition misses node c of the only snapshot
         bad = ScdOutput(ChangePointSet((), 1), (Partition({"a": 0, "b": 0}),))

@@ -17,7 +17,7 @@ from dynseg.consensus import (
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
 from dynseg.static_cluster import ClustererSpec, louvain
 from label_graphs import (
-    edge_weights, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
+    edge_weights, from_clusters, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
 )
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
@@ -75,7 +75,7 @@ class TestSumGraph:
         spec = ClustererSpec("louvain", seed=4)
         p = consensus_sum_graph(net, (0, 2), spec)
         direct = louvain(snapshot_graph(TRIANGLES), 4)
-        assert p.groups() == direct.groups()
+        assert p == direct
 
     def test_weight_scale_invariance_of_louvain(self):
         g = label_graph([], {e: 1.0 for e in TRI_EDGES})
@@ -106,7 +106,7 @@ class TestAverageLouvain:
         net = DynamicNetwork([TRIANGLES] * 4)
         p = consensus_average_louvain(net, (0, 3), seed=6)
         direct = louvain(snapshot_graph(TRIANGLES), 6)
-        assert p.groups() == direct.groups()
+        assert p == direct
 
     def test_opposing_snapshots_reject_merge(self):
         # A: u-v is the only relation; alone, Louvain merges u and v.
@@ -133,7 +133,7 @@ class TestAverageLouvain:
         net = DynamicNetwork([TRIANGLES, empty, TRIANGLES])
         p = consensus_average_louvain(net, (0, 2), seed=3)
         direct = louvain(snapshot_graph(TRIANGLES), 3)
-        assert p.groups() == direct.groups()
+        assert p == direct
 
 
 class TestConsensusMatrix:
@@ -150,13 +150,13 @@ class TestConsensusMatrix:
         net = DynamicNetwork([TRIANGLES] * 3)
         spec = ClustererSpec("louvain", seed=2)
         p = consensus_matrix(net, (0, 2), spec)
-        assert p.groups() == frozenset([frozenset("abc"), frozenset("def")])
+        assert p == from_clusters(["abc", "def"])
 
     def test_singleton_segment_two_triangles(self):
         net = DynamicNetwork([TRIANGLES])
         for kind in ("louvain", "walktrap"):
             p = consensus_matrix(net, (0, 0), ClustererSpec(kind, seed=2))
-            assert p.groups() == frozenset([frozenset("abc"), frozenset("def")])
+            assert p == from_clusters(["abc", "def"])
 
     def test_pair_never_present_together_absent(self):
         g1 = Snapshot([], [("a", "b")])

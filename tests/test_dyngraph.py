@@ -19,6 +19,7 @@ from dynseg.dyngraph import (
     load_dynamic_network,
     load_output,
 )
+from label_graphs import from_clusters, is_canonical
 
 
 class TestLoadDynamicNetwork:
@@ -246,28 +247,57 @@ class TestSegIndex:
 
 class TestPartition:
     def test_from_clusters(self):
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["c"], ["b", "a"]])
+        assert (p.labels, p.codes.tolist()) == (("a", "b", "c"), [0, 0, 1])
         assert p.num_clusters == 2
         assert p.domain == {"a", "b", "c"}
+        assert Partition({}).num_clusters == 0
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            Partition.from_clusters([["a"], []])
+            from_clusters([["a"], []])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Partition.from_clusters([["a", "b"], ["b"]])
+            from_clusters([["a", "b"], ["b"]])
 
     def test_same_grouping_ignores_ids(self):
         p = Partition({"a": 5, "b": 5, "c": 9})
         q = Partition({"a": 0, "b": 0, "c": 1})
-        assert p.same_grouping(q)
-        assert not p.same_grouping(Partition({"a": 0, "b": 1, "c": 1}))
+        assert p == q and hash(p) == hash(q)
+        assert p != Partition({"a": 0, "b": 1, "c": 1})
 
     def test_canonical_orders_by_smallest_member(self):
         p = Partition({"d": 7, "a": 3, "b": 7})
-        c = p.canonical()
-        assert c.assignment == {"a": 0, "b": 1, "d": 1}
+        assert p.codes.tolist() == [0, 1, 1]
+        assert p.assignment == {"a": 0, "b": 1, "d": 1}
+        assert Partition.from_codes(p.labels, [-4, 8, 8]) == p
+        with pytest.raises(ValueError):
+            p.codes[0] = 1  # read-only
+
+    def test_pickle_keeps_codes_read_only(self):
+        p = pickle.loads(pickle.dumps(Partition({"b": 2, "a": 7})))
+        assert p == Partition({"a": 0, "b": 1})
+        assert not p.codes.flags.writeable
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(
+        st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=3),
+        st.integers(-(2**63), 2**63 - 1), max_size=8,
+    ))
+    def test_partition_contract(self, mapping):
+        """Any label order and any int64 ids: sorted labels, canonical codes,
+        the mapping's grouping, id-blind equality and hash, and a file round trip."""
+        p = Partition(mapping)
+        assert list(p.labels) == sorted(mapping)
+        codes = p.codes.tolist()
+        assert is_canonical(codes)
+        for (u, cu), (v, cv) in itertools.combinations(zip(p.labels, codes), 2):
+            assert (cu == cv) == (mapping[u] == mapping[v])
+        renamed = {u: ~cid for u, cid in reversed(mapping.items())}
+        assert Partition(renamed) == p and hash(Partition(renamed)) == hash(p)
+        out = ScdOutput(ChangePointSet((), 1), (p,))
+        assert load_output(dump_output(out)) == out
 
 
 # labels are whitespace-free; ':' and a leading '#' need no escaping
@@ -292,8 +322,8 @@ def solutions(draw):
 class TestScdOutput:
     def _output(self):
         cps = ChangePointSet((2,), 4)
-        p0 = Partition.from_clusters([["a", "b"], ["c"]])
-        p1 = Partition.from_clusters([["a", "c", "b"]])
+        p0 = from_clusters([["a", "b"], ["c"]])
+        p1 = from_clusters([["a", "c", "b"]])
         return ScdOutput(cps, (p0, p1))
 
     def test_partition_count_must_match(self):
@@ -339,23 +369,19 @@ class TestScdOutput:
     def test_round_trip(self):
         out = self._output()
         again = load_output(dump_output(out))
-        assert again.change_points == out.change_points
-        assert all(
-            p.same_grouping(q) for p, q in zip(again.partitions, out.partitions)
-        )
+        assert again == out
 
     @settings(max_examples=200)
     @given(solutions())
     def test_round_trip_property(self, out):
         text = dump_output(out)
         again = load_output(text)
-        assert again.change_points == out.change_points
-        assert again.partitions == tuple(p.canonical() for p in out.partitions)
+        assert again == out
         assert dump_output(again) == text
 
     def test_cluster_ids_follow_smallest_member(self):
         cps = ChangePointSet((), 1)
-        p = Partition.from_clusters([["z", "m"], ["a", "q"]])
+        p = from_clusters([["z", "m"], ["a", "q"]])
         text = dump_output(ScdOutput(cps, (p,)))
         assert "cluster 0: a q" in text
         assert "cluster 1: m z" in text

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dynseg import generator
 from dynseg._seeds import rng_for
 from dynseg.dyngraph import dump_dynamic_network, dump_output
 from dynseg.generator import (
@@ -12,6 +13,7 @@ from dynseg.generator import (
     generate,
     sample_change_points,
 )
+from label_graphs import clusters_of, from_clusters
 
 DEFAULT = dict(k=16, l=4, n=50, c_min=5, c_in=20, c_out=4)
 
@@ -138,19 +140,30 @@ class TestDerivePartitions:
         graph = build_partition_graph(cfg, rng_for(3, "g"))
         parts = derive_segment_partitions(graph, cfg.n, rng_for(3, "m"))
         assert len(parts) == 1
-        sizes = sorted(len(m) for m in parts[0].clusters().values())
+        sizes = sorted(len(m) for m in clusters_of(parts[0]))
         assert sum(sizes) == 50
         assert all(s >= 5 for s in sizes)
         assert parts[0].num_clusters == graph.layer_sizes[0]
 
-    def test_continuation_keeps_members_and_merge_unions(self):
+    def test_continuation_keeps_members_and_merge_unions(self, monkeypatch):
+        # the member list of every supernode, indexed by supernode id, as the
+        # generator hands it to the partition of its layer
+        layers: list[list[set[str]]] = []
+        build = generator._layer_partition
+
+        def recording(members):
+            layers.append([{str(u) for u in m} for m in members])
+            return build(members)
+
+        monkeypatch.setattr(generator, "_layer_partition", recording)
         cfg = GeneratorConfig(**DEFAULT)
         for seed in range(10):
             graph = build_partition_graph(cfg, rng_for(seed, "g"))
+            layers.clear()
             parts = derive_segment_partitions(graph, cfg.n, rng_for(seed, "m"))
+            assert parts == [from_clusters(members) for members in layers]
             for layer, edges in enumerate(graph.transitions):
-                prev = parts[layer].clusters()
-                nxt = parts[layer + 1].clusters()
+                prev, nxt = layers[layer], layers[layer + 1]
                 incoming: dict[int, set] = {}
                 d_out, d_in = _degrees(edges)
                 for u, v, _ in edges:
@@ -167,7 +180,7 @@ class TestDerivePartitions:
             cfg = GeneratorConfig(seed=seed, **DEFAULT)
             _, truth = generate(cfg)
             for p, q in zip(truth.partitions, truth.partitions[1:]):
-                assert not p.same_grouping(q)
+                assert p != q
 
 
 class TestSnapshots:
@@ -177,7 +190,7 @@ class TestSnapshots:
         if truth.partitions[0].num_clusters == 2:
             # intra pairs are always edges
             for g in net:
-                for members in truth.partitions[0].clusters().values():
+                for members in clusters_of(truth.partitions[0]):
                     ms = sorted(members)
                     for i, u in enumerate(ms):
                         for v in ms[i + 1:]:

@@ -168,7 +168,7 @@ def reference_louvain_multi(
         raise ValueError("no nodes to cluster")
     init_ids = _init_ids(init, labels) if init is not None else None
     final = _louvain_core([rows(g) for g in graphs], len(labels), seed, init_ids)
-    return Partition({labels[i]: c for i, c in enumerate(final)}).canonical()
+    return Partition({labels[i]: c for i, c in enumerate(final)})
 
 
 def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:

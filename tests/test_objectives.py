@@ -29,12 +29,12 @@ from dynseg.objectives import (
     segment_log_likelihood,
     snapshot_fit,
 )
-from label_graphs import restrict
+from label_graphs import clusters_of, from_clusters, restrict, singletons
 
 TRIANGLES = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c"),
                           ("d", "e"), ("e", "f"), ("d", "f")])
-TRI_SPLIT = Partition.from_clusters([["a", "b", "c"], ["d", "e", "f"]])
-TRI_ONE = Partition.from_clusters([["a", "b", "c", "d", "e", "f"]])
+TRI_SPLIT = from_clusters([["a", "b", "c"], ["d", "e", "f"]])
+TRI_ONE = from_clusters([["a", "b", "c", "d", "e", "f"]])
 
 
 def fit_of(fit: FitMeasure, p: Partition, g: Snapshot) -> float:
@@ -81,27 +81,27 @@ class TestModularity:
             g = Snapshot(nodes, edges)
             if len(g.edges) == 0:
                 continue
-            p = Partition.from_clusters([nodes])
+            p = from_clusters([nodes])
             assert modularity_of(p, g) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_edge_snapshot(self):
         g = Snapshot(["a", "b"], [])
-        assert modularity_of(Partition.singletons(["a", "b"]), g) == 0.0
+        assert modularity_of(singletons(["a", "b"]), g) == 0.0
 
     def test_restriction_to_snapshot_nodes(self):
-        p = Partition.from_clusters([["a", "b", "zz"], ["c", "d"]])
+        p = from_clusters([["a", "b", "zz"], ["c", "d"]])
         g = Snapshot([], [("a", "b"), ("c", "d")])
         # zz not in g; value computed on the restriction
         assert modularity_of(p, g) == pytest.approx(0.5)
 
     def test_missing_node_is_error(self):
-        p = Partition.from_clusters([["a"]])
+        p = from_clusters([["a"]])
         g = Snapshot([], [("a", "b")])
         with pytest.raises(ValueError):
             modularity_of(p, g)
 
     def test_missing_node_on_edgeless_snapshot_is_error(self):
-        p = Partition.from_clusters([["a"]])
+        p = from_clusters([["a"]])
         for fit in FitMeasure:
             with pytest.raises(ValueError):
                 fit_of(fit, p, Snapshot(["a", "b"]))
@@ -121,7 +121,7 @@ class TestModularity:
         graph = nx.Graph()
         graph.add_nodes_from(nodes)
         graph.add_edges_from(edges)
-        communities = restrict(p, g.nodes).clusters().values()
+        communities = clusters_of(restrict(p, g.nodes))
         assert modularity_of(p, g) == pytest.approx(nx.community.modularity(graph, communities))
 
 
@@ -135,20 +135,20 @@ class TestLossFits:
     def test_conductance_path(self):
         # path a-b-c split {a,b} {c}: 1/2 * (1/(2*1+2) + 1/(2*0+1)) = 0.625
         g = Snapshot([], [("a", "b"), ("b", "c")])
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["a", "b"], ["c"]])
         assert loss_of(FitMeasure.CONDUCTANCE, p, g) == pytest.approx(0.625)
 
     def test_normalized_cut_path(self):
         # adds b_c / (2(m - m_c) + n_c): 1/2 * ((1/4 + 1/4) + (1/1 + 1/5))
         g = Snapshot([], [("a", "b"), ("b", "c")])
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["a", "b"], ["c"]])
         expected = 0.5 * ((1 / 4 + 1 / (2 * (2 - 1) + 2)) + (1 / 1 + 1 / (2 * 2 + 1)))
         assert loss_of(FitMeasure.NORMALIZED_CUT, p, g) == pytest.approx(expected)
 
     def test_avgodf_hand_example(self):
         # star a-(b,c,d) plus edge b-c; clusters {a,b,c} {d}
         g = Snapshot([], [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")])
-        p = Partition.from_clusters([["a", "b", "c"], ["d"]])
+        p = from_clusters([["a", "b", "c"], ["d"]])
         # a: 1/3 outside, b: 0, c: 0 -> cluster mean 1/9; d: 1/1 -> mean 1
         assert loss_of(FitMeasure.AVERAGE_ODF, p, g) == pytest.approx(
             0.5 * (1 / 9 + 1.0)
@@ -156,18 +156,18 @@ class TestLossFits:
 
     def test_degree_zero_node_contributes_zero(self):
         g = Snapshot(["z"], [("a", "b")])
-        p = Partition.from_clusters([["a", "b", "z"]])
+        p = from_clusters([["a", "b", "z"]])
         assert loss_of(FitMeasure.AVERAGE_ODF, p, g) == 0.0
 
     def test_zero_edge_snapshot_scores_zero(self):
         g = Snapshot(["a", "b"], [])
         for kind in (FitMeasure.CONDUCTANCE, FitMeasure.NORMALIZED_CUT,
                      FitMeasure.AVERAGE_ODF):
-            assert loss_of(kind, Partition.singletons(["a", "b"]), g) == 0.0
+            assert loss_of(kind, singletons(["a", "b"]), g) == 0.0
 
     def test_snapshot_fit_orientation(self):
         g = Snapshot([], [("a", "b"), ("b", "c")])
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["a", "b"], ["c"]])
         # one value per snapshot in time order: 1 - 0.625, then 1 - 0 (no edges)
         net = DynamicNetwork([g, Snapshot(["a", "c"]), g])
         assert snapshot_fit(FitMeasure.CONDUCTANCE, net, 0, 2, p) == pytest.approx(
@@ -181,7 +181,7 @@ class TestLossFits:
         # same way on clear-cut cases and both vanish on boundary-free ones
         def textbook(p, g):
             restricted = restrict(p, g.nodes)
-            clusters = restricted.clusters()
+            clusters = dict(enumerate(clusters_of(restricted)))
             m_c = {cid: 0 for cid in clusters}
             b_c = {cid: 0 for cid in clusters}
             for u, v in g.edges:
@@ -199,7 +199,7 @@ class TestLossFits:
 
         assert textbook(TRI_SPLIT, TRIANGLES) == 0.0
         assert loss_of(FitMeasure.CONDUCTANCE, TRI_SPLIT, TRIANGLES) == 0.0
-        bad = Partition.from_clusters([["a", "b", "d"], ["c", "e", "f"]])
+        bad = from_clusters([["a", "b", "d"], ["c", "e", "f"]])
         for fn in (textbook, lambda p, g: loss_of(FitMeasure.CONDUCTANCE, p, g)):
             assert fn(bad, TRIANGLES) > fn(TRI_SPLIT, TRIANGLES)
 
@@ -217,8 +217,8 @@ class TestQp:
     def test_mean_over_singleton_segments(self):
         g1 = Snapshot([], [("a", "b"), ("b", "c")])  # conductance 0.625 under split
         net = DynamicNetwork([g1, g1])
-        p_split = Partition.from_clusters([["a", "b"], ["c"]])
-        p_one = Partition.from_clusters([["a", "b", "c"]])
+        p_split = from_clusters([["a", "b"], ["c"]])
+        p_one = from_clusters([["a", "b", "c"]])
         out = ScdOutput(ChangePointSet((1,), 2), (p_split, p_one))
         # F' = 1 - F: (0.375 + 1.0) / 2
         assert q_p(out, net, FitMeasure.CONDUCTANCE) == pytest.approx(0.6875)
@@ -278,7 +278,7 @@ class TestBlockEstimate:
         cross = [("a0", "b0"), ("a1", "b0"), ("a2", "b1")]
         g = Snapshot(nodes_a + nodes_b, cross)
         net = DynamicNetwork([g, g])
-        p = Partition.from_clusters([nodes_a, nodes_b])
+        p = from_clusters([nodes_a, nodes_b])
         edges, pairs, _ = _segment_counts(net, 0, 1, p)
         assert edges.tolist() == [[0, 6], [0, 0]]
         assert pairs.tolist() == [[20, 20], [0, 2]]
@@ -291,7 +291,7 @@ class TestBlockEstimate:
         nodes = ["a", "b", "c", "d"]
         g = Snapshot(nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
         net = DynamicNetwork([g, g, g])
-        p = Partition.from_clusters([nodes])
+        p = from_clusters([nodes])
         edges, pairs, _ = _segment_counts(net, 0, 2, p)
         assert edges.tolist() == pairs.tolist() == [[18]]
         assert segment_log_likelihood(net, 0, 2, p) == 0.0
@@ -299,7 +299,7 @@ class TestBlockEstimate:
     def test_no_edges_theta_zero(self):
         g = Snapshot(["a", "b", "c"], [])
         net = DynamicNetwork([g])
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["a", "b"], ["c"]])
         edges, pairs, _ = _segment_counts(net, 0, 0, p)
         assert edges.tolist() == [[0, 0], [0, 0]]
         assert pairs.tolist() == [[1, 2], [0, 0]]
@@ -309,7 +309,7 @@ class TestBlockEstimate:
         # cluster with one node has no intra pairs
         g = Snapshot(["a", "b"], [("a", "b")])
         net = DynamicNetwork([g])
-        p = Partition.from_clusters([["a"], ["b"]])
+        p = from_clusters([["a"], ["b"]])
         edges, pairs, _ = _segment_counts(net, 0, 0, p)
         assert pairs[0, 0] == 0
         assert edges[0, 0] == 0
@@ -320,17 +320,17 @@ class TestLogLikelihood:
     def test_clique_is_zero(self):
         nodes = ["a", "b", "c", "d"]
         g = Snapshot(nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
-        net, out = _single(g, Partition.from_clusters([nodes]))
+        net, out = _single(g, from_clusters([nodes]))
         assert log_likelihood(out, net) == 0.0
 
     def test_empty_graph_is_zero(self):
         g = Snapshot(["a", "b", "c", "d"], [])
-        net, out = _single(g, Partition.from_clusters([["a", "b", "c", "d"]]))
+        net, out = _single(g, from_clusters([["a", "b", "c", "d"]]))
         assert log_likelihood(out, net) == 0.0
 
     def test_extreme_blocks_contribute_zero(self):
         g = Snapshot(["a", "b", "c", "d"], [("a", "b")])
-        p = Partition.from_clusters([["a", "b"], ["c", "d"]])
+        p = from_clusters([["a", "b"], ["c", "d"]])
         # intra cluster 0: 1 pair, 1 edge (theta 1); cluster 1: 1 pair 0 edges;
         # cross: 4 pairs 0 edges -> ll = 0
         net, out = _single(g, p)
@@ -340,12 +340,12 @@ class TestLogLikelihood:
         # block with two pairs, one edge: theta 0.5 -> exactly 2 log 0.5;
         # the other blocks are extreme and contribute nothing
         g = Snapshot(["b"], [("a", "c")])
-        p = Partition.from_clusters([["a", "b"], ["c"]])
+        p = from_clusters([["a", "b"], ["c"]])
         net, out = _single(g, p)
         assert log_likelihood(out, net) == pytest.approx(2 * math.log(0.5))
         # same value from a whole cluster with half its pairs filled
         g2 = Snapshot([], [("a", "b"), ("c", "d"), ("a", "c")])
-        p2 = Partition.from_clusters([["a", "b", "c", "d"]])
+        p2 = from_clusters([["a", "b", "c", "d"]])
         net2, out2 = _single(g2, p2)
         assert log_likelihood(out2, net2) == pytest.approx(6 * math.log(0.5))
 
@@ -382,9 +382,9 @@ class TestLogLikelihood:
 
 class TestCounts:
     def test_num_parameters(self):
-        p2 = Partition.from_clusters([["a"], ["b"]])
-        p1 = Partition.from_clusters([["a", "b"]])
-        p3 = Partition.from_clusters([["a"], ["b"], ["c"]])
+        p2 = from_clusters([["a"], ["b"]])
+        p1 = from_clusters([["a", "b"]])
+        p3 = from_clusters([["a"], ["b"], ["c"]])
         net = DynamicNetwork([Snapshot(["a", "b"], []), Snapshot(["a", "b", "c"], [])])
         assert num_parameters(ScdOutput(ChangePointSet((), 2), (p2,))) == 3
         assert num_parameters(ScdOutput(ChangePointSet((), 2), (p1,))) == 1
@@ -404,7 +404,7 @@ class TestQb:
     def test_aic_direct(self):
         nodes = ["a", "b", "c"]
         g = Snapshot(nodes, [("a", "b"), ("a", "c"), ("b", "c")])
-        net, out = _single(g, Partition.from_clusters([["a", "b"], ["c"]]))
+        net, out = _single(g, from_clusters([["a", "b"], ["c"]]))
         # clique: all thetas are 1 -> ll = 0; np = 3
         assert q_b(out, net, Criterion.AIC) == pytest.approx(-3.0)
 
@@ -412,7 +412,7 @@ class TestQb:
         five = [f"v{i}" for i in range(5)]
         clique = [(u, v) for i, u in enumerate(five) for v in five[i + 1:]]
         net = DynamicNetwork([Snapshot(five, clique), Snapshot(five, clique)])
-        p = Partition.from_clusters([five[:2], five[2:]])
+        p = from_clusters([five[:2], five[2:]])
         out = ScdOutput(ChangePointSet((), 2), (p,))
         ll = log_likelihood(out, net)
         expected = ll - 1.5 * math.log(20)

@@ -16,27 +16,29 @@ from hypothesis import given, settings, strategies as st
 from dynseg.consensus import sum_graph
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot, load_dynamic_network
 from dynseg.objectives import FitMeasure, _segment_counts, segment_log_likelihood, snapshot_fit
-from label_graphs import edge_weights, restrict
+from label_graphs import clusters_of, edge_weights, restrict
 
 LABELS = ["a", "b", "c", "d", "e", "f"]
 EXTRA = ["x", "y"]  # partition labels that no snapshot holds
 
 
 def reference_counts(network, start, end, p):
+    """Edge and node-pair counts keyed by pairs (a, b), a <= b, of p's codes."""
     edge_counts: dict[tuple[int, int], int] = {}
     pair_counts: dict[tuple[int, int], int] = {}
+    assign = p.assignment
     for j in range(start, end + 1):
         g = network[j]
-        restricted = restrict(p, g.nodes)
-        if len(restricted.assignment) != len(g.nodes):
+        if not g.nodes <= p.domain:
             raise ValueError(f"partition does not cover snapshot {j}")
-        sizes = {cid: len(m) for cid, m in restricted.clusters().items()}
+        sizes: dict[int, int] = {}
+        for u in g.nodes:
+            sizes[assign[u]] = sizes.get(assign[u], 0) + 1
         cids = sorted(sizes)
         for idx, a in enumerate(cids):
             pair_counts[(a, a)] = pair_counts.get((a, a), 0) + sizes[a] * (sizes[a] - 1) // 2
             for b in cids[idx + 1:]:
                 pair_counts[(a, b)] = pair_counts.get((a, b), 0) + sizes[a] * sizes[b]
-        assign = restricted.assignment
         for u, v in g.edges:
             a, b = assign[u], assign[v]
             key = (a, b) if a <= b else (b, a)
@@ -65,7 +67,7 @@ def reference_cluster_stats(p, g):
         missing = sorted(g.nodes - restricted.domain)[:3]
         raise ValueError(f"partition does not cover snapshot nodes, e.g. {missing}")
     assign = restricted.assignment
-    clusters = restricted.clusters()
+    clusters = dict(enumerate(clusters_of(restricted)))
     m_c = {cid: 0 for cid in clusters}
     b_c = {cid: 0 for cid in clusters}
     for u, v in g.edges:
@@ -139,20 +141,14 @@ def reference_sum_graph(network, start, end):
     return weights
 
 
-def array_counts_by_cluster_id(network, start, end, p):
-    """The array counts as reference-shaped dicts keyed by cluster ids."""
+def array_counts_by_code(network, start, end, p):
+    """The array counts as reference-shaped dicts keyed by code pairs (a, b), a <= b."""
     edges, pairs, sizes = _segment_counts(network, start, end, p)
-    cids = sorted(set(p.assignment.values()))
     present = (sizes > 0).astype(int)
     shared = present.T @ present  # snapshots holding both clusters
-    edge_dict = {
-        (cids[a], cids[b]): int(edges[a, b])
-        for a in range(len(cids)) for b in range(a, len(cids)) if edges[a, b]
-    }
-    pair_dict = {
-        (cids[a], cids[b]): int(pairs[a, b])
-        for a in range(len(cids)) for b in range(a, len(cids)) if shared[a, b]
-    }
+    code_pairs = [(a, b) for a in range(p.num_clusters) for b in range(a, p.num_clusters)]
+    edge_dict = {(a, b): int(edges[a, b]) for a, b in code_pairs if edges[a, b]}
+    pair_dict = {(a, b): int(pairs[a, b]) for a, b in code_pairs if shared[a, b]}
     return edge_dict, pair_dict
 
 
@@ -184,7 +180,7 @@ def cases(draw):
 @given(cases())
 def test_counts_and_log_likelihood_match_reference(case):
     net, start, end, p = case
-    assert array_counts_by_cluster_id(net, start, end, p) == reference_counts(net, start, end, p)
+    assert array_counts_by_code(net, start, end, p) == reference_counts(net, start, end, p)
     assert segment_log_likelihood(net, start, end, p) == reference_log_likelihood(
         net, start, end, p
     )
@@ -247,7 +243,7 @@ def test_hand_example_with_gaps_absent_nodes_and_extra_labels():
     p = Partition({"a": 5, "b": 5, "c": -1, "d": 2, "z": 9})
     for start in range(net.k):
         for end in range(start, net.k):
-            assert array_counts_by_cluster_id(net, start, end, p) == reference_counts(
+            assert array_counts_by_code(net, start, end, p) == reference_counts(
                 net, start, end, p
             )
             assert segment_log_likelihood(net, start, end, p) == reference_log_likelihood(

@@ -37,7 +37,7 @@ from dynseg.static_cluster import (
     _DIST_BLOCK,
     walktrap,
 )
-from label_graphs import label_graph, rows
+from label_graphs import from_clusters, label_graph, rows, singletons
 
 WALK_LENGTH = 4
 
@@ -60,7 +60,7 @@ def reference_walktrap(graph: WeightedGraph) -> Partition:
     active = [u for u in range(n) if adj[u]]
     isolated = [u for u in range(n) if not adj[u]]
     if not active:
-        return Partition.singletons(labels)
+        return singletons(labels)
 
     pos = {u: i for i, u in enumerate(active)}
     na = len(active)
@@ -161,7 +161,7 @@ def reference_walktrap(graph: WeightedGraph) -> Partition:
         next_id += 1
     clusters = [[labels[u] for u in g] for g in group.values()]
     clusters.extend([[labels[u]] for u in isolated])
-    return Partition.from_clusters(clusters).canonical()
+    return from_clusters(clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def heap_walktrap(graph: WeightedGraph) -> Partition:
     active = [u for u in range(n) if adj[u]]
     isolated = [u for u in range(n) if not adj[u]]
     if not active:
-        return Partition.singletons(labels)
+        return singletons(labels)
     na = len(active)
     if na > WALKTRAP_MAX_NODES:
         raise ValueError(
@@ -283,7 +283,7 @@ def heap_walktrap(graph: WeightedGraph) -> Partition:
         next_id += 1
     clusters = [[labels[u] for u in g] for g in group.values()]
     clusters.extend([[labels[u]] for u in isolated])
-    return Partition.from_clusters(clusters).canonical()
+    return from_clusters(clusters)
 
 
 # ---------------------------------------------------------------------------
