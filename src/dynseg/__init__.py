@@ -12,19 +12,17 @@ from .dyngraph import (
     load_output,
 )
 from .generator import GeneratorConfig, generate
-from .objectives import Criterion, FitMeasure, ObjectiveSpec
+from .objectives import Criterion, FitMeasure
 from .search import SearchSpec, build_table, solve_cscd, solve_scd
-from .static_cluster import ClustererSpec, WeightedGraph
+from .static_cluster import WeightedGraph
 
 __all__ = [
     "ChangePointSet",
-    "ClustererSpec",
     "ConsensusSpec",
     "Criterion",
     "DynamicNetwork",
     "FitMeasure",
     "GeneratorConfig",
-    "ObjectiveSpec",
     "Partition",
     "ScdOutput",
     "SearchSpec",

@@ -37,9 +37,8 @@ from .evaluation import (
     sim_t,
 )
 from .generator import GenerationError, GeneratorConfig, generate
-from .objectives import Criterion, FitMeasure, ObjectiveSpec, num_observations, penalty_weight
-from .search import SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
-from .static_cluster import ClustererSpec
+from .objectives import Criterion, FitMeasure, num_observations, penalty_weight
+from .search import STRATEGIES, SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
 
 OBJECTIVES = ("bic", "aic", "modularity", "conductance", "ncut", "avgodf")
 CONSENSUS_CHOICES = (
@@ -50,43 +49,20 @@ CONSENSUS_CHOICES = (
     "cmatrix-louvain",
     "cmatrix-walktrap",
 )
-SEARCH_CHOICES = ("exhaustive", "topdown", "bottomup")
-
-_FIT_BY_NAME = {
-    "modularity": FitMeasure.MODULARITY,
-    "conductance": FitMeasure.CONDUCTANCE,
-    "ncut": FitMeasure.NORMALIZED_CUT,
-    "avgodf": FitMeasure.AVERAGE_ODF,
-}
-
-
-def _objective_spec(name: str) -> tuple[ObjectiveSpec, Criterion]:
-    """Per-l objective plus the criterion used for the final selection."""
-    if name in ("bic", "aic"):
-        crit = Criterion(name)
-        return ObjectiveSpec.qb(crit), crit
-    return ObjectiveSpec.qp(_FIT_BY_NAME[name]), Criterion.BIC
 
 
 def _consensus_spec(name: str) -> ConsensusSpec:
     if name == "avg-louvain":
         return ConsensusSpec("average-louvain")
     family, _, kind = name.partition("-")
-    clusterer = {
-        "louvain": ClustererSpec("louvain"),
-        "walktrap": ClustererSpec("walktrap"),
-        "lpa": ClustererSpec("label-propagation"),
-    }[kind]
     method = "sum-graph" if family == "sum" else "consensus-matrix"
-    return ConsensusSpec(method, clusterer)
+    return ConsensusSpec(method, "label-propagation" if kind == "lpa" else kind)
 
 
 def _search_spec(objective: str, consensus: str, search: str, seed: int) -> SearchSpec:
-    obj, selection = _objective_spec(objective)
     return SearchSpec(
         strategy=search,
-        objective=obj,
-        selection=selection,
+        objective=Criterion(objective) if objective in ("bic", "aic") else FitMeasure(objective),
         consensus=_consensus_spec(consensus),
         seed=seed,
     )
@@ -129,7 +105,7 @@ def _positive_int(text: str) -> int:
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=OBJECTIVES, default="bic")
     p.add_argument("--consensus", choices=CONSENSUS_CHOICES, default="sum-walktrap")
-    p.add_argument("--search", choices=SEARCH_CHOICES, default="bottomup")
+    p.add_argument("--search", choices=STRATEGIES, default="bottomup")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--jobs", type=_positive_int, default=usable_cpus(),
@@ -154,7 +130,7 @@ def cmd_detect(args) -> int:
     if args.segments is not None and not 1 <= args.segments <= network.k:
         raise ValueError(f"--segments {args.segments} out of range [1, {network.k}]")
     spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
-    if args.segments is None and spec.objective.family == "qp":
+    if args.segments is None and isinstance(spec.objective, FitMeasure):
         # a fit objective leaves the count to a criterion, which must be defined
         try:
             penalty_weight(num_observations(network), spec.selection)
@@ -295,7 +271,7 @@ def cmd_benchmark(args) -> int:
         if len(configs) != 2:
             raise ValueError("--compare takes exactly two configurations")
         for c in configs:
-            fields = zip(c.split(":"), (OBJECTIVES, CONSENSUS_CHOICES, SEARCH_CHOICES))
+            fields = zip(c.split(":"), (OBJECTIVES, CONSENSUS_CHOICES, STRATEGIES))
             if c.count(":") != 2 or any(f not in choices for f, choices in fields):
                 raise ValueError(f"bad configuration {c!r}; use objective:consensus:search")
 

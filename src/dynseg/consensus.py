@@ -11,7 +11,7 @@ Three ways to reconcile the snapshots of a segment into a single partition:
   nodes land in one cluster.
 
 The partition domain is always the union of the segment's node sets; a
-per-segment seed derived from (base seed, start, end) makes results
+per-segment seed derived from (search seed, start, end) makes results
 independent of evaluation order.
 """
 
@@ -23,18 +23,17 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .dyngraph import DynamicNetwork, Partition
-from .static_cluster import ClustererSpec, LevelGraph, WeightedGraph, cluster, louvain_multi
+from .static_cluster import KINDS, LevelGraph, WeightedGraph, cluster, louvain_multi
 
 CONSENSUS_METHODS = ("sum-graph", "average-louvain", "consensus-matrix")
 
 
 @dataclass(frozen=True)
 class ConsensusSpec:
-    """Pins the consensus method and, where applicable, its static clusterer."""
+    """The consensus method and, where it takes one, its static clusterer kind."""
 
     method: str
-    clusterer: ClustererSpec | None = None
-    seed: int = 0
+    clusterer: str | None = None
 
     def __post_init__(self):
         if self.method not in CONSENSUS_METHODS:
@@ -44,6 +43,8 @@ class ConsensusSpec:
                 raise ValueError("average-louvain does not take a static clusterer")
         elif self.clusterer is None:
             raise ValueError(f"{self.method} needs a static clusterer")
+        elif self.clusterer not in KINDS:
+            raise ValueError(f"unknown clusterer kind {self.clusterer!r}")
 
 
 def _segment_edges(
@@ -70,10 +71,10 @@ def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
 
 
 def consensus_sum_graph(
-    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
 ) -> Partition:
     start, end = segment
-    return cluster(sum_graph(network, start, end), clusterer)
+    return cluster(sum_graph(network, start, end), kind, seed)
 
 
 def consensus_average_louvain(
@@ -104,7 +105,7 @@ def _pair_keys(member: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
 
 
 def co_occurrence_graph(
-    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
 ) -> WeightedGraph:
     """Graph of the fraction of shared snapshots placing two nodes in one cluster.
 
@@ -124,9 +125,8 @@ def co_occurrence_graph(
         if not ids.size:
             continue
         graph = sum_graph(network, j, j)  # the snapshot's edges in stored order
-        spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
         # the initialized variant chains each snapshot from its predecessor
-        prev = cluster(graph, spec_j, init=prev)
+        prev = cluster(graph, kind, derive_seed(seed, "cm-snapshot", j), init=prev)
         local = np.searchsorted(seg_ids, ids)
         present[j - start, local] = True
         keys.append(_pair_keys(prev.codes, local, n))
@@ -141,27 +141,26 @@ def co_occurrence_graph(
 
 
 def consensus_matrix(
-    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
 ) -> Partition:
-    final_spec = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-final"))
-    return cluster(co_occurrence_graph(network, segment, clusterer), final_spec)
+    graph = co_occurrence_graph(network, segment, kind, seed)
+    return cluster(graph, kind, derive_seed(seed, "cm-final"))
 
 
 def segment_partition(
-    network: DynamicNetwork, segment: tuple[int, int], spec: ConsensusSpec
+    network: DynamicNetwork, segment: tuple[int, int], spec: ConsensusSpec, seed: int
 ) -> Partition:
-    """Consensus partition of one segment under a deterministic derived seed.
+    """Consensus partition of one segment under a seed derived from
+    (seed, start, end).
 
     A segment whose snapshots are all empty gets the empty partition.
     """
     start, end = segment
     if not network.segment_node_ids(start, end).size:
         return Partition({})
-    seg_seed = derive_seed(spec.seed, "segment", start, end)
+    seg_seed = derive_seed(seed, "segment", start, end)
     if spec.method == "sum-graph":
-        sub = ClustererSpec(spec.clusterer.kind, seg_seed)
-        return consensus_sum_graph(network, segment, sub)
+        return consensus_sum_graph(network, segment, spec.clusterer, seg_seed)
     if spec.method == "average-louvain":
         return consensus_average_louvain(network, segment, seg_seed)
-    sub = ClustererSpec(spec.clusterer.kind, seg_seed)
-    return consensus_matrix(network, segment, sub)
+    return consensus_matrix(network, segment, spec.clusterer, seg_seed)

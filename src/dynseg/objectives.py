@@ -15,7 +15,6 @@ actually present in that snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,33 +32,6 @@ class FitMeasure(str, Enum):
 class Criterion(str, Enum):
     AIC = "aic"
     BIC = "bic"
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Either a fit-based score ('qp') or an information criterion ('qb')."""
-
-    family: str  # "qp" | "qb"
-    fit: FitMeasure | None = None
-    criterion: Criterion | None = None
-
-    def __post_init__(self):
-        if self.family == "qp":
-            if self.fit is None or self.criterion is not None:
-                raise ValueError("qp objective needs a fit measure only")
-        elif self.family == "qb":
-            if self.criterion is None or self.fit is not None:
-                raise ValueError("qb objective needs a criterion only")
-        else:
-            raise ValueError(f"unknown objective family {self.family!r}")
-
-    @classmethod
-    def qp(cls, fit: FitMeasure) -> "ObjectiveSpec":
-        return cls("qp", fit=fit)
-
-    @classmethod
-    def qb(cls, criterion: Criterion) -> "ObjectiveSpec":
-        return cls("qb", criterion=criterion)
 
 
 def _segment_clusters(

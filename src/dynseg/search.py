@@ -16,14 +16,13 @@ enough edges to repay starting them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import objectives
 from .consensus import ConsensusSpec, segment_partition
 from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput
-from .objectives import Criterion, ObjectiveSpec
-from .static_cluster import ClustererSpec
+from .objectives import Criterion, FitMeasure
 
 STRATEGIES = ("exhaustive", "topdown", "bottomup")
 
@@ -42,21 +41,28 @@ _CHUNKS_PER_WORKER = 4
 MIN_PARALLEL_EDGE_VISITS = 100_000
 
 
-def default_consensus() -> ConsensusSpec:
-    return ConsensusSpec("sum-graph", ClustererSpec("walktrap"))
-
-
 @dataclass(frozen=True)
 class SearchSpec:
+    """The search strategy, the per-segment objective (a fit measure or a
+    criterion), the consensus method with its clusterer, and the one seed
+    that every random choice of the search derives from."""
+
     strategy: str = "bottomup"
-    objective: ObjectiveSpec = field(default_factory=lambda: ObjectiveSpec.qb(Criterion.BIC))
-    selection: Criterion = Criterion.BIC
-    consensus: ConsensusSpec = field(default_factory=default_consensus)
+    objective: FitMeasure | Criterion = Criterion.BIC
+    consensus: ConsensusSpec = ConsensusSpec("sum-graph", "walktrap")
     seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown search strategy {self.strategy!r}")
+        if not isinstance(self.objective, (FitMeasure, Criterion)):
+            raise ValueError(f"objective {self.objective!r} is not a FitMeasure or Criterion")
+
+    @property
+    def selection(self) -> Criterion:
+        """The criterion that chooses the segment count: the objective itself
+        when it is one, else BIC."""
+        return self.objective if isinstance(self.objective, Criterion) else Criterion.BIC
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class CscdTable:
     entries: dict[int, CscdEntry]
     consensus_calls: int
     num_observations: int
-    objective: ObjectiveSpec
+    objective: FitMeasure | Criterion
 
     @property
     def k(self) -> int:
@@ -121,14 +127,15 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def _segment_terms(
-    network: DynamicNetwork, consensus: ConsensusSpec, start: int, end: int, with_ll: bool
+    network: DynamicNetwork, consensus: ConsensusSpec, seed: int, start: int, end: int,
+    with_ll: bool,
 ) -> _Segment:
     """A segment's partition, parameter count and, if ``with_ll``, log-likelihood.
 
     Every segment draws its own derived seed, so the terms do not depend on
     which process computes them or in what order.
     """
-    p = segment_partition(network, (start, end), consensus)
+    p = segment_partition(network, (start, end), consensus, seed)
     ll = objectives.segment_log_likelihood(network, start, end, p) if with_ll else None
     return _Segment(p, objectives.segment_num_parameters(p), ll)
 
@@ -144,15 +151,15 @@ def _init_worker(network: DynamicNetwork) -> None:
 
 
 def _worker_terms(
-    consensus: ConsensusSpec, with_ll: bool, chunk: list[tuple[int, int]]
+    consensus: ConsensusSpec, seed: int, with_ll: bool, chunk: list[tuple[int, int]]
 ) -> list[_Segment]:
     """A worker's terms of a chunk of segments."""
-    return [_segment_terms(_worker_network, consensus, *s, with_ll) for s in chunk]
+    return [_segment_terms(_worker_network, consensus, seed, *s, with_ll) for s in chunk]
 
 
 class SegmentStore:
     """The objective-independent terms of one network's segments, memoized by
-    (consensus spec with its seed, start, end).
+    (consensus spec, seed, start, end).
 
     Tables built on one store under several objectives cluster each segment
     they share once.  ``fill`` computes many segments at once, in up to
@@ -162,16 +169,16 @@ class SegmentStore:
     def __init__(self, network: DynamicNetwork, jobs: int = 1):
         self.network = network
         self.jobs = jobs
-        self._memo: dict[tuple[ConsensusSpec, int, int], _Segment] = {}
+        self._memo: dict[tuple[ConsensusSpec, int, int, int], _Segment] = {}
 
     def segment(
-        self, consensus: ConsensusSpec, start: int, end: int, with_ll: bool = False
+        self, consensus: ConsensusSpec, seed: int, start: int, end: int, with_ll: bool = False
     ) -> _Segment:
         """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
-        seg = self._memo.get((consensus, start, end))
+        seg = self._memo.get((consensus, seed, start, end))
         if seg is None:
-            seg = _segment_terms(self.network, consensus, start, end, with_ll)
-            self._memo[consensus, start, end] = seg
+            seg = _segment_terms(self.network, consensus, seed, start, end, with_ll)
+            self._memo[consensus, seed, start, end] = seg
         if with_ll and seg.log_likelihood is None:
             seg.log_likelihood = objectives.segment_log_likelihood(
                 self.network, start, end, seg.partition
@@ -179,7 +186,11 @@ class SegmentStore:
         return seg
 
     def fill(
-        self, consensus: ConsensusSpec, segments: list[tuple[int, int]], with_ll: bool = False
+        self,
+        consensus: ConsensusSpec,
+        seed: int,
+        segments: list[tuple[int, int]],
+        with_ll: bool = False,
     ) -> None:
         """Compute the terms of every segment not yet in the memo.
 
@@ -188,7 +199,7 @@ class SegmentStore:
         for this call maps interleaved chunks of the segments; the network
         reaches the workers through the pool's initializer.
         """
-        missing = [s for s in segments if (consensus, *s) not in self._memo]
+        missing = [s for s in segments if (consensus, seed, *s) not in self._memo]
         offsets = self.network.edge_offsets
         visits = sum(int(offsets[end + 1] - offsets[start]) for start, end in missing)
         workers = 1
@@ -196,7 +207,7 @@ class SegmentStore:
             workers = worker_count(self.jobs, len(missing))
         if workers == 1:
             for start, end in missing:
-                self.segment(consensus, start, end, with_ll)
+                self.segment(consensus, seed, start, end, with_ll)
             return
         # Imported here: the import costs about 30 ms that serial runs skip.
         from concurrent.futures import ProcessPoolExecutor
@@ -206,9 +217,9 @@ class SegmentStore:
         with ProcessPoolExecutor(
             workers, initializer=_init_worker, initargs=(self.network,)
         ) as pool:
-            results = pool.map(partial(_worker_terms, consensus, with_ll), chunks)
+            results = pool.map(partial(_worker_terms, consensus, seed, with_ll), chunks)
             for chunk, segs in zip(chunks, results):
-                self._memo.update(((consensus, *s), seg) for s, seg in zip(chunk, segs))
+                self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(chunk, segs))
 
 
 class _SegmentScorer:
@@ -231,26 +242,22 @@ class _SegmentScorer:
             raise ValueError("segment store was built for another network")
         self.store = store
         self.network = network
-        self.consensus = ConsensusSpec(
-            spec.consensus.method, spec.consensus.clusterer, spec.seed
-        )
+        self.consensus, self.seed = spec.consensus, spec.seed
         self.objective = spec.objective
         self.num_observations = objectives.num_observations(network)
         self.weight = None  # fit objectives carry no penalty
-        if self.objective.family == "qb":
-            self.weight = objectives.penalty_weight(
-                self.num_observations, self.objective.criterion
-            )
+        if isinstance(self.objective, Criterion):
+            self.weight = objectives.penalty_weight(self.num_observations, self.objective)
         self._scores: dict[tuple[int, int], float] = {}
 
     def score(self, start: int, end: int) -> float:
         s = self._scores.get((start, end))
         if s is None:
             if self.weight is None:
-                p = self.store.segment(self.consensus, start, end).partition
-                s = sum(objectives.snapshot_fit(self.objective.fit, self.network, start, end, p))
+                p = self.store.segment(self.consensus, self.seed, start, end).partition
+                s = sum(objectives.snapshot_fit(self.objective, self.network, start, end, p))
             else:
-                seg = self.store.segment(self.consensus, start, end, with_ll=True)
+                seg = self.store.segment(self.consensus, self.seed, start, end, with_ll=True)
                 s = seg.log_likelihood - self.weight * seg.num_parameters
             self._scores[start, end] = s
         return s
@@ -262,7 +269,7 @@ class _SegmentScorer:
         raw, ll, n_par = 0.0, 0.0, 0
         for start, end in cps.segmentation():
             raw += self.score(start, end)
-            seg = self.store.segment(self.consensus, start, end, with_ll=True)
+            seg = self.store.segment(self.consensus, self.seed, start, end, with_ll=True)
             parts.append(seg.partition)
             ll += seg.log_likelihood
             n_par += seg.num_parameters
@@ -296,6 +303,7 @@ def exhaustive_search(
     k = network.k
     scorer.store.fill(
         scorer.consensus,
+        scorer.seed,
         [(t, i) for i in range(k) for t in range(i + 1)],
         with_ll=scorer.weight is not None,
     )

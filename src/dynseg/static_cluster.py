@@ -2,8 +2,8 @@
 
 Four methods: Louvain, Louvain initialized from a given partition,
 asynchronous label propagation, and random-walk agglomerative clustering.
-All of them are deterministic given (graph, spec): randomized node orders
-come from the spec's seed and every tie-break is pinned.  Returned
+All of them are deterministic given (graph, seed): randomized node orders
+come from the seed and every tie-break is pinned.  Returned
 partitions are built on the graph's own labels tuple, so they cover exactly
 its nodes.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 from ._seeds import rng_for
 from .dyngraph import Partition, dense_codes
 
+KINDS = ("louvain", "stabilized-louvain", "label-propagation", "walktrap")  # cluster() runs these
 _GAIN_TOL = 1e-12
 MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
 WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
@@ -63,20 +63,6 @@ def _rows(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[dict[int,
     for x, y, z in zip(a.tolist(), b.tolist(), w.tolist()):
         adj[x][y] = adj[y][x] = z
     return adj
-
-
-@dataclass(frozen=True)
-class ClustererSpec:
-    """Pins one static method together with everything that makes it deterministic."""
-
-    kind: str  # louvain | stabilized-louvain | label-propagation | walktrap
-    seed: int = 0
-
-    KINDS = ("louvain", "stabilized-louvain", "label-propagation", "walktrap")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown clusterer kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +408,17 @@ def walktrap(graph: WeightedGraph) -> Partition:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def cluster(graph: WeightedGraph, spec: ClustererSpec, init: Partition | None = None) -> Partition:
-    if spec.kind == "louvain":
-        return louvain(graph, spec.seed)
-    if spec.kind == "stabilized-louvain":
-        return stabilized_louvain(graph, init, spec.seed)
-    if spec.kind == "label-propagation":
-        return label_propagation(graph, spec.seed)
-    return walktrap(graph)
+def cluster(
+    graph: WeightedGraph, kind: str, seed: int, init: Partition | None = None
+) -> Partition:
+    """The ``kind`` clusterer's partition of graph; walktrap draws no seed, and
+    only stabilized-louvain starts from ``init``."""
+    if kind == "louvain":
+        return louvain(graph, seed)
+    if kind == "stabilized-louvain":
+        return stabilized_louvain(graph, init, seed)
+    if kind == "label-propagation":
+        return label_propagation(graph, seed)
+    if kind == "walktrap":
+        return walktrap(graph)
+    raise ValueError(f"unknown clusterer kind {kind!r}")

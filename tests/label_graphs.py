@@ -20,7 +20,7 @@ import numpy as np
 
 from dynseg._seeds import derive_seed
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
-from dynseg.static_cluster import ClustererSpec, WeightedGraph, cluster
+from dynseg.static_cluster import WeightedGraph, cluster
 
 
 def label_graph(
@@ -108,7 +108,7 @@ def edge_weights(graph: WeightedGraph) -> dict[tuple[str, str], float]:
 
 
 def co_occurrence_weights(
-    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
 ) -> dict[tuple[str, str], float]:
     """Fraction of shared snapshots placing each node pair in one cluster.
 
@@ -124,8 +124,7 @@ def co_occurrence_weights(
         g = network[j]
         if not g.nodes:
             continue
-        spec_j = ClustererSpec(clusterer.kind, derive_seed(clusterer.seed, "cm-snapshot", j))
-        p = cluster(snapshot_graph(g), spec_j, init=prev)
+        p = cluster(snapshot_graph(g), kind, derive_seed(seed, "cm-snapshot", j), init=prev)
         prev = p
         ordered = sorted(g.nodes)
         assign = p.assignment
@@ -139,9 +138,9 @@ def co_occurrence_weights(
 
 
 def reference_co_occurrence_graph(
-    network: DynamicNetwork, segment: tuple[int, int], clusterer: ClustererSpec
+    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
 ) -> WeightedGraph:
     """The co-occurrence graph built through the label-keyed constructor."""
     start, end = segment
     nodes = frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
-    return label_graph(nodes, co_occurrence_weights(network, segment, clusterer))
+    return label_graph(nodes, co_occurrence_weights(network, segment, kind, seed))

@@ -33,7 +33,6 @@ from dynseg.evaluation import (
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
-    ObjectiveSpec,
     num_observations,
     penalty_weight,
     segment_log_likelihood,
@@ -46,7 +45,6 @@ from dynseg.search import (
     exhaustive_search,
     top_down_search,
 )
-from dynseg.static_cluster import ClustererSpec
 from label_graphs import clusters_of, from_clusters
 
 BASE_SEED = 0
@@ -82,9 +80,8 @@ def _small_instances():
 def _spec(strategy, seed):
     return SearchSpec(
         strategy=strategy,
-        objective=ObjectiveSpec.qb(Criterion.BIC),
-        selection=Criterion.BIC,
-        consensus=ConsensusSpec("sum-graph", ClustererSpec("louvain")),
+        objective=Criterion.BIC,
+        consensus=ConsensusSpec("sum-graph", "louvain"),
         seed=seed,
     )
 
@@ -92,14 +89,13 @@ def _spec(strategy, seed):
 def _enumerate_best_scores(network, spec):
     """Literal enumeration over all 2^(k-1) change point sets."""
     k = network.k
-    consensus = ConsensusSpec(spec.consensus.method, spec.consensus.clusterer, spec.seed)
     weight = penalty_weight(num_observations(network), Criterion.BIC)
     best = {}
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):
             total = 0.0
             for start, end in ChangePointSet(points, k).segmentation():
-                p = segment_partition(network, (start, end), consensus)
+                p = segment_partition(network, (start, end), spec.consensus, spec.seed)
                 n_par = p.num_clusters * (p.num_clusters + 1) // 2
                 total += segment_log_likelihood(network, start, end, p) - weight * n_par
             if r + 1 not in best or total > best[r + 1]:
@@ -198,11 +194,7 @@ def detection_grid():
             table_bic = build_table(net, SearchSpec(seed=det_seed), store)
             chosen_bic = table_bic.select(Criterion.BIC)
             out = table_bic.entry(chosen_bic).output
-            table_aic = build_table(net, SearchSpec(
-                objective=ObjectiveSpec.qb(Criterion.AIC),
-                selection=Criterion.AIC,
-                seed=det_seed,
-            ), store)
+            table_aic = build_table(net, SearchSpec(objective=Criterion.AIC, seed=det_seed), store)
             row = {
                 "sim_b": sim_b(out, truth, PartitionMetric.NMI, net),
                 "l_bic": chosen_bic,

@@ -15,7 +15,7 @@ from dynseg.consensus import (
     sum_graph,
 )
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
-from dynseg.static_cluster import ClustererSpec, louvain
+from dynseg.static_cluster import KINDS, louvain
 from label_graphs import (
     edge_weights, from_clusters, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
 )
@@ -65,15 +65,13 @@ class TestSumGraph:
 
     def test_singleton_segment_equals_static_clustering(self):
         net = DynamicNetwork([TRIANGLES])
-        spec = ClustererSpec("louvain", seed=4)
-        p = consensus_sum_graph(net, (0, 0), spec)
+        p = consensus_sum_graph(net, (0, 0), "louvain", 4)
         direct = louvain(snapshot_graph(TRIANGLES), 4)
         assert p.assignment == direct.assignment
 
     def test_identical_snapshots_match_single_snapshot_louvain(self):
         net = DynamicNetwork([TRIANGLES] * 3)
-        spec = ClustererSpec("louvain", seed=4)
-        p = consensus_sum_graph(net, (0, 2), spec)
+        p = consensus_sum_graph(net, (0, 2), "louvain", 4)
         direct = louvain(snapshot_graph(TRIANGLES), 4)
         assert p == direct
 
@@ -84,14 +82,14 @@ class TestSumGraph:
 
     def test_edgeless_segment_gives_singletons(self):
         net = DynamicNetwork([Snapshot(["a", "b", "c"], [])])
-        p = consensus_sum_graph(net, (0, 0), ClustererSpec("walktrap"))
+        p = consensus_sum_graph(net, (0, 0), "walktrap", 0)
         assert p.num_clusters == 3
 
     def test_domain_is_union_of_node_sets(self):
         g1 = Snapshot(["x"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
         net = DynamicNetwork([g1, g2])
-        p = consensus_sum_graph(net, (0, 1), ClustererSpec("louvain"))
+        p = consensus_sum_graph(net, (0, 1), "louvain", 0)
         assert p.domain == {"a", "b", "c", "x"}
 
 
@@ -142,34 +140,33 @@ class TestConsensusMatrix:
         together = Snapshot([], [("u", "v"), ("u", "w"), ("v", "w"), ("x", "y"), ("x", "z"), ("y", "z")])
         apart = Snapshot([], [("u", "w"), ("v", "x"), ("v", "y"), ("x", "y"), ("u", "z"), ("w", "z")])
         net = DynamicNetwork([together, together, together, apart])
-        graph = co_occurrence_graph(net, (0, 3), ClustererSpec("louvain", seed=1))
+        graph = co_occurrence_graph(net, (0, 3), "louvain", 1)
         weights = edge_weights(graph)
         assert weights[("u", "v")] == pytest.approx(0.75)
 
     def test_unanimous_partitions_reproduced(self):
         net = DynamicNetwork([TRIANGLES] * 3)
-        spec = ClustererSpec("louvain", seed=2)
-        p = consensus_matrix(net, (0, 2), spec)
+        p = consensus_matrix(net, (0, 2), "louvain", 2)
         assert p == from_clusters(["abc", "def"])
 
     def test_singleton_segment_two_triangles(self):
         net = DynamicNetwork([TRIANGLES])
         for kind in ("louvain", "walktrap"):
-            p = consensus_matrix(net, (0, 0), ClustererSpec(kind, seed=2))
+            p = consensus_matrix(net, (0, 0), kind, 2)
             assert p == from_clusters(["abc", "def"])
 
     def test_pair_never_present_together_absent(self):
         g1 = Snapshot([], [("a", "b")])
         g2 = Snapshot([], [("c", "d")])
         net = DynamicNetwork([g1, g2])
-        weights = edge_weights(co_occurrence_graph(net, (0, 1), ClustererSpec("louvain")))
+        weights = edge_weights(co_occurrence_graph(net, (0, 1), "louvain", 0))
         assert ("a", "c") not in weights
 
     def test_domain_is_union(self):
         g1 = Snapshot(["q"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
         net = DynamicNetwork([g1, g2])
-        p = consensus_matrix(net, (0, 1), ClustererSpec("louvain"))
+        p = consensus_matrix(net, (0, 1), "louvain", 0)
         assert p.domain == {"a", "b", "c", "q"}
 
 
@@ -193,15 +190,14 @@ def segments(draw):
 
 
 @settings(max_examples=300)
-@given(segments(), st.sampled_from(ClustererSpec.KINDS), st.integers(0, 2**31 - 1))
+@given(segments(), st.sampled_from(KINDS), st.integers(0, 2**31 - 1))
 def test_co_occurrence_graph_matches_label_keyed_reference(case, kind, seed):
     """Same labels, same edges in the same order, and bit-equal weights."""
     net, segment = case
     if not net.segment_node_ids(*segment).size:
         return
-    spec = ClustererSpec(kind, seed)
-    got = co_occurrence_graph(net, segment, spec)
-    expected = reference_co_occurrence_graph(net, segment, spec)
+    got = co_occurrence_graph(net, segment, kind, seed)
+    expected = reference_co_occurrence_graph(net, segment, kind, seed)
     assert got.labels == expected.labels
     for x, y in zip(got[1:], expected[1:]):
         assert x.tolist() == y.tolist()
@@ -259,7 +255,7 @@ def test_co_occurrence_rows_follow_first_shared_snapshot():
     split = Snapshot([], [("a", "c"), ("b", "x")])
     triangle = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c")])
     net = DynamicNetwork([split, triangle])
-    graph = co_occurrence_graph(net, (0, 1), ClustererSpec("walktrap"))
+    graph = co_occurrence_graph(net, (0, 1), "walktrap", 0)
     assert graph.labels == ("a", "b", "c", "x")
     assert [list(row.items()) for row in rows(graph)] == [
         [(2, 1.0), (1, 0.5)], [(3, 1.0), (0, 0.5), (2, 0.5)],
@@ -274,41 +270,43 @@ class TestSegmentPartition:
         with pytest.raises(ValueError):
             ConsensusSpec("sum-graph")  # needs a clusterer
         with pytest.raises(ValueError):
-            ConsensusSpec("average-louvain", ClustererSpec("louvain"))
+            ConsensusSpec("average-louvain", "louvain")
+        with pytest.raises(ValueError, match="unknown clusterer kind 'metis'"):
+            ConsensusSpec("sum-graph", "metis")
 
     @pytest.mark.parametrize("spec", [
-        ConsensusSpec("sum-graph", ClustererSpec("walktrap"), seed=8),
-        ConsensusSpec("sum-graph", ClustererSpec("louvain"), seed=8),
-        ConsensusSpec("sum-graph", ClustererSpec("label-propagation"), seed=8),
-        ConsensusSpec("average-louvain", seed=8),
-        ConsensusSpec("consensus-matrix", ClustererSpec("louvain"), seed=8),
-        ConsensusSpec("consensus-matrix", ClustererSpec("stabilized-louvain"), seed=8),
+        ConsensusSpec("sum-graph", "walktrap"),
+        ConsensusSpec("sum-graph", "louvain"),
+        ConsensusSpec("sum-graph", "label-propagation"),
+        ConsensusSpec("average-louvain"),
+        ConsensusSpec("consensus-matrix", "louvain"),
+        ConsensusSpec("consensus-matrix", "stabilized-louvain"),
     ])
     def test_deterministic_and_covering(self, spec):
         g1 = Snapshot(["x"], TRI_EDGES[:5])
         g2 = Snapshot([], TRI_EDGES[2:])
         net = DynamicNetwork([g1, g2, g1])
-        p1 = segment_partition(net, (0, 2), spec)
-        p2 = segment_partition(net, (0, 2), spec)
+        p1 = segment_partition(net, (0, 2), spec, 8)
+        p2 = segment_partition(net, (0, 2), spec, 8)
         assert p1.assignment == p2.assignment
         assert p1.domain == g1.nodes | g2.nodes
 
     @pytest.mark.parametrize("spec", [
-        ConsensusSpec("sum-graph", ClustererSpec("walktrap")),
+        ConsensusSpec("sum-graph", "walktrap"),
         ConsensusSpec("average-louvain"),
-        ConsensusSpec("consensus-matrix", ClustererSpec("louvain")),
+        ConsensusSpec("consensus-matrix", "louvain"),
     ])
     def test_empty_segment_gets_empty_partition(self, spec):
         net = DynamicNetwork([TRIANGLES, Snapshot(), Snapshot(), TRIANGLES])
-        assert segment_partition(net, (1, 2), spec) == Partition({})
-        assert segment_partition(net, (0, 1), spec).domain == TRIANGLES.nodes
+        assert segment_partition(net, (1, 2), spec, 0) == Partition({})
+        assert segment_partition(net, (0, 1), spec, 0).domain == TRIANGLES.nodes
 
     def test_per_segment_seeds_differ(self):
         # two different segments of identical content may differ, but the same
         # segment scored from different call orders may not
         net = DynamicNetwork([TRIANGLES, TRIANGLES, TRIANGLES])
-        spec = ConsensusSpec("sum-graph", ClustererSpec("louvain"), seed=5)
-        first = segment_partition(net, (1, 2), spec)
-        segment_partition(net, (0, 0), spec)
-        second = segment_partition(net, (1, 2), spec)
+        spec = ConsensusSpec("sum-graph", "louvain")
+        first = segment_partition(net, (1, 2), spec, 5)
+        segment_partition(net, (0, 0), spec, 5)
+        second = segment_partition(net, (1, 2), spec, 5)
         assert first.assignment == second.assignment

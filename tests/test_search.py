@@ -11,7 +11,6 @@ from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
     FitMeasure,
-    ObjectiveSpec,
     log_likelihood,
     num_observations,
     num_parameters,
@@ -36,15 +35,14 @@ from dynseg.search import (
     usable_cpus,
     worker_count,
 )
-from dynseg.static_cluster import ClustererSpec
+from dynseg.static_cluster import KINDS
 
 
-def _spec(strategy="exhaustive", objective=None, seed=0):
+def _spec(strategy="exhaustive", objective=Criterion.BIC, seed=0):
     return SearchSpec(
         strategy=strategy,
-        objective=objective or ObjectiveSpec.qb(Criterion.BIC),
-        selection=Criterion.BIC,
-        consensus=ConsensusSpec("sum-graph", ClustererSpec("louvain")),
+        objective=objective,
+        consensus=ConsensusSpec("sum-graph", "louvain"),
         seed=seed,
     )
 
@@ -58,18 +56,18 @@ def brute_force_scores(network, spec):
     """Best per-l score over all 2^(k-1) change point sets, composed from
     per-segment quantities the same canonical way the search reports them."""
     k = network.k
-    consensus = ConsensusSpec(spec.consensus.method, spec.consensus.clusterer, spec.seed)
-    if spec.objective.family == "qb":
-        weight = penalty_weight(num_observations(network), spec.objective.criterion)
+    fit = isinstance(spec.objective, FitMeasure)
+    if not fit:
+        weight = penalty_weight(num_observations(network), spec.objective)
     best: dict[int, float] = {}
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):
             cps = ChangePointSet(points, k)
             total = 0.0
             for start, end in cps.segmentation():
-                p = segment_partition(network, (start, end), consensus)
-                if spec.objective.family == "qp":
-                    total += sum(snapshot_fit(spec.objective.fit, network, start, end, p))
+                p = segment_partition(network, (start, end), spec.consensus, spec.seed)
+                if fit:
+                    total += sum(snapshot_fit(spec.objective, network, start, end, p))
                 else:
                     n_par = p.num_clusters * (p.num_clusters + 1) // 2
                     total += (
@@ -79,7 +77,7 @@ def brute_force_scores(network, spec):
             l = r + 1
             if l not in best or total > best[l]:
                 best[l] = total
-    if spec.objective.family == "qp":
+    if fit:
         best = {l: s / k for l, s in best.items()}
     return best
 
@@ -94,10 +92,7 @@ class TestExhaustive:
         assert out.change_points.points == ()
 
     @pytest.mark.parametrize("objective", [
-        ObjectiveSpec.qb(Criterion.BIC),
-        ObjectiveSpec.qb(Criterion.AIC),
-        ObjectiveSpec.qp(FitMeasure.MODULARITY),
-        ObjectiveSpec.qp(FitMeasure.CONDUCTANCE),
+        Criterion.BIC, Criterion.AIC, FitMeasure.MODULARITY, FitMeasure.CONDUCTANCE,
     ])
     def test_matches_brute_force(self, objective):
         net = _network(k=4, seed=3)
@@ -162,20 +157,17 @@ class TestBottomUp:
         net = _network(k=4, seed=6)
         spec = _spec(seed=3)
         table = bottom_up_search(net, spec)
-        direct = segment_partition(
-            net, (0, 3),
-            ConsensusSpec("sum-graph", ClustererSpec("louvain"), seed=3),
-        )
+        direct = segment_partition(net, (0, 3), ConsensusSpec("sum-graph", "louvain"), 3)
         assert table.entry(1).output.partitions[0].assignment == direct.assignment
 
 
 LABELS = [f"n{i}" for i in range(10)]
 CONSENSUS_SPECS = (
-    [ConsensusSpec("sum-graph", ClustererSpec(kind)) for kind in ClustererSpec.KINDS]
+    [ConsensusSpec("sum-graph", kind) for kind in KINDS]
     + [ConsensusSpec("average-louvain")]
-    + [ConsensusSpec("consensus-matrix", ClustererSpec(kind)) for kind in ClustererSpec.KINDS]
+    + [ConsensusSpec("consensus-matrix", kind) for kind in KINDS]
 )
-OBJECTIVES = [ObjectiveSpec.qb(c) for c in Criterion] + [ObjectiveSpec.qp(f) for f in FitMeasure]
+OBJECTIVES = [*Criterion, *FitMeasure]
 
 
 @st.composite
@@ -198,8 +190,8 @@ class TestHeuristicDominance:
     )
     def test_exhaustive_dominates(self, net, consensus, objective, seed):
         """Exhaustive equals enumeration, and no heuristic beats it at any l."""
-        assume(objective.criterion is not Criterion.BIC or num_observations(net) > 0)
-        spec = SearchSpec("exhaustive", objective, Criterion.AIC, consensus, seed)
+        assume(objective is not Criterion.BIC or num_observations(net) > 0)
+        spec = SearchSpec("exhaustive", objective, consensus, seed)
         store = SegmentStore(net)
         t_ex = exhaustive_search(net, spec, store)
         t_td = top_down_search(net, spec, store)
@@ -274,6 +266,25 @@ class TestSolvers:
         assert tied.select(Criterion.AIC) == 1
 
 
+class TestSearchSpec:
+    def test_selection_is_a_criterion_objective_else_bic(self):
+        assert SearchSpec(objective=Criterion.AIC).selection is Criterion.AIC
+        assert SearchSpec(objective=Criterion.BIC).selection is Criterion.BIC
+        for fit in FitMeasure:
+            assert SearchSpec(objective=fit).selection is Criterion.BIC
+
+    @pytest.mark.parametrize(
+        "objective", ["bic", None, ConsensusSpec("average-louvain")], ids=["str", "none", "spec"]
+    )
+    def test_objective_neither_fit_measure_nor_criterion_rejected(self, objective):
+        with pytest.raises(ValueError, match="not a FitMeasure or Criterion"):
+            SearchSpec(objective=objective)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown search strategy"):
+            SearchSpec(strategy="random")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
     def test_identical_runs(self, strategy):
@@ -299,15 +310,10 @@ class TestTableFromMemo:
     """Table entries summed from the per-segment memo agree with the
     whole-output definitions in ``objectives``."""
 
-    OBJECTIVES = [
-        ObjectiveSpec.qb(Criterion.BIC),
-        ObjectiveSpec.qb(Criterion.AIC),
-        ObjectiveSpec.qp(FitMeasure.MODULARITY),
-        ObjectiveSpec.qp(FitMeasure.CONDUCTANCE),
-    ]
+    OBJECTIVES = [Criterion.BIC, Criterion.AIC, FitMeasure.MODULARITY, FitMeasure.CONDUCTANCE]
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
-    @pytest.mark.parametrize("objective", OBJECTIVES, ids=lambda o: (o.criterion or o.fit).value)
+    @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_entries_match_reference(self, strategy, objective):
         net = _network(k=5, seed=8, l=2)
         table = build_table(net, _spec(strategy=strategy, objective=objective, seed=4))
@@ -316,10 +322,10 @@ class TestTableFromMemo:
             out = entry.output
             assert entry.log_likelihood == log_likelihood(out, net)
             assert entry.num_parameters == num_parameters(out)
-            if objective.family == "qb":
-                expected = q_b(out, net, objective.criterion)
+            if isinstance(objective, Criterion):
+                expected = q_b(out, net, objective)
             else:
-                expected = q_p(out, net, objective.fit)
+                expected = q_p(out, net, objective)
             assert entry.score == pytest.approx(expected)
 
 
@@ -343,11 +349,7 @@ class TestSegmentStore:
     """Tables built on one shared store equal tables built alone, while each
     distinct segment is clustered once."""
 
-    OBJECTIVES = [
-        ObjectiveSpec.qb(Criterion.BIC),
-        ObjectiveSpec.qb(Criterion.AIC),
-        ObjectiveSpec.qp(FitMeasure.MODULARITY),
-    ]
+    OBJECTIVES = [Criterion.BIC, Criterion.AIC, FitMeasure.MODULARITY]
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
     def test_shared_store_equals_fresh_tables(self, strategy, monkeypatch):
@@ -358,9 +360,9 @@ class TestSegmentStore:
         clustered = []
         real = search.segment_partition
 
-        def counting(network, segment, consensus):
+        def counting(network, segment, consensus, seed):
             clustered.append(segment)
-            return real(network, segment, consensus)
+            return real(network, segment, consensus, seed)
 
         monkeypatch.setattr(search, "segment_partition", counting)
         store = SegmentStore(net)
@@ -374,7 +376,7 @@ class TestSegmentStore:
         net = _network(k=5, seed=0, l=2)
         specs = [
             SearchSpec(strategy="exhaustive", seed=seed,
-                       consensus=ConsensusSpec("sum-graph", ClustererSpec(kind)))
+                       consensus=ConsensusSpec("sum-graph", kind))
             for kind in ("louvain", "label-propagation") for seed in (1, 2)
         ]
         fresh = [build_table(net, spec) for spec in specs]
@@ -398,7 +400,7 @@ class TestSegmentStore:
 class TestParallelFill:
     """A store filled in worker processes equals one filled in-process."""
 
-    CONSENSUS = ConsensusSpec("sum-graph", ClustererSpec("louvain"), 5)
+    CONSENSUS, SEED = ConsensusSpec("sum-graph", "louvain"), 5
 
     @pytest.fixture
     def two_workers(self, monkeypatch, set_cpus):
@@ -411,7 +413,7 @@ class TestParallelFill:
         net = _network(k=8, seed=3, l=3, n=20)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
         serial = SegmentStore(net)
-        serial.fill(self.CONSENSUS, segments, with_ll)
+        serial.fill(self.CONSENSUS, self.SEED, segments, with_ll)
 
         parent, real = os.getpid(), search.segment_partition
 
@@ -421,10 +423,10 @@ class TestParallelFill:
 
         monkeypatch.setattr(search, "segment_partition", in_workers_only)
         parallel = SegmentStore(net, jobs=2)
-        parallel.fill(self.CONSENSUS, segments, with_ll)
+        parallel.fill(self.CONSENSUS, self.SEED, segments, with_ll)
         for start, end in segments:
-            want = serial.segment(self.CONSENSUS, start, end)
-            got = parallel.segment(self.CONSENSUS, start, end)
+            want = serial.segment(self.CONSENSUS, self.SEED, start, end)
+            got = parallel.segment(self.CONSENSUS, self.SEED, start, end)
             assert list(got.partition.assignment.items()) == \
                 list(want.partition.assignment.items())
             assert got.num_parameters == want.num_parameters
@@ -437,15 +439,16 @@ class TestParallelFill:
         net = _network(k=5, seed=4)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
         store = SegmentStore(net, jobs=2)
-        store.fill(self.CONSENSUS, segments, with_ll=True)
+        store.fill(self.CONSENSUS, self.SEED, segments, with_ll=True)
 
         def no_work(*args, **kwargs):
             raise AssertionError("a memoized segment was computed again")
 
         monkeypatch.setattr(search, "segment_partition", no_work)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
-        store.fill(self.CONSENSUS, segments, with_ll=True)
-        assert store.segment(self.CONSENSUS, 0, net.k - 1, with_ll=True).log_likelihood < 0
+        store.fill(self.CONSENSUS, self.SEED, segments, with_ll=True)
+        last = store.segment(self.CONSENSUS, self.SEED, 0, net.k - 1, with_ll=True)
+        assert last.log_likelihood < 0
 
     def test_pool_starts_at_the_edge_visit_threshold(self, monkeypatch, set_cpus):
         # the missing segments' edge records decide; memoized ones count for nothing
@@ -465,8 +468,8 @@ class TestParallelFill:
         for threshold, want in ((visits + 1, []), (visits, [2])):
             monkeypatch.setattr(search, "MIN_PARALLEL_EDGE_VISITS", threshold)
             store = SegmentStore(net, jobs=2)
-            store.segment(self.CONSENSUS, *segments[0])
-            store.fill(self.CONSENSUS, segments)
+            store.segment(self.CONSENSUS, self.SEED, *segments[0])
+            store.fill(self.CONSENSUS, self.SEED, segments)
             assert pools == want
 
     def test_exhaustive_tables_equal_under_jobs(self, two_workers):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dynseg import static_cluster
 from dynseg.dyngraph import Partition
 from dynseg.static_cluster import (
-    ClustererSpec,
+    KINDS,
     LevelGraph,
     WeightedGraph,
     cluster,
@@ -393,14 +393,14 @@ class TestCommonContracts:
         self.METHODS[method_idx](TWO_TRIANGLES)
         assert all(map(np.array_equal, TWO_TRIANGLES[1:], before))
 
-    @pytest.mark.parametrize("kind", ClustererSpec.KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_dispatch_deterministic_and_canonical(self, kind):
-        spec = ClustererSpec(kind, seed=21)
-        p1 = cluster(TWO_TRIANGLES, spec)
-        p2 = cluster(TWO_TRIANGLES, spec)
+        p1 = cluster(TWO_TRIANGLES, kind, 21)
+        p2 = cluster(TWO_TRIANGLES, kind, 21)
         assert p1 == p2
         assert is_canonical(p1.codes.tolist())
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ClustererSpec("metis")
+        # an unknown kind is an error, not a silent walktrap run
+        with pytest.raises(ValueError, match="unknown clusterer kind 'metis'"):
+            cluster(TWO_TRIANGLES, "metis", 21)
