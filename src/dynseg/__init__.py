@@ -6,7 +6,6 @@ from .dyngraph import (
     DynamicNetwork,
     Partition,
     ScdOutput,
-    Segmentation,
     Snapshot,
     load_dynamic_network,
     load_output,
@@ -26,7 +25,6 @@ __all__ = [
     "Partition",
     "ScdOutput",
     "SearchSpec",
-    "Segmentation",
     "Snapshot",
     "WeightedGraph",
     "build_table",

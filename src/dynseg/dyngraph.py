@@ -167,34 +167,6 @@ def _sorted_records(k: int, t: np.ndarray, *columns: np.ndarray) -> list[np.ndar
 
 
 @dataclass(frozen=True)
-class Segmentation:
-    """Contiguous, non-overlapping (start, end) ranges covering [0, k-1]."""
-
-    segments: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("empty segmentation")
-        if self.segments[0][0] != 0:
-            raise ValueError("first segment must start at time 0")
-        prev_end = -1
-        for start, end in self.segments:
-            if start != prev_end + 1 or end < start:
-                raise ValueError(f"bad segment range ({start}, {end})")
-            prev_end = end
-
-    @property
-    def k(self) -> int:
-        return self.segments[-1][1] + 1
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.segments)
-
-
-@dataclass(frozen=True)
 class ChangePointSet:
     """Strictly increasing time indices in [1, k-1]; time 0 is implicit."""
 
@@ -216,10 +188,10 @@ class ChangePointSet:
     def num_segments(self) -> int:
         return len(self.points) + 1
 
-    def segmentation(self) -> Segmentation:
-        starts = (0,) + self.points
+    def segmentation(self) -> tuple[tuple[int, int], ...]:
+        """The (start, end) range of each segment, in time order."""
         ends = tuple(t - 1 for t in self.points) + (self.k - 1,)
-        return Segmentation(tuple(zip(starts, ends)))
+        return tuple(zip((0,) + self.points, ends))
 
     def seg_index(self, j: int) -> int:
         """Index of the segment containing snapshot j."""
@@ -325,12 +297,8 @@ class ScdOutput:
     def num_segments(self) -> int:
         return self.change_points.num_segments
 
-    def segmentation(self) -> Segmentation:
+    def segmentation(self) -> tuple[tuple[int, int], ...]:
         return self.change_points.segmentation()
-
-    def partition_at(self, j: int) -> Partition:
-        """Segment partition covering snapshot j."""
-        return self.partitions[self.change_points.seg_index(j)]
 
     def validate_for(self, network: DynamicNetwork, exact: bool = True) -> None:
         """Check the per-segment domains against a network; raises on mismatch.
@@ -434,7 +402,8 @@ def dump_dynamic_network(network: DynamicNetwork) -> str:
 #
 # Segments in time order; within a segment, cluster ids run 0,1,... ordered
 # by each cluster's lexicographically smallest member, and member lists are
-# sorted.  The rendering is canonical, so outputs are diffable.
+# sorted.  The rendering is canonical, so outputs are diffable.  The loader
+# takes segments that cover 0..k-1 in order, ending at most MAX_TIME_INDEX.
 # ---------------------------------------------------------------------------
 
 def dump_output(output: ScdOutput) -> str:
@@ -464,6 +433,12 @@ def load_output(source: TextIO | str) -> ScdOutput:
                 start, end = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError("bad segment bounds", line_no) from None
+            if not segments and start != 0:
+                raise FormatError("first segment must start at time 0", line_no)
+            if end < start or segments and start != segments[-1][1] + 1:
+                raise FormatError(f"bad segment range ({start}, {end})", line_no)
+            if end > MAX_TIME_INDEX:
+                raise FormatError(f"segment end {end} above {MAX_TIME_INDEX}", line_no)
             segments.append((start, end))
             assignments.append({})
             cid = 0
@@ -485,10 +460,6 @@ def load_output(source: TextIO | str) -> ScdOutput:
             raise FormatError(f"unrecognized line {line!r}", line_no)
     if not segments:
         raise FormatError("no segments found")
-    try:
-        Segmentation(tuple(segments))  # validates contiguity and coverage
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
     k = segments[-1][1] + 1
     points = tuple(start for start, _ in segments[1:])
     partitions = tuple(Partition(a) for a in assignments)

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dyngraph import DynamicNetwork, Partition, ScdOutput, dense_codes
+from .dyngraph import DynamicNetwork, ScdOutput, dense_codes
 
 
 class PartitionMetric(str, Enum):
@@ -30,13 +30,6 @@ class PartitionMetric(str, Enum):
 # ---------------------------------------------------------------------------
 # Contingency machinery
 # ---------------------------------------------------------------------------
-
-def _aligned_codes(p1: Partition, p2: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The two partitions' codes of every node, nodes in sorted order."""
-    if p1.labels != p2.labels:
-        raise ValueError("partitions must share the same domain")
-    return p1.codes, p2.codes
-
 
 def _contingency(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     r = int(l1.max()) + 1
@@ -102,20 +95,6 @@ def _information(table: np.ndarray, n: int) -> tuple[float, float, float]:
     )
 
 
-def _vmeasure(h1: float, h2: float, mi: float) -> tuple[float, float, float]:
-    hom = 1.0 if h1 == 0 else mi / h1  # 1 - H(p1|p2)/H(p1)
-    com = 1.0 if h2 == 0 else mi / h2
-    if hom + com == 0:
-        return hom, com, 0.0
-    return hom, com, 2.0 * hom * com / (hom + com)
-
-
-def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:
-    """(homogeneity, completeness, v-measure) treating p1 as the reference."""
-    l1, l2 = _aligned_codes(p1, p2)
-    return _vmeasure(*_information(_contingency(l1, l2), len(l1)))
-
-
 def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> float:
     """Similarity of two clusterings of the same elements, given as code arrays."""
     l1, l2 = dense_codes(c1), dense_codes(c2)
@@ -153,11 +132,11 @@ def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> floa
             return 0.0
         return (mi - emi) / denom
 
-    return _vmeasure(h1, h2, mi)[2]
-
-
-def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) -> float:
-    return _similarity(metric, *_aligned_codes(p1, p2))
+    hom = 1.0 if h1 == 0 else mi / h1  # 1 - H(c1|c2)/H(c1)
+    com = 1.0 if h2 == 0 else mi / h2
+    if hom + com == 0:
+        return 0.0
+    return 2.0 * hom * com / (hom + com)
 
 
 # ---------------------------------------------------------------------------

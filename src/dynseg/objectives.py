@@ -1,12 +1,11 @@
-"""Objective functions for scoring solution outputs.
+"""Per-segment objective terms, which the search adds up over a segmentation.
 
 Two families:
 
-* partition-accuracy scores: the mean over snapshots of a static fit
-  measure (modularity, or one of three loss-like measures entered as
-  1 - loss);
+* partition-accuracy scores: a static fit measure per snapshot
+  (modularity, or one of three loss-like measures entered as 1 - loss);
 * model-selection scores: the stochastic-blockmodel log-likelihood of the
-  network given the output, penalized per AIC or BIC.
+  segment given its partition, penalized per AIC or BIC.
 
 Every per-snapshot quantity restricts the segment partition to the nodes
 actually present in that snapshot.
@@ -122,15 +121,6 @@ def snapshot_fit(
     return (1.0 - loss).tolist()
 
 
-def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
-    """Mean per-snapshot fit of the output's segment partitions."""
-    total = 0.0
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
-        for value in snapshot_fit(fit, network, start, end, p):
-            total += value
-    return total / network.k
-
-
 # ---------------------------------------------------------------------------
 # Blockmodel likelihood and information criteria
 # ---------------------------------------------------------------------------
@@ -182,6 +172,7 @@ def segment_log_likelihood(
     return ll
 
 
+# The library does not call this; bench/tracing.py wraps it by name.
 def log_likelihood(output: ScdOutput, network: DynamicNetwork) -> float:
     """Sum of per-segment log-likelihoods (segments are independent)."""
     total = 0.0
@@ -193,11 +184,6 @@ def log_likelihood(output: ScdOutput, network: DynamicNetwork) -> float:
 def segment_num_parameters(p: Partition) -> int:
     """Blockmodel parameters of one segment: one theta entry per cluster pair."""
     return p.num_clusters * (p.num_clusters + 1) // 2
-
-
-def num_parameters(output: ScdOutput) -> int:
-    """Blockmodel parameter count of a whole output, summed over its segments."""
-    return sum(segment_num_parameters(p) for p in output.partitions)
 
 
 def num_observations(network: DynamicNetwork) -> int:
@@ -213,9 +199,3 @@ def penalty_weight(n_o: int, criterion: Criterion) -> float:
     if n_o == 0:
         raise ValueError("BIC undefined: network has no node pairs")
     return 0.5 * math.log(n_o)
-
-
-def q_b(output: ScdOutput, network: DynamicNetwork, criterion: Criterion) -> float:
-    """Penalized log-likelihood; natural logarithm throughout."""
-    weight = penalty_weight(num_observations(network), criterion)
-    return log_likelihood(output, network) - weight * num_parameters(output)

@@ -341,7 +341,7 @@ def top_down_search(
     per_l: dict[int, tuple[int, ...]] = {1: ()}
     for l in range(2, k + 1):
         cps = ChangePointSet(tuple(points), k)
-        segments = cps.segmentation().segments
+        segments = cps.segmentation()
 
         def gain(t: int) -> float:
             start, end = segments[cps.seg_index(t)]
@@ -367,7 +367,7 @@ def bottom_up_search(
     per_l: dict[int, tuple[int, ...]] = {k: tuple(points)}
     for l in range(k - 1, 0, -1):
         cps = ChangePointSet(tuple(points), k)
-        segs = cps.segmentation().segments
+        segs = cps.segmentation()
 
         def gain(idx: int) -> float:
             (s1, e1), (s2, e2) = segs[idx], segs[idx + 1]

@@ -10,6 +10,13 @@ reference for ``consensus.co_occurrence_graph``; and ``restrict``, a
 partition cut down to a node set, for the label-keyed reference loops.
 ``from_clusters``, ``singletons`` and ``clusters_of`` state partitions by
 their member sets, and ``is_canonical`` checks the code order.
+
+The whole-output oracles live here too, since only the tests call them:
+``partition_at``, the partition covering a snapshot;
+``partition_similarity`` and ``vmeasure_components``, which score two
+``Partition``s of one domain; and ``q_p``, ``q_b`` and ``num_parameters``,
+an output's objective summed segment by segment, which the search's
+additive table scores must equal.
 """
 
 from __future__ import annotations
@@ -18,8 +25,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from dynseg import objectives
 from dynseg._seeds import derive_seed
-from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
+from dynseg.dyngraph import DynamicNetwork, Partition, ScdOutput, Snapshot
+from dynseg.evaluation import PartitionMetric, _contingency, _information, _similarity
+from dynseg.objectives import Criterion, FitMeasure
 from dynseg.static_cluster import WeightedGraph, cluster
 
 
@@ -144,3 +154,42 @@ def reference_co_occurrence_graph(
     start, end = segment
     nodes = frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
     return label_graph(nodes, co_occurrence_weights(network, segment, kind, seed))
+
+
+def partition_at(output: ScdOutput, j: int) -> Partition:
+    """Segment partition covering snapshot j."""
+    return output.partitions[output.change_points.seg_index(j)]
+
+
+def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) -> float:
+    """The library's similarity of two partitions of one domain."""
+    if p1.labels != p2.labels:
+        raise ValueError("partitions must share the same domain")
+    return _similarity(metric, p1.codes, p2.codes)
+
+
+def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:
+    """(homogeneity, completeness, the library's v-measure), p1 the reference."""
+    vm = partition_similarity(PartitionMetric.VM, p1, p2)
+    h1, h2, mi = _information(_contingency(p1.codes, p2.codes), len(p1.labels))
+    return 1.0 if h1 == 0 else mi / h1, 1.0 if h2 == 0 else mi / h2, vm
+
+
+def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
+    """Mean per-snapshot fit of the output's segment partitions."""
+    total = 0.0
+    for p, (start, end) in zip(output.partitions, output.segmentation()):
+        for value in objectives.snapshot_fit(fit, network, start, end, p):
+            total += value
+    return total / network.k
+
+
+def num_parameters(output: ScdOutput) -> int:
+    """Blockmodel parameter count of a whole output, summed over its segments."""
+    return sum(objectives.segment_num_parameters(p) for p in output.partitions)
+
+
+def q_b(output: ScdOutput, network: DynamicNetwork, criterion: Criterion) -> float:
+    """Penalized log-likelihood; natural logarithm throughout."""
+    weight = objectives.penalty_weight(objectives.num_observations(network), criterion)
+    return objectives.log_likelihood(output, network) - weight * num_parameters(output)

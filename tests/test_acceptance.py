@@ -24,7 +24,6 @@ from dynseg.dyngraph import ChangePointSet, Partition, ScdOutput
 from dynseg.evaluation import (
     PartitionMetric,
     change_point_classification,
-    partition_similarity,
     ranking_from_cscd,
     sim_b,
     sim_p,
@@ -45,7 +44,7 @@ from dynseg.search import (
     exhaustive_search,
     top_down_search,
 )
-from label_graphs import clusters_of, from_clusters
+from label_graphs import clusters_of, from_clusters, partition_at, partition_similarity
 
 BASE_SEED = 0
 GRID_L = (1, 2, 4, 8, 16)
@@ -322,7 +321,7 @@ def test_criterion_8_generator_statistics():
             if snapshots >= 200:
                 break
             snapshots += 1
-            assign = truth.partition_at(j).assignment
+            assign = partition_at(truth, j).assignment
             nodes = sorted(g.nodes)
             for idx, u in enumerate(nodes):
                 for v in nodes[idx + 1:]:

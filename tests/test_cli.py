@@ -402,6 +402,16 @@ class TestEvaluate:
         assert code == 0
         assert kv(stdout)["sim_b_nmi"] == ["1.000000"]
 
+    def test_segment_end_above_bound(self, tmp_path, capsys):
+        # without --input, k comes from the files alone; a huge one once
+        # reached sim_t and failed to allocate its time axis
+        sol = tmp_path / "sol.txt"
+        sol.write_text("segment 0 999999999\ncluster 0: a b\n")
+        code, stdout, err = run(capsys, "evaluate", "--pred", str(sol), "--truth", str(sol))
+        assert code == 1
+        assert err == "error: line 1: segment end 999999999 above 1000000\n"
+        assert stdout == ""
+
     def test_unknown_metric(self, scg_files, capsys):
         _, truth = scg_files
         code, _, err = run(capsys, "evaluate", "--pred", str(truth),

@@ -12,14 +12,13 @@ from dynseg.dyngraph import (
     FormatError,
     Partition,
     ScdOutput,
-    Segmentation,
     Snapshot,
     dump_dynamic_network,
     dump_output,
     load_dynamic_network,
     load_output,
 )
-from label_graphs import from_clusters, is_canonical
+from label_graphs import from_clusters, is_canonical, partition_at
 
 
 class TestLoadDynamicNetwork:
@@ -188,15 +187,15 @@ class TestSnapshot:
 class TestSegmentation:
     def test_from_change_points(self):
         seg = ChangePointSet((4, 7), 10).segmentation()
-        assert tuple(seg) == ((0, 3), (4, 6), (7, 9))
+        assert seg == ((0, 3), (4, 6), (7, 9))
 
     def test_no_change_points(self):
         seg = ChangePointSet((), 5).segmentation()
-        assert tuple(seg) == ((0, 4),)
+        assert seg == ((0, 4),)
 
     def test_maximal(self):
         seg = ChangePointSet((1, 2, 3), 4).segmentation()
-        assert tuple(seg) == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert seg == ((0, 0), (1, 1), (2, 2), (3, 3))
 
     def test_invalid_points(self):
         with pytest.raises(ValueError):
@@ -207,8 +206,19 @@ class TestSegmentation:
             ChangePointSet((3, 3), 5)
 
     def test_non_contiguous_rejected(self):
-        with pytest.raises(ValueError):
-            Segmentation(((0, 2), (4, 5)))
+        text = "segment 0 2\ncluster 0: a\n# gap\nsegment 4 5\ncluster 0: a\n"
+        with pytest.raises(FormatError, match=r"^line 4: bad segment range \(4, 5\)$"):
+            load_output(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("segment 0 3\nsegment 2 5\n", r"line 2: bad segment range \(2, 5\)"),
+        ("# header\nsegment 1 3\n", "line 2: first segment must start at time 0"),
+        ("segment 0 1\nsegment 2 1\n", r"line 2: bad segment range \(2, 1\)"),
+        ("segment 0 -1\n", r"line 1: bad segment range \(0, -1\)"),
+    ], ids=["overlap", "late-start", "end-before-start", "negative-end"])
+    def test_load_checks_contiguity_by_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            load_output(text)
 
     def test_round_trip_exhaustive_small_k(self):
         # segment starts reproduce the change point set, for every T, k <= 12
@@ -219,7 +229,7 @@ class TestSegmentation:
                     seg = cps.segmentation()
                     starts = tuple(s for s, _ in seg)[1:]
                     assert starts == points
-                    assert seg.k == k
+                    assert seg[-1][1] + 1 == k
 
 
 class TestSegIndex:
@@ -333,8 +343,8 @@ class TestScdOutput:
 
     def test_partition_at(self):
         out = self._output()
-        assert out.partition_at(0) is out.partitions[0]
-        assert out.partition_at(3) is out.partitions[1]
+        assert partition_at(out, 0) is out.partitions[0]
+        assert partition_at(out, 3) is out.partitions[1]
 
     def test_validate_for(self):
         out = self._output()
@@ -389,6 +399,13 @@ class TestScdOutput:
     def test_load_rejects_gaps(self):
         with pytest.raises(FormatError):
             load_output("segment 0 1\ncluster 0: a\nsegment 3 4\ncluster 0: a\n")
+
+    def test_load_bounds_segment_end(self):
+        # a segment end fixes k, which sim_t spends an array entry per snapshot on
+        for end in (MAX_TIME_INDEX + 1, 999_999_999):
+            with pytest.raises(FormatError, match=f"^line 2: segment end {end} above {MAX_TIME_INDEX}$"):
+                load_output(f"segment 0 0\nsegment 1 {end}\n")
+        assert load_output(f"segment 0 {MAX_TIME_INDEX}\n").k == MAX_TIME_INDEX + 1
 
     def test_load_rejects_node_in_two_clusters_with_line(self):
         text = "segment 0 0\ncluster 0: a b\n# note\ncluster 1: c b\n"

@@ -17,17 +17,17 @@ from dynseg.evaluation import (
     TimePointRanking,
     change_point_classification,
     paired_t_test,
-    partition_similarity,
     ranking_from_cscd,
     sim_b,
     sim_p,
     sim_t,
-    vmeasure_components,
     _contingency,
     _expected_mutual_information,
     _mutual_information,
 )
-from label_graphs import from_clusters, restrict, singletons
+from label_graphs import (
+    from_clusters, partition_at, partition_similarity, restrict, singletons, vmeasure_components,
+)
 
 ALL_METRICS = list(PartitionMetric)
 
@@ -249,7 +249,7 @@ class TestSimP:
         for metric in ALL_METRICS:
             direct = sum(
                 partition_similarity(
-                    metric, o1.partition_at(j), o2.partition_at(j)
+                    metric, partition_at(o1, j), partition_at(o2, j)
                 )
                 for j in range(4)
             ) / 4
@@ -481,7 +481,7 @@ def reference_sim_p(o1, o2, metric, network=None):
     """sim_p through restricted label-keyed partitions."""
     total = 0.0
     for j in range(o1.k):
-        p1, p2 = o1.partition_at(j), o2.partition_at(j)
+        p1, p2 = partition_at(o1, j), partition_at(o2, j)
         scope = network[j].nodes if network is not None else p1.domain & p2.domain
         q1, q2 = restrict(p1, scope), restrict(p2, scope)
         total += partition_similarity(metric, q1, q2) if q1.assignment else 1.0
@@ -492,7 +492,7 @@ def reference_sim_b(o1, o2, metric, network=None):
     """sim_b through label-keyed node-time partitions, keys "<node>\x1f<t>"."""
     elements = []
     for t in range(o1.k):
-        p1, p2 = o1.partition_at(t), o2.partition_at(t)
+        p1, p2 = partition_at(o1, t), partition_at(o2, t)
         scope = network[t].nodes if network is not None else p1.domain & p2.domain
         elements += [(u, t) for u in sorted(scope)]
 
@@ -500,7 +500,7 @@ def reference_sim_b(o1, o2, metric, network=None):
         keys = {}
         return Partition({
             f"{u}\x1f{t}": keys.setdefault(
-                (output.change_points.seg_index(t), output.partition_at(t).assignment[u]),
+                (output.change_points.seg_index(t), partition_at(output, t).assignment[u]),
                 len(keys),
             )
             for u, t in elements

@@ -13,7 +13,7 @@ from dynseg.generator import (
     generate,
     sample_change_points,
 )
-from label_graphs import clusters_of, from_clusters
+from label_graphs import clusters_of, from_clusters, partition_at
 
 DEFAULT = dict(k=16, l=4, n=50, c_min=5, c_in=20, c_out=4)
 
@@ -217,7 +217,7 @@ class TestSnapshots:
                 if count >= 200:
                     break
                 count += 1
-                assign = truth.partition_at(j).assignment
+                assign = partition_at(truth, j).assignment
                 nodes = sorted(g.nodes)
                 for i, u in enumerate(nodes):
                     for v in nodes[i + 1:]:

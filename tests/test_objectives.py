@@ -23,13 +23,12 @@ from dynseg.objectives import (
     _segment_counts,
     log_likelihood,
     num_observations,
-    num_parameters,
-    q_b,
-    q_p,
     segment_log_likelihood,
     snapshot_fit,
 )
-from label_graphs import clusters_of, from_clusters, restrict, singletons
+from label_graphs import (
+    clusters_of, from_clusters, num_parameters, q_b, q_p, restrict, singletons,
+)
 
 TRIANGLES = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c"),
                           ("d", "e"), ("e", "f"), ("d", "f")])

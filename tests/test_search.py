@@ -13,10 +13,7 @@ from dynseg.objectives import (
     FitMeasure,
     log_likelihood,
     num_observations,
-    num_parameters,
     penalty_weight,
-    q_b,
-    q_p,
     segment_log_likelihood,
     snapshot_fit,
 )
@@ -36,6 +33,7 @@ from dynseg.search import (
     worker_count,
 )
 from dynseg.static_cluster import KINDS
+from label_graphs import num_parameters, q_b, q_p
 
 
 def _spec(strategy="exhaustive", objective=Criterion.BIC, seed=0):
@@ -308,7 +306,7 @@ class TestDeterminism:
 
 class TestTableFromMemo:
     """Table entries summed from the per-segment memo agree with the
-    whole-output definitions in ``objectives``."""
+    whole-output oracles in ``label_graphs``."""
 
     OBJECTIVES = [Criterion.BIC, Criterion.AIC, FitMeasure.MODULARITY, FitMeasure.CONDUCTANCE]
 
