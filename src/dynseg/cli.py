@@ -289,6 +289,7 @@ def cmd_benchmark(args) -> int:
     if workers > 1:
         # Imported here: the import costs about 30 ms that other commands skip.
         from concurrent.futures import ProcessPoolExecutor
+        import numpy.random  # noqa: F401 -- numpy loads it lazily; forked workers inherit it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_bench_instance, tasks))

@@ -31,11 +31,10 @@ class PartitionMetric(str, Enum):
 # Contingency machinery
 # ---------------------------------------------------------------------------
 
-def _contingency(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    r = int(l1.max()) + 1
-    c = int(l2.max()) + 1
-    table = np.zeros((r, c), dtype=np.int64)
-    np.add.at(table, (l1, l2), 1)
+def _contingency(l1: np.ndarray, l2: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Counts of each code pair, element i counting ``weights[i]`` times."""
+    table = np.zeros((int(l1.max()) + 1, int(l2.max()) + 1), dtype=np.int64)
+    np.add.at(table, (l1, l2), 1 if weights is None else weights)
     return table
 
 
@@ -57,33 +56,23 @@ def _mutual_information(table: np.ndarray, n: int) -> float:
 
 def _expected_mutual_information(table: np.ndarray, n: int) -> float:
     """Expected MI of two partitions with these marginals under the
-    hypergeometric (fixed-marginals permutation) model."""
-    from scipy import special  # imported here: detect never needs it; it costs 0.3 s, 25 MB
-
-    a = table.sum(axis=1).astype(np.int64)
-    b = table.sum(axis=0).astype(np.int64)
+    hypergeometric (fixed-marginals permutation) model (Vinh, Epps & Bailey,
+    JMLR 2010): one cluster of the side with fewer at a time, against every
+    cluster of the other at once."""
+    a, b = sorted((table.sum(axis=1), table.sum(axis=0)), key=len)
+    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # lf[i] = log(i!)
     emi = 0.0
-    gln = special.gammaln
-    for ai in a:
-        for bj in b:
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue
-            nij = np.arange(lo, hi + 1)
-            term1 = (nij / n) * np.log(n * nij / (ai * bj))
-            log_prob = (
-                gln(ai + 1)
-                + gln(bj + 1)
-                + gln(n - ai + 1)
-                + gln(n - bj + 1)
-                - gln(n + 1)
-                - gln(nij + 1)
-                - gln(ai - nij + 1)
-                - gln(bj - nij + 1)
-                - gln(n - ai - bj + nij + 1)
-            )
-            emi += float((term1 * np.exp(log_prob)).sum())
+    for ai in a.tolist():
+        lo, hi = np.maximum(1, ai + b - n), np.minimum(ai, b)
+        runs = np.maximum(hi - lo + 1, 0)
+        bj = np.repeat(b, runs)
+        nij = np.repeat(lo - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())
+        term1 = (nij / n) * np.log(n * nij / (ai * bj))
+        log_prob = (
+            lf[ai] + lf[bj] + lf[n - ai] + lf[n - bj] - lf[n]
+            - lf[nij] - lf[ai - nij] - lf[bj - nij] - lf[n - ai - bj + nij]
+        )
+        emi += float((term1 * np.exp(log_prob)).sum())
     return emi
 
 
@@ -95,13 +84,16 @@ def _information(table: np.ndarray, n: int) -> tuple[float, float, float]:
     )
 
 
-def _similarity(metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray) -> float:
-    """Similarity of two clusterings of the same elements, given as code arrays."""
+def _similarity(
+    metric: PartitionMetric, c1: np.ndarray, c2: np.ndarray, weights: np.ndarray | None = None
+) -> float:
+    """Similarity of two clusterings of the same elements, given as code
+    arrays, element i standing for ``weights[i]`` elements if given."""
     l1, l2 = dense_codes(c1), dense_codes(c2)
     if np.array_equal(l1, l2):
         return 1.0
-    n = len(l1)
-    table = _contingency(l1, l2)
+    table = _contingency(l1, l2, weights)
+    n = int(table.sum())
 
     if metric is PartitionMetric.ARI:
         a = table.sum(axis=1)
@@ -153,24 +145,27 @@ def sim_t(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
     )
 
 
-def _code_rows(output: ScdOutput, index: dict[str, int]) -> Iterator[np.ndarray]:
-    """For each snapshot, the covering partition's cluster code of every id,
-    -1 where it has none; codes are distinct across segments."""
-    offset = 0
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
+def _code_rows(output: ScdOutput, index: dict[str, int]) -> list[np.ndarray]:
+    """For each segment, its partition's cluster code of every id, -1 where
+    it has none; codes are distinct across segments."""
+    rows, offset = [], 0
+    for p in output.partitions:
         row = p.codes_by_id(index)
         row[row >= 0] += offset
         offset += p.num_clusters
-        yield from [row] * (end - start + 1)
+        rows.append(row)
+    return rows
 
 
-def _snapshot_codes(
+def _scored_runs(
     o1: ScdOutput, o2: ScdOutput, network: DynamicNetwork | None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per snapshot, the ids scored there and both outputs' cluster codes on them.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Runs of snapshots scored alike, in time order: the ids scored there,
+    both outputs' cluster codes on them, and the run's snapshot count.
 
-    The ids are the snapshot's nodes when the network is given, else the
-    nodes both covering partitions hold; both outputs must cover them.
+    With the network each snapshot is a run, scored on its nodes, which both
+    outputs must cover.  Without it a run is the overlap of two segments,
+    scored on the nodes both covering partitions hold.
     """
     if o1.k != o2.k:
         raise ValueError("outputs cover different numbers of snapshots")
@@ -179,14 +174,20 @@ def _snapshot_codes(
         index = {u: i for i, u in enumerate(labels)}
     else:
         index = network.label_index
-    for j, (r1, r2) in enumerate(zip(_code_rows(o1, index), _code_rows(o2, index))):
-        ids = (
-            np.flatnonzero((r1 >= 0) & (r2 >= 0)) if network is None
-            else network.segment_node_ids(j, j)
-        )
-        if (r1[ids] < 0).any() or (r2[ids] < 0).any():
-            raise ValueError(f"an output misses a node of snapshot {j}")
-        yield ids, r1[ids], r2[ids]
+    rows1, rows2 = _code_rows(o1, index), _code_rows(o2, index)
+    starts = sorted({s for o in (o1, o2) for s, _ in o.segmentation()}) + [o1.k]
+    for lo, hi in zip(starts, starts[1:]):
+        r1 = rows1[o1.change_points.seg_index(lo)]
+        r2 = rows2[o2.change_points.seg_index(lo)]
+        if network is None:
+            ids = np.flatnonzero((r1 >= 0) & (r2 >= 0))
+            yield ids, r1[ids], r2[ids], hi - lo
+        else:
+            for j in range(lo, hi):
+                ids = network.segment_node_ids(j, j)
+                if (r1[ids] < 0).any() or (r2[ids] < 0).any():
+                    raise ValueError(f"an output misses a node of snapshot {j}")
+                yield ids, r1[ids], r2[ids], 1
 
 
 def sim_p(
@@ -202,8 +203,10 @@ def sim_p(
     node to score counts 1.
     """
     total = 0.0
-    for _, c1, c2 in _snapshot_codes(o1, o2, network):
-        total += _similarity(metric, c1, c2)
+    for _, c1, c2, count in _scored_runs(o1, o2, network):
+        s = _similarity(metric, c1, c2)
+        for _ in range(count):  # one addition per snapshot; count * s rounds otherwise
+            total += s
     return total / o1.k
 
 
@@ -215,11 +218,13 @@ def sim_b(
 ) -> float:
     """Similarity of the node-time partitions: (node, snapshot) pairs grouped
     by segment and cluster there, over the pairs sim_p scores."""
-    ids, c1, c2 = (np.concatenate(c) for c in zip(*_snapshot_codes(o1, o2, network)))
+    ids, c1, c2, counts = zip(*_scored_runs(o1, o2, network))
+    weights = np.repeat(counts, [len(i) for i in ids])  # snapshots per (node, run)
+    ids, c1, c2 = (np.concatenate(c) for c in (ids, c1, c2))
     if not len(ids):
         raise ValueError("empty node-time domain")
     order = np.argsort(ids, kind="stable")  # node by node, each in time order
-    return _similarity(metric, c1[order], c2[order])
+    return _similarity(metric, c1[order], c2[order], weights[order])
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +318,63 @@ class TTestResult:
     degenerate: bool = False
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction 1/(1 + d1/(1 + d2/(1 + ...))) of I_x(a, b) by
+    the modified Lentz method (Numerical Recipes, 6.4); it converges fast
+    for x < (a + 1)/(a + b + 2), and gives NaN if it does not converge."""
+    c, d, h = math.inf, 1.0, 1.0
+    for i in range(1, 20_000):
+        m = i // 2
+        if i % 2:
+            coef = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            coef = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + coef * d) or 1e-300)
+        c = (1.0 + coef / c) or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            return h
+    return math.nan
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's T on df degrees of freedom: the regularized
+    incomplete beta I_x(df/2, 1/2) at x = df/(df + t^2).
+
+    Its complement I_y(1/2, df/2), y = t^2/(df + t^2), is taken where the
+    fraction of I_x converges slowly; y is computed as such, never as 1 - x.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    beta = math.pi if df % 2 else 2.0  # B(df/2, 1/2), by B(a + 1, 1/2) = B(a, 1/2) 2a/(2a + 1)
+    for d in range(2 - df % 2, df, 2):
+        beta *= d / (d + 1)
+    a, b = df / 2, 0.5
+    log_front = -a * math.log1p(t2 / df) - b * math.log1p(df / t2) - math.log(beta)
+    if df / (df + t2) < (a + 1) / (a + b + 2):
+        return math.exp(log_front - math.log(a) + math.log(_beta_fraction(a, b, df / (df + t2))))
+    return 1.0 - math.exp(log_front - math.log(b)) * _beta_fraction(b, a, t2 / (df + t2))
+
+
 def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestResult:
     """Two-sided paired t-test on index-matched samples.
 
     Zero-variance differences are degenerate: all-zero differences give
     p = 1, a constant nonzero difference is flagged and reported as p = 0.
+    Non-finite samples raise ``ValueError``.
     """
     if len(xs) != len(ys):
         raise ValueError("paired samples must have equal length")
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two pairs")
-    diffs = np.asarray(xs, dtype=float) - np.asarray(ys, dtype=float)
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("paired samples must be finite")
+    diffs = x - y
     sd = float(diffs.std(ddof=1))
     mean = float(diffs.mean())
     if sd == 0.0:
@@ -333,8 +383,5 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestResult:
         return TTestResult(
             statistic=math.copysign(math.inf, mean), p_value=0.0, degenerate=True
         )
-    from scipy import special
-
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))  # Student t CDF at -|t|
-    return TTestResult(statistic=t, p_value=p)
+    return TTestResult(statistic=t, p_value=_t_two_sided_p(t, n - 1))

@@ -16,7 +16,9 @@ The whole-output oracles live here too, since only the tests call them:
 ``partition_similarity`` and ``vmeasure_components``, which score two
 ``Partition``s of one domain; and ``q_p``, ``q_b`` and ``num_parameters``,
 an output's objective summed segment by segment, which the search's
-additive table scores must equal.
+additive table scores must equal.  ``expected_mutual_information_gammaln``
+is the expected mutual information as the library computed it before it
+dropped scipy: one cluster pair at a time, with ``scipy.special.gammaln``.
 """
 
 from __future__ import annotations
@@ -173,6 +175,27 @@ def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, flo
     vm = partition_similarity(PartitionMetric.VM, p1, p2)
     h1, h2, mi = _information(_contingency(p1.codes, p2.codes), len(p1.labels))
     return 1.0 if h1 == 0 else mi / h1, 1.0 if h2 == 0 else mi / h2, vm
+
+
+def expected_mutual_information_gammaln(table: np.ndarray, n: int) -> float:
+    """Expected MI under the hypergeometric model, pair by pair, through gammaln."""
+    from scipy.special import gammaln
+
+    emi = 0.0
+    for ai in table.sum(axis=1):
+        for bj in table.sum(axis=0):
+            lo, hi = max(1, ai + bj - n), min(ai, bj)
+            if hi < lo:
+                continue
+            nij = np.arange(lo, hi + 1)
+            term1 = (nij / n) * np.log(n * nij / (ai * bj))
+            log_prob = (
+                gammaln(ai + 1) + gammaln(bj + 1) + gammaln(n - ai + 1) + gammaln(n - bj + 1)
+                - gammaln(n + 1) - gammaln(nij + 1) - gammaln(ai - nij + 1)
+                - gammaln(bj - nij + 1) - gammaln(n - ai - bj + nij + 1)
+            )
+            emi += float((term1 * np.exp(log_prob)).sum())
+    return emi
 
 
 def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:

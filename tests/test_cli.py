@@ -597,6 +597,24 @@ class TestBenchmark:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_pool_parent_loads_numpy_random_before_forking(self):
+        # numpy loads numpy.random on first use; a pool forked before that
+        # leaves both workers of every benchmark call to import it again (15 ms)
+        argv = ["benchmark", "--k", "4", "--n", "20", "--l-values", "1,2", "--instances", "2",
+                "--jobs", "2"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from dynseg import search\n"
+            "from dynseg.cli import main\n"
+            "search.usable_cpus = lambda: 2\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "sys.exit(int('numpy.random' not in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

@@ -3,15 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate
 
 import dynseg
 
-from dynseg.dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput, Snapshot
+from dynseg.dyngraph import (
+    ChangePointSet, DynamicNetwork, Partition, ScdOutput, Snapshot, dense_codes, load_output,
+)
 from dynseg.evaluation import (
     PartitionMetric,
     TimePointRanking,
@@ -21,12 +26,17 @@ from dynseg.evaluation import (
     sim_b,
     sim_p,
     sim_t,
+    _beta_fraction,
     _contingency,
     _expected_mutual_information,
+    _information,
     _mutual_information,
+    _similarity,
+    _t_two_sided_p,
 )
 from label_graphs import (
-    from_clusters, partition_at, partition_similarity, restrict, singletons, vmeasure_components,
+    expected_mutual_information_gammaln, from_clusters, partition_at, partition_similarity,
+    restrict, singletons, vmeasure_components,
 )
 
 ALL_METRICS = list(PartitionMetric)
@@ -149,6 +159,33 @@ class TestAmi:
         mean = float(np.mean(samples))
         sem = float(np.std(samples) / math.sqrt(len(samples)))
         assert abs(mean - emi) < 4 * sem
+
+    def test_expected_mi_matches_gammaln_oracle(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5, 8, 13, 30, 60, 120, 200):
+            for _ in range(12):
+                r, c = rng.integers(1, min(n, 12) + 1, size=2)
+                table = _contingency(
+                    dense_codes(rng.integers(0, r, n)), dense_codes(rng.integers(0, c, n))
+                )
+                assert _expected_mutual_information(table, n) == pytest.approx(
+                    expected_mutual_information_gammaln(table, n), rel=1e-12, abs=0.0
+                )
+
+    def test_ami_matches_gammaln_oracle_on_large_tables(self):
+        # log-factorials near n log n carry absolute rounding errors that grow
+        # with n, so at this size the EMIs agree to about 1e-11 relative; the
+        # AMI they give agrees to 1e-12
+        rng = np.random.default_rng(19)
+        for n, r, c in ((1_000, 7, 12), (3_000, 20, 3), (20_000, 30, 25)):
+            c1, c2 = rng.integers(0, r, n), rng.integers(0, c, n)
+            table = _contingency(dense_codes(c1), dense_codes(c2))
+            h1, h2, mi = _information(table, n)
+            emi = expected_mutual_information_gammaln(table, n)
+            oracle = (mi - emi) / (0.5 * (h1 + h2) - emi)
+            assert _similarity(PartitionMetric.AMI, c1, c2) == pytest.approx(
+                oracle, rel=0.0, abs=1e-12
+            )
 
     def test_random_partitions_mean_near_zero(self):
         rng = np.random.default_rng(13)
@@ -550,6 +587,41 @@ def test_sim_p_and_sim_b_reject_an_uncovered_snapshot_node():
             sim(out, out, PartitionMetric.NMI, network)
 
 
+def test_sim_p_and_sim_b_cost_follows_segments_not_snapshots():
+    """A million snapshots in two segments per output: scored per overlap of
+    two segments, with one sim_p addition per snapshot and sim_b weighted by
+    the snapshots each overlap spans, bit-equal to scoring every snapshot."""
+    k = 1_000_001
+    pred = load_output(
+        "segment 0 399999\ncluster 0: a b\ncluster 1: c\n"
+        "segment 400000 1000000\ncluster 0: a\ncluster 1: b c\n"
+    )
+    truth = load_output(
+        "segment 0 0\ncluster 0: a\ncluster 1: b\ncluster 2: c\n"
+        "segment 1 1000000\ncluster 0: a b\ncluster 1: c\n"
+    )
+    metric = PartitionMetric.NMI
+    started = time.perf_counter()
+    got_p, got_b = sim_p(pred, truth, metric), sim_b(pred, truth, metric)
+    assert time.perf_counter() - started < 2.0  # 80 s snapshot by snapshot
+
+    total = 0.0
+    for lo, hi, s1, s2 in ((0, 0, 0, 0), (1, 399_999, 0, 1), (400_000, 1_000_000, 1, 1)):
+        value = partition_similarity(metric, pred.partitions[s1], truth.partitions[s2])
+        for _ in range(hi - lo + 1):
+            total += value
+    assert got_p == total / k
+
+    # node-time elements node by node, each in time order; codes distinct across segments
+    def node_time_codes(output, segment_of_t):
+        first, second = (p.codes for p in output.partitions)
+        return np.concatenate([np.where(segment_of_t, 3 + second[u], first[u]) for u in range(3)])
+
+    c1 = node_time_codes(pred, np.arange(k) >= 400_000)
+    c2 = node_time_codes(truth, np.arange(k) >= 1)
+    assert got_b == _similarity(metric, c1, c2)
+
+
 @settings(max_examples=150)
 @given(output_pairs())
 def test_similarity_invariants(pair):
@@ -562,6 +634,13 @@ def test_similarity_invariants(pair):
             value = sim(o1, o2, metric)
             assert sim(o2, o1, metric) == pytest.approx(value, rel=1e-9, abs=1e-12)
             assert sim(r1, o2, metric) == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def mpmath_t_tail(t: float, df: int):
+    """P(|T| >= |t|) at 50 digits: I_x(df/2, 1/2), x = df/(df + t^2), from the exact float t."""
+    with mpmath.workdps(50):
+        x = df / (df + mpmath.mpf(t) ** 2)
+        return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True)
 
 
 class TestPairedTTest:
@@ -595,14 +674,42 @@ class TestPairedTTest:
         assert res.p_value == pytest.approx(2 * tail, abs=1e-6)
         assert res.statistic == pytest.approx(t)
 
-    def test_p_value_equals_scipy_t_distribution(self):
+    def test_p_value_matches_mpmath_oracle(self):
+        """Within 1e-12 relative, plus one subnormal step for tails below
+        2.2e-308, of the tail at 50 digits, for df 1..500 and |t| 1e-9..1e8."""
+        # the two values scipy.special.stdtr gets wrong: 0.9999999905 and 0
+        assert mpmath.almosteq(mpmath_t_tail(7.47e-9, 1), mpmath.mpf("0.99999999524445"), 1e-14)
+        assert mpmath.almosteq(mpmath_t_tail(8e7, 44), mpmath.mpf("3.1459064823615e-313"), 1e-13)
+        ts = [m * 10.0 ** e for e in range(-9, 8) for m in (1.0, 1.7, 3.1, 5.3)]
+        cases = [(t, df) for df in [*range(1, 31), *range(37, 501, 29), 500] for t in ts + [1e8]]
+        cases += [(7.47e-9, 1), (8e7, 44), (-2.5, 7), (-1e8, 3)]
+        for t, df in cases:
+            exact = float(mpmath_t_tail(t, df))
+            assert abs(_t_two_sided_p(t, df) - exact) <= 1e-12 * exact + math.ulp(0.0), (t, df)
+
+    def test_p_value_through_the_test_matches_mpmath_oracle(self):
         rng = np.random.default_rng(8)
         for n in (2, 3, 5, 12, 40):
             for shift in (0.0, 0.3, 2.0):
-                xs = rng.normal(size=n) + shift
-                ys = rng.normal(size=n)
+                xs, ys = rng.normal(size=n) + shift, rng.normal(size=n)
                 res = paired_t_test(xs.tolist(), ys.tolist())
-                assert res.p_value == 2.0 * float(stats.t.sf(abs(res.statistic), n - 1))
+                exact = float(mpmath_t_tail(res.statistic, n - 1))
+                assert res.p_value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_non_finite_samples_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                paired_t_test([1.0, bad, 2.0], [0.5, 1.0, 1.5])
+            with pytest.raises(ValueError, match="finite"):
+                paired_t_test([1.0, 2.0, 3.0], [0.5, bad, 1.5])
+
+    def test_tail_edge_values(self):
+        for df in (1, 2, 44, 500):
+            assert _t_two_sided_p(1e155, df) == 0.0  # t * t overflows
+            assert _t_two_sided_p(-1e155, df) == 0.0
+            assert _t_two_sided_p(0.0, df) == 1.0
+            assert math.isnan(_t_two_sided_p(math.nan, df))  # returns: the fraction stops
+        assert math.isnan(_beta_fraction(2.5, 0.5, math.nan))
 
     def test_import_does_not_load_scipy_stats(self):
         src = os.path.dirname(os.path.dirname(dynseg.__file__))
@@ -610,11 +717,27 @@ class TestPairedTTest:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    def test_import_does_not_load_scipy(self):
-        # detect never needs scipy; evaluation imports it where it is used
+    def test_import_does_not_load_scipy(self, tmp_path):
+        # scoring runs on numpy alone: evaluate with every metric and a
+        # benchmark whose t-tests have nonzero variance load no scipy module
         src = os.path.dirname(os.path.dirname(dynseg.__file__))
-        code = ("import sys, dynseg.cli; "
-                "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from dynseg.cli import main
+            d = {str(tmp_path)!r}
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["generate", "--output", d + "/net.txt", "--truth", d + "/truth.txt",
+                             "--k", "6", "--n", "20", "--l", "2"]) == 0
+                assert main(["detect", "--input", d + "/net.txt", "--output", d + "/pred.txt",
+                             "--consensus", "sum-lpa"]) == 0
+                assert main(["evaluate", "--pred", d + "/pred.txt", "--truth", d + "/truth.txt",
+                             "--metrics", "nmi,ami,ari,vm"]) == 0
+                assert main(["benchmark", "--k", "6", "--n", "20", "--l-values", "2,3",
+                             "--instances", "3", "--jobs", "1", "--compare",
+                             "bic:sum-lpa:bottomup,modularity:sum-lpa:topdown"]) == 0
+            assert "sim_b_ami" in out.getvalue() and "p=0.371359" in out.getvalue()
+            sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))
+        """)
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
