@@ -1,6 +1,6 @@
 """Segment community detection for snapshot-sequence dynamic networks."""
 
-from .consensus import ConsensusSpec
+from .consensus import Consensus
 from .dyngraph import (
     ChangePointSet,
     DynamicNetwork,
@@ -17,7 +17,7 @@ from .static_cluster import WeightedGraph
 
 __all__ = [
     "ChangePointSet",
-    "ConsensusSpec",
+    "Consensus",
     "Criterion",
     "DynamicNetwork",
     "FitMeasure",

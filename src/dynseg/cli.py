@@ -18,7 +18,7 @@ import sys
 import time
 
 from ._seeds import derive_seed
-from .consensus import ConsensusSpec
+from .consensus import Consensus
 from .dyngraph import (
     FormatError,
     dump_dynamic_network,
@@ -40,32 +40,21 @@ from .generator import GenerationError, GeneratorConfig, generate
 from .objectives import Criterion, FitMeasure, num_observations, penalty_weight
 from .search import STRATEGIES, SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
 
-OBJECTIVES = ("bic", "aic", "modularity", "conductance", "ncut", "avgodf")
-CONSENSUS_CHOICES = (
-    "sum-louvain",
-    "sum-walktrap",
-    "sum-lpa",
-    "avg-louvain",
-    "cmatrix-louvain",
-    "cmatrix-walktrap",
-)
+OBJECTIVES = {m.value: m for m in (*Criterion, *FitMeasure)}
 
 
-def _consensus_spec(name: str) -> ConsensusSpec:
-    if name == "avg-louvain":
-        return ConsensusSpec("average-louvain")
-    family, _, kind = name.partition("-")
-    method = "sum-graph" if family == "sum" else "consensus-matrix"
-    return ConsensusSpec(method, "label-propagation" if kind == "lpa" else kind)
+def _config(args) -> str:
+    """The ``objective:consensus:search`` configuration of the method flags."""
+    return f"{args.objective}:{args.consensus}:{args.search}"
 
 
-def _search_spec(objective: str, consensus: str, search: str, seed: int) -> SearchSpec:
-    return SearchSpec(
-        strategy=search,
-        objective=Criterion(objective) if objective in ("bic", "aic") else FitMeasure(objective),
-        consensus=_consensus_spec(consensus),
-        seed=seed,
-    )
+def _search_spec(config: str, seed: int) -> SearchSpec:
+    """The spec of an ``objective:consensus:search`` configuration."""
+    try:
+        objective, consensus, search = config.split(":")
+        return SearchSpec(search, OBJECTIVES[objective], Consensus(consensus), seed)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad configuration {config!r}; use objective:consensus:search") from None
 
 
 def _parse_metrics(text: str) -> list[PartitionMetric]:
@@ -77,7 +66,8 @@ def _parse_metrics(text: str) -> list[PartitionMetric]:
         try:
             metrics.append(PartitionMetric(name))
         except ValueError:
-            raise ValueError(f"unknown metric {name!r} (use nmi,ami,ari,vm)") from None
+            names = ",".join(m.value for m in PartitionMetric)
+            raise ValueError(f"unknown metric {name!r} (use {names})") from None
     if not metrics:
         raise ValueError("no metrics requested")
     return metrics
@@ -104,7 +94,7 @@ def _positive_int(text: str) -> int:
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=OBJECTIVES, default="bic")
-    p.add_argument("--consensus", choices=CONSENSUS_CHOICES, default="sum-walktrap")
+    p.add_argument("--consensus", choices=[c.value for c in Consensus], default="sum-walktrap")
     p.add_argument("--search", choices=STRATEGIES, default="bottomup")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -129,7 +119,7 @@ def cmd_detect(args) -> int:
         network = load_dynamic_network(fh)
     if args.segments is not None and not 1 <= args.segments <= network.k:
         raise ValueError(f"--segments {args.segments} out of range [1, {network.k}]")
-    spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
+    spec = _search_spec(_config(args), args.seed)
     if args.segments is None and isinstance(spec.objective, FitMeasure):
         # a fit objective leaves the count to a criterion, which must be defined
         try:
@@ -216,7 +206,7 @@ def cmd_rank(args) -> int:
         if truth.k != network.k:
             raise ValueError(f"truth covers k={truth.k}, network has k={network.k}")
         classification_positives(truth, network.k)
-    spec = _search_spec(args.objective, args.consensus, args.search, args.seed)
+    spec = _search_spec(_config(args), args.seed)
     table = build_table(network, spec, SegmentStore(network, args.jobs))
     ranking = ranking_from_cscd(table)
     lines = [f"{t}\t{int(ranking.scores[t])}" for t in ranking.ordered()]
@@ -242,7 +232,7 @@ def _bench_instance(task: tuple[GeneratorConfig, list[str]]) -> list[dict]:
     metric = PartitionMetric.NMI
     rows = []
     for cfg_name in configs:
-        spec = _search_spec(*cfg_name.split(":"), derive_seed(cfg.seed, "detect"))
+        spec = _search_spec(cfg_name, derive_seed(cfg.seed, "detect"))
         table = build_table(network, spec, store)
         chosen = table.select(spec.selection)
         output = table.entry(chosen).output
@@ -265,15 +255,13 @@ def cmd_benchmark(args) -> int:
         raise ValueError("--l-values must name at least one segment count")
     if len(set(l_values)) < len(l_values):
         raise ValueError(f"--l-values repeats a segment count: {args.l_values}")
-    configs = [f"{args.objective}:{args.consensus}:{args.search}"]
+    configs = [_config(args)]
     if args.compare:
         configs = [c.strip() for c in args.compare.split(",")]
         if len(configs) != 2:
             raise ValueError("--compare takes exactly two configurations")
         for c in configs:
-            fields = zip(c.split(":"), (OBJECTIVES, CONSENSUS_CHOICES, STRATEGIES))
-            if c.count(":") != 2 or any(f not in choices for f, choices in fields):
-                raise ValueError(f"bad configuration {c!r}; use objective:consensus:search")
+            _search_spec(c, args.seed)  # a bad one fails before any worker starts
 
     # One task per (l, instance); building its config checks l, n and c_min
     # before any worker starts.

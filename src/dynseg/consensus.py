@@ -17,34 +17,29 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from ._seeds import derive_seed
 from .dyngraph import DynamicNetwork, Partition
-from .static_cluster import KINDS, LevelGraph, WeightedGraph, cluster, louvain_multi
-
-CONSENSUS_METHODS = ("sum-graph", "average-louvain", "consensus-matrix")
+from .static_cluster import LevelGraph, WeightedGraph, cluster, louvain_multi
 
 
-@dataclass(frozen=True)
-class ConsensusSpec:
-    """The consensus method and, where it takes one, its static clusterer kind."""
+class Consensus(str, Enum):
+    """A consensus method and its static clusterer, named ``<method>-<kind>``:
+    the method is ``sum`` (sum graph), ``avg`` (average-Louvain) or
+    ``cmatrix`` (consensus matrix), and the kind is one of
+    ``static_cluster.KINDS``."""
 
-    method: str
-    clusterer: str | None = None
-
-    def __post_init__(self):
-        if self.method not in CONSENSUS_METHODS:
-            raise ValueError(f"unknown consensus method {self.method!r}")
-        if self.method == "average-louvain":
-            if self.clusterer is not None:
-                raise ValueError("average-louvain does not take a static clusterer")
-        elif self.clusterer is None:
-            raise ValueError(f"{self.method} needs a static clusterer")
-        elif self.clusterer not in KINDS:
-            raise ValueError(f"unknown clusterer kind {self.clusterer!r}")
+    SUM_LOUVAIN = "sum-louvain"
+    SUM_WALKTRAP = "sum-walktrap"
+    SUM_LPA = "sum-lpa"
+    AVG_LOUVAIN = "avg-louvain"
+    CMATRIX_LOUVAIN = "cmatrix-louvain"
+    CMATRIX_STABILIZED_LOUVAIN = "cmatrix-stabilized-louvain"
+    CMATRIX_WALKTRAP = "cmatrix-walktrap"
+    CMATRIX_LPA = "cmatrix-lpa"
 
 
 def _segment_edges(
@@ -148,7 +143,7 @@ def consensus_matrix(
 
 
 def segment_partition(
-    network: DynamicNetwork, segment: tuple[int, int], spec: ConsensusSpec, seed: int
+    network: DynamicNetwork, segment: tuple[int, int], spec: Consensus, seed: int
 ) -> Partition:
     """Consensus partition of one segment under a seed derived from
     (seed, start, end).
@@ -159,8 +154,9 @@ def segment_partition(
     if not network.segment_node_ids(start, end).size:
         return Partition({})
     seg_seed = derive_seed(seed, "segment", start, end)
-    if spec.method == "sum-graph":
-        return consensus_sum_graph(network, segment, spec.clusterer, seg_seed)
-    if spec.method == "average-louvain":
+    method, kind = spec.value.split("-", 1)
+    if method == "sum":
+        return consensus_sum_graph(network, segment, kind, seg_seed)
+    if method == "avg":
         return consensus_average_louvain(network, segment, seg_seed)
-    return consensus_matrix(network, segment, spec.clusterer, seg_seed)
+    return consensus_matrix(network, segment, kind, seg_seed)

@@ -135,14 +135,23 @@ def _similarity(
 # Output similarity
 # ---------------------------------------------------------------------------
 
-def sim_t(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
-    """Similarity of the time-point partitions: snapshots grouped by segment."""
+def _overlaps(o1: ScdOutput, o2: ScdOutput) -> list[tuple[int, int, int, int]]:
+    """Overlaps of a segment of each output, in time order: the first and
+    past-the-last snapshot, and both segments' indices."""
     if o1.k != o2.k:
         raise ValueError("outputs cover different numbers of snapshots")
-    t = np.arange(o1.k)
-    return _similarity(
-        metric, *(np.searchsorted(o.change_points.points, t, side="right") for o in (o1, o2))
-    )
+    starts = sorted({s for o in (o1, o2) for s, _ in o.segmentation()}) + [o1.k]
+    return [
+        (lo, hi, o1.change_points.seg_index(lo), o2.change_points.seg_index(lo))
+        for lo, hi in zip(starts, starts[1:])
+    ]
+
+
+def sim_t(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
+    """Similarity of the time-point partitions: snapshots grouped by segment,
+    each overlap of two segments weighted by the snapshots it spans."""
+    lo, hi, s1, s2 = np.array(_overlaps(o1, o2)).T
+    return _similarity(metric, s1, s2, hi - lo)
 
 
 def _code_rows(output: ScdOutput, index: dict[str, int]) -> list[np.ndarray]:
@@ -167,18 +176,15 @@ def _scored_runs(
     outputs must cover.  Without it a run is the overlap of two segments,
     scored on the nodes both covering partitions hold.
     """
-    if o1.k != o2.k:
-        raise ValueError("outputs cover different numbers of snapshots")
+    overlaps = _overlaps(o1, o2)
     if network is None:
         labels = sorted(set().union(*(p.labels for p in o1.partitions + o2.partitions)))
         index = {u: i for i, u in enumerate(labels)}
     else:
         index = network.label_index
     rows1, rows2 = _code_rows(o1, index), _code_rows(o2, index)
-    starts = sorted({s for o in (o1, o2) for s, _ in o.segmentation()}) + [o1.k]
-    for lo, hi in zip(starts, starts[1:]):
-        r1 = rows1[o1.change_points.seg_index(lo)]
-        r2 = rows2[o2.change_points.seg_index(lo)]
+    for lo, hi, s1, s2 in overlaps:
+        r1, r2 = rows1[s1], rows2[s2]
         if network is None:
             ids = np.flatnonzero((r1 >= 0) & (r2 >= 0))
             yield ids, r1[ids], r2[ids], hi - lo

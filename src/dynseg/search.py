@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import objectives
-from .consensus import ConsensusSpec, segment_partition
+from .consensus import Consensus, segment_partition
 from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput
 from .objectives import Criterion, FitMeasure
 
@@ -49,7 +49,7 @@ class SearchSpec:
 
     strategy: str = "bottomup"
     objective: FitMeasure | Criterion = Criterion.BIC
-    consensus: ConsensusSpec = ConsensusSpec("sum-graph", "walktrap")
+    consensus: Consensus = Consensus.SUM_WALKTRAP
     seed: int = 0
 
     def __post_init__(self):
@@ -57,6 +57,8 @@ class SearchSpec:
             raise ValueError(f"unknown search strategy {self.strategy!r}")
         if not isinstance(self.objective, (FitMeasure, Criterion)):
             raise ValueError(f"objective {self.objective!r} is not a FitMeasure or Criterion")
+        if not isinstance(self.consensus, Consensus):
+            raise ValueError(f"consensus {self.consensus!r} is not a Consensus")
 
     @property
     def selection(self) -> Criterion:
@@ -127,7 +129,7 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def _segment_terms(
-    network: DynamicNetwork, consensus: ConsensusSpec, seed: int, start: int, end: int,
+    network: DynamicNetwork, consensus: Consensus, seed: int, start: int, end: int,
     with_ll: bool,
 ) -> _Segment:
     """A segment's partition, parameter count and, if ``with_ll``, log-likelihood.
@@ -151,7 +153,7 @@ def _init_worker(network: DynamicNetwork) -> None:
 
 
 def _worker_terms(
-    consensus: ConsensusSpec, seed: int, with_ll: bool, chunk: list[tuple[int, int]]
+    consensus: Consensus, seed: int, with_ll: bool, chunk: list[tuple[int, int]]
 ) -> list[_Segment]:
     """A worker's terms of a chunk of segments."""
     return [_segment_terms(_worker_network, consensus, seed, *s, with_ll) for s in chunk]
@@ -159,7 +161,7 @@ def _worker_terms(
 
 class SegmentStore:
     """The objective-independent terms of one network's segments, memoized by
-    (consensus spec, seed, start, end).
+    (consensus, seed, start, end).
 
     Tables built on one store under several objectives cluster each segment
     they share once.  ``fill`` computes many segments at once, in up to
@@ -169,10 +171,10 @@ class SegmentStore:
     def __init__(self, network: DynamicNetwork, jobs: int = 1):
         self.network = network
         self.jobs = jobs
-        self._memo: dict[tuple[ConsensusSpec, int, int, int], _Segment] = {}
+        self._memo: dict[tuple[Consensus, int, int, int], _Segment] = {}
 
     def segment(
-        self, consensus: ConsensusSpec, seed: int, start: int, end: int, with_ll: bool = False
+        self, consensus: Consensus, seed: int, start: int, end: int, with_ll: bool = False
     ) -> _Segment:
         """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
         seg = self._memo.get((consensus, seed, start, end))
@@ -187,7 +189,7 @@ class SegmentStore:
 
     def fill(
         self,
-        consensus: ConsensusSpec,
+        consensus: Consensus,
         seed: int,
         segments: list[tuple[int, int]],
         with_ll: bool = False,

@@ -21,9 +21,9 @@ import numpy as np
 from ._seeds import rng_for
 from .dyngraph import Partition, dense_codes
 
-KINDS = ("louvain", "stabilized-louvain", "label-propagation", "walktrap")  # cluster() runs these
+KINDS = ("louvain", "stabilized-louvain", "lpa", "walktrap")  # cluster() runs these
 _GAIN_TOL = 1e-12
-MAX_SWEEPS = 100  # label-propagation sweeps before it stops unconverged
+MAX_SWEEPS = 100  # label propagation sweeps before it stops unconverged
 WALK_LENGTH = 4  # steps of the random walks whose profiles are compared
 # Walktrap holds dense na x na float matrices for the na nodes that have
 # edges, about 3 * na**2 * 8 bytes (400 MB at this limit), plus the sorted
@@ -417,7 +417,7 @@ def cluster(
         return louvain(graph, seed)
     if kind == "stabilized-louvain":
         return stabilized_louvain(graph, init, seed)
-    if kind == "label-propagation":
+    if kind == "lpa":
         return label_propagation(graph, seed)
     if kind == "walktrap":
         return walktrap(graph)

@@ -14,7 +14,8 @@ their member sets, and ``is_canonical`` checks the code order.
 The whole-output oracles live here too, since only the tests call them:
 ``partition_at``, the partition covering a snapshot;
 ``partition_similarity`` and ``vmeasure_components``, which score two
-``Partition``s of one domain; and ``q_p``, ``q_b`` and ``num_parameters``,
+``Partition``s of one domain; ``sim_t_per_snapshot``, the time-point
+similarity from one code per snapshot; and ``q_p``, ``q_b`` and ``num_parameters``,
 an output's objective summed segment by segment, which the search's
 additive table scores must equal.  ``expected_mutual_information_gammaln``
 is the expected mutual information as the library computed it before it
@@ -168,6 +169,14 @@ def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) 
     if p1.labels != p2.labels:
         raise ValueError("partitions must share the same domain")
     return _similarity(metric, p1.codes, p2.codes)
+
+
+def sim_t_per_snapshot(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) -> float:
+    """The library's similarity of the two outputs' segment indices, snapshot by snapshot."""
+    t = np.arange(o1.k)
+    return _similarity(
+        metric, *(np.searchsorted(o.change_points.points, t, side="right") for o in (o1, o2))
+    )
 
 
 def vmeasure_components(p1: Partition, p2: Partition) -> tuple[float, float, float]:

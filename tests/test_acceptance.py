@@ -19,7 +19,7 @@ import pytest
 import dynseg
 from dynseg._seeds import derive_seed
 from dynseg.cli import main as cli_main
-from dynseg.consensus import ConsensusSpec, segment_partition
+from dynseg.consensus import Consensus, segment_partition
 from dynseg.dyngraph import ChangePointSet, Partition, ScdOutput
 from dynseg.evaluation import (
     PartitionMetric,
@@ -80,7 +80,7 @@ def _spec(strategy, seed):
     return SearchSpec(
         strategy=strategy,
         objective=Criterion.BIC,
-        consensus=ConsensusSpec("sum-graph", "louvain"),
+        consensus=Consensus.SUM_LOUVAIN,
         seed=seed,
     )
 

@@ -259,6 +259,18 @@ class TestDetect:
         assert code == 0
         assert "chosen_l" in kv(stdout)
 
+    @pytest.mark.parametrize("consensus", list(dynseg.Consensus), ids=lambda c: c.value)
+    def test_consensus_name_solves_as_its_member(self, scg_files, tmp_path, capsys, consensus):
+        net, _ = scg_files
+        out = tmp_path / "sol.txt"
+        code, stdout, _ = run(capsys, "detect", "--input", str(net), "--consensus",
+                              consensus.value, "--seed", "4", "--output", str(out))
+        assert code == 0
+        assert kv(stdout)["consensus"] == [consensus.value]
+        network = load_dynamic_network(net.read_text())
+        expected = dynseg.solve_scd(network, dynseg.SearchSpec(consensus=consensus, seed=4))
+        assert out.read_text() == dump_output(expected)
+
 
 @pytest.fixture
 def pool_sizes(monkeypatch, set_cpus):
@@ -417,6 +429,7 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--pred", str(truth),
                            "--truth", str(truth), "--metrics", "f1")
         assert code == 1
+        assert err == "error: unknown metric 'f1' (use nmi,ami,ari,vm)\n"
 
 
 class TestRank:
@@ -516,8 +529,13 @@ class TestBenchmark:
         assert "skipped" in stdout
 
     def test_bad_compare_token(self, capsys):
-        code, _, err = run(capsys, *self.BASE, "--compare", "bic:sum-walktrap")
-        assert code == 1
+        good = "bic:sum-walktrap:bottomup"
+        for bad in ("bic:sum-walktrap", "bic:sum-lpa:bottomup:x", "mdl:sum-lpa:bottomup",
+                    "bic:sum-stabilized-louvain:bottomup", "bic:sum-lpa:random"):
+            code, stdout, err = run(capsys, *self.BASE, "--compare", f"{good},{bad}")
+            assert code == 1
+            assert err == f"error: bad configuration {bad!r}; use objective:consensus:search\n"
+            assert stdout == ""
 
     def test_concurrent_run_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "r1.txt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynseg.consensus import (
-    ConsensusSpec,
+    Consensus,
     _pair_keys,
     co_occurrence_graph,
     consensus_average_louvain,
@@ -265,23 +265,23 @@ def test_co_occurrence_rows_follow_first_shared_snapshot():
 
 class TestSegmentPartition:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ConsensusSpec("majority")
-        with pytest.raises(ValueError):
-            ConsensusSpec("sum-graph")  # needs a clusterer
-        with pytest.raises(ValueError):
-            ConsensusSpec("average-louvain", "louvain")
-        with pytest.raises(ValueError, match="unknown clusterer kind 'metis'"):
-            ConsensusSpec("sum-graph", "metis")
+        # a name is a method and a clusterer it takes; there is no other pair
+        for name in ("majority", "sum", "sum-graph", "avg-walktrap", "sum-stabilized-louvain",
+                     "sum-metis", "cmatrix-label-propagation"):
+            with pytest.raises(ValueError):
+                Consensus(name)
+        for c in Consensus:
+            method, kind = c.value.split("-", 1)
+            assert method in ("sum", "avg", "cmatrix") and kind in KINDS
 
     @pytest.mark.parametrize("spec", [
-        ConsensusSpec("sum-graph", "walktrap"),
-        ConsensusSpec("sum-graph", "louvain"),
-        ConsensusSpec("sum-graph", "label-propagation"),
-        ConsensusSpec("average-louvain"),
-        ConsensusSpec("consensus-matrix", "louvain"),
-        ConsensusSpec("consensus-matrix", "stabilized-louvain"),
-    ])
+        Consensus.SUM_WALKTRAP,
+        Consensus.SUM_LOUVAIN,
+        Consensus.SUM_LPA,
+        Consensus.AVG_LOUVAIN,
+        Consensus.CMATRIX_LOUVAIN,
+        Consensus.CMATRIX_STABILIZED_LOUVAIN,
+    ], ids=[f"spec{i}" for i in range(6)])
     def test_deterministic_and_covering(self, spec):
         g1 = Snapshot(["x"], TRI_EDGES[:5])
         g2 = Snapshot([], TRI_EDGES[2:])
@@ -292,10 +292,10 @@ class TestSegmentPartition:
         assert p1.domain == g1.nodes | g2.nodes
 
     @pytest.mark.parametrize("spec", [
-        ConsensusSpec("sum-graph", "walktrap"),
-        ConsensusSpec("average-louvain"),
-        ConsensusSpec("consensus-matrix", "louvain"),
-    ])
+        Consensus.SUM_WALKTRAP,
+        Consensus.AVG_LOUVAIN,
+        Consensus.CMATRIX_LOUVAIN,
+    ], ids=[f"spec{i}" for i in range(3)])
     def test_empty_segment_gets_empty_partition(self, spec):
         net = DynamicNetwork([TRIANGLES, Snapshot(), Snapshot(), TRIANGLES])
         assert segment_partition(net, (1, 2), spec, 0) == Partition({})
@@ -305,7 +305,7 @@ class TestSegmentPartition:
         # two different segments of identical content may differ, but the same
         # segment scored from different call orders may not
         net = DynamicNetwork([TRIANGLES, TRIANGLES, TRIANGLES])
-        spec = ConsensusSpec("sum-graph", "louvain")
+        spec = Consensus.SUM_LOUVAIN
         first = segment_partition(net, (1, 2), spec, 5)
         segment_partition(net, (0, 0), spec, 5)
         second = segment_partition(net, (1, 2), spec, 5)

@@ -36,7 +36,7 @@ from dynseg.evaluation import (
 )
 from label_graphs import (
     expected_mutual_information_gammaln, from_clusters, partition_at, partition_similarity,
-    restrict, singletons, vmeasure_components,
+    restrict, sim_t_per_snapshot, singletons, vmeasure_components,
 )
 
 ALL_METRICS = list(PartitionMetric)
@@ -269,6 +269,21 @@ class TestSimT:
         with pytest.raises(ValueError):
             sim_t(_uniform_output((), 2, [["a"]]), _uniform_output((), 3, [["a"]]),
                   PartitionMetric.NMI)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_per_snapshot_oracle(self, data):
+        """Scored once per overlap of two segments, weighted by its snapshot
+        count, bit-equal to one code per snapshot."""
+        k = data.draw(st.integers(1, 40))
+
+        def output():
+            cuts = data.draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+            return _uniform_output(tuple(t for t, cut in enumerate(cuts, 1) if cut), k, [["a"]])
+
+        o1, o2 = output(), output()
+        for metric in ALL_METRICS:
+            assert sim_t(o1, o2, metric) == sim_t_per_snapshot(o1, o2, metric)
 
 
 class TestSimP:

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dynseg.consensus import ConsensusSpec, segment_partition
+from dynseg.consensus import Consensus, segment_partition
 from dynseg.dyngraph import ChangePointSet, DynamicNetwork, Snapshot
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
@@ -32,7 +32,6 @@ from dynseg.search import (
     usable_cpus,
     worker_count,
 )
-from dynseg.static_cluster import KINDS
 from label_graphs import num_parameters, q_b, q_p
 
 
@@ -40,7 +39,7 @@ def _spec(strategy="exhaustive", objective=Criterion.BIC, seed=0):
     return SearchSpec(
         strategy=strategy,
         objective=objective,
-        consensus=ConsensusSpec("sum-graph", "louvain"),
+        consensus=Consensus.SUM_LOUVAIN,
         seed=seed,
     )
 
@@ -155,16 +154,11 @@ class TestBottomUp:
         net = _network(k=4, seed=6)
         spec = _spec(seed=3)
         table = bottom_up_search(net, spec)
-        direct = segment_partition(net, (0, 3), ConsensusSpec("sum-graph", "louvain"), 3)
+        direct = segment_partition(net, (0, 3), Consensus.SUM_LOUVAIN, 3)
         assert table.entry(1).output.partitions[0].assignment == direct.assignment
 
 
 LABELS = [f"n{i}" for i in range(10)]
-CONSENSUS_SPECS = (
-    [ConsensusSpec("sum-graph", kind) for kind in KINDS]
-    + [ConsensusSpec("average-louvain")]
-    + [ConsensusSpec("consensus-matrix", kind) for kind in KINDS]
-)
 OBJECTIVES = [*Criterion, *FitMeasure]
 
 
@@ -183,7 +177,7 @@ def small_networks(draw):
 class TestHeuristicDominance:
     @settings(max_examples=60)
     @given(
-        small_networks(), st.sampled_from(CONSENSUS_SPECS), st.sampled_from(OBJECTIVES),
+        small_networks(), st.sampled_from(Consensus), st.sampled_from(OBJECTIVES),
         st.integers(0, 2**31 - 1),
     )
     def test_exhaustive_dominates(self, net, consensus, objective, seed):
@@ -238,7 +232,7 @@ class TestSolvers:
     def test_scd_single_segment_ground_truth(self):
         cfg = GeneratorConfig(k=8, l=1, n=30, c_min=5, c_in=20, c_out=4, seed=21)
         net, truth = generate(cfg)
-        spec = SearchSpec(seed=1)  # default bottom-up, BIC, sum-graph walktrap
+        spec = SearchSpec(seed=1)  # default bottom-up, BIC, sum-walktrap
         out = solve_scd(net, spec)
         assert out.num_segments == 1
 
@@ -271,12 +265,17 @@ class TestSearchSpec:
         for fit in FitMeasure:
             assert SearchSpec(objective=fit).selection is Criterion.BIC
 
-    @pytest.mark.parametrize(
-        "objective", ["bic", None, ConsensusSpec("average-louvain")], ids=["str", "none", "spec"]
-    )
-    def test_objective_neither_fit_measure_nor_criterion_rejected(self, objective):
-        with pytest.raises(ValueError, match="not a FitMeasure or Criterion"):
-            SearchSpec(objective=objective)
+    @pytest.mark.parametrize("field, value, message", [
+        ("objective", "bic", "not a FitMeasure or Criterion"),
+        ("objective", None, "not a FitMeasure or Criterion"),
+        ("objective", Consensus.AVG_LOUVAIN, "not a FitMeasure or Criterion"),
+        ("consensus", "sum-walktrap", "not a Consensus"),
+        ("consensus", None, "not a Consensus"),
+        ("consensus", Criterion.BIC, "not a Consensus"),
+    ], ids=["str", "none", "spec", "consensus-str", "consensus-none", "consensus-objective"])
+    def test_objective_neither_fit_measure_nor_criterion_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(**{field: value})
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
@@ -374,8 +373,8 @@ class TestSegmentStore:
         net = _network(k=5, seed=0, l=2)
         specs = [
             SearchSpec(strategy="exhaustive", seed=seed,
-                       consensus=ConsensusSpec("sum-graph", kind))
-            for kind in ("louvain", "label-propagation") for seed in (1, 2)
+                       consensus=consensus)
+            for consensus in (Consensus.SUM_LOUVAIN, Consensus.SUM_LPA) for seed in (1, 2)
         ]
         fresh = [build_table(net, spec) for spec in specs]
         # every spec clusters some segment differently, so a coarser key would show
@@ -398,7 +397,7 @@ class TestSegmentStore:
 class TestParallelFill:
     """A store filled in worker processes equals one filled in-process."""
 
-    CONSENSUS, SEED = ConsensusSpec("sum-graph", "louvain"), 5
+    CONSENSUS, SEED = Consensus.SUM_LOUVAIN, 5
 
     @pytest.fixture
     def two_workers(self, monkeypatch, set_cpus):
