@@ -250,7 +250,14 @@ def _bench_instance(task: tuple[GeneratorConfig, list[str]]) -> list[dict]:
 
 
 def cmd_benchmark(args) -> int:
-    l_values = [int(x) for x in args.l_values.split(",") if x.strip()]
+    l_values = []
+    for item in filter(str.strip, args.l_values.split(",")):
+        try:
+            l_values.append(int(item))
+        except ValueError:
+            raise ValueError(
+                f"--l-values must be comma-separated integers, got {item.strip()!r}"
+            ) from None
     if not l_values:
         raise ValueError("--l-values must name at least one segment count")
     if len(set(l_values)) < len(l_values):

@@ -10,6 +10,8 @@ Three ways to reconcile the snapshots of a segment into a single partition:
   graph whose weights are the fraction of shared snapshots in which two
   nodes land in one cluster.
 
+``segment_partition`` is the one entry point; a ``Consensus`` member names
+the method and its clusterer kind, which ``static_cluster.cluster`` runs.
 The partition domain is always the union of the segment's node sets; a
 per-segment seed derived from (search seed, start, end) makes results
 independent of evaluation order.
@@ -65,24 +67,6 @@ def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
     return WeightedGraph(labels, a, b, counts)
 
 
-def consensus_sum_graph(
-    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
-) -> Partition:
-    start, end = segment
-    return cluster(sum_graph(network, start, end), kind, seed)
-
-
-def consensus_average_louvain(
-    network: DynamicNetwork, segment: tuple[int, int], seed: int
-) -> Partition:
-    start, end = segment
-    labels, u, v = _segment_edges(network, start, end)
-    offsets = network.edge_offsets[start:end + 2]
-    return louvain_multi(
-        labels, LevelGraph.of_snapshots(len(labels), u, v, offsets - offsets[0]), seed
-    )
-
-
 def _pair_keys(member: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
     """Sorted keys ``local[a] * n + local[b]``, a < b, of pairs with equal ``member``.
 
@@ -135,13 +119,6 @@ def co_occurrence_graph(
     return WeightedGraph(labels, a, b, together[order] / shared)
 
 
-def consensus_matrix(
-    network: DynamicNetwork, segment: tuple[int, int], kind: str, seed: int
-) -> Partition:
-    graph = co_occurrence_graph(network, segment, kind, seed)
-    return cluster(graph, kind, derive_seed(seed, "cm-final"))
-
-
 def segment_partition(
     network: DynamicNetwork, segment: tuple[int, int], spec: Consensus, seed: int
 ) -> Partition:
@@ -156,7 +133,11 @@ def segment_partition(
     seg_seed = derive_seed(seed, "segment", start, end)
     method, kind = spec.value.split("-", 1)
     if method == "sum":
-        return consensus_sum_graph(network, segment, kind, seg_seed)
+        return cluster(sum_graph(network, start, end), kind, seg_seed)
     if method == "avg":
-        return consensus_average_louvain(network, segment, seg_seed)
-    return consensus_matrix(network, segment, kind, seg_seed)
+        labels, u, v = _segment_edges(network, start, end)
+        offsets = network.edge_offsets[start:end + 2]
+        level = LevelGraph.of_snapshots(len(labels), u, v, offsets - offsets[0])
+        return louvain_multi(labels, level, seg_seed)
+    graph = co_occurrence_graph(network, segment, kind, seg_seed)
+    return cluster(graph, kind, derive_seed(seg_seed, "cm-final"))

@@ -1,16 +1,18 @@
 """Search over change point sets.
 
-All three strategies fill a table with one best output per possible number
-of segments; the final solution is the table entry maximizing a penalized
-likelihood criterion.  A table memoizes its additive segment scores by
-(start, end), and a per-network SegmentStore memoizes the partitions, so a
-table's consensus_calls is exactly the number of distinct segments it
-evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most that for
-top-down splitting, and at most 4k-5 for bottom-up merging.  Tables built
-under several objectives on one store cluster each shared segment once.
-The exhaustive program fills the store with all its segments up front, in
-worker processes when the store may use more than one and the segments hold
-enough edges to repay starting them.
+``build_table`` is the one entry point: it reads the strategy from
+``SearchSpec.strategy`` alone and fills a table with one best output per
+possible number of segments; the final solution is the table entry
+maximizing a penalized likelihood criterion.  A table memoizes its additive
+segment scores by (start, end), and a per-network SegmentStore memoizes the
+partitions, so a table's consensus_calls is exactly the number of distinct
+segments it evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most
+that for top-down splitting, and at most 4k-5 for bottom-up merging.  Tables
+built under several objectives on one store cluster each shared segment
+once.  The exhaustive program fills the store with all its segments up
+front, in worker processes when the store may use more than one and the
+segments hold enough edges to repay starting them; a table whose store
+would outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ _CHUNKS_PER_WORKER = 4
 # in a pool from about 105,000 (k=12, n=50; k=18, n=20); a costlier
 # clusterer only moves the break-even lower.
 MIN_PARALLEL_EDGE_VISITS = 100_000
+
+# An exhaustive table keeps the terms of all (k^2+k)/2 segments in its store.
+# Measured with tracemalloc on generated networks (sum-lpa), a stored segment
+# held 560 B at 10 nodes, 1.2 KB at 50 and 3.6 KB at 200: about 450 B plus
+# 16 B per node (its code array and its label tuple).  The bound counts every
+# node of the network in every segment.  A larger table is rejected with a
+# ValueError, which the command line reports as exit 1; at 50 nodes the limit
+# falls near k = 1,300, and on a 2-node network near k = 2,100.
+EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
+_SEGMENT_BYTES, _LABEL_BYTES = 450, 16
 
 
 @dataclass(frozen=True)
@@ -235,15 +247,9 @@ class _SegmentScorer:
     need the log-likelihood only for segments that end up in table entries.
     """
 
-    def __init__(
-        self, network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None
-    ):
-        if store is None:
-            store = SegmentStore(network)
-        elif store.network is not network:
-            raise ValueError("segment store was built for another network")
+    def __init__(self, store: SegmentStore, spec: SearchSpec):
         self.store = store
-        self.network = network
+        self.network = network = store.network
         self.consensus, self.seed = spec.consensus, spec.seed
         self.objective = spec.objective
         self.num_observations = objectives.num_observations(network)
@@ -292,17 +298,15 @@ class _SegmentScorer:
         )
 
 
-def exhaustive_search(
-    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
-) -> CscdTable:
-    """Optimal table via dynamic programming over last-segment start times.
+def _exhaustive(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
+    """Optimal change points per l via dynamic programming over last-segment
+    start times.
 
     best[i][l] scores the best l-segment solution of the first i snapshots;
     it extends best[t][l-1] with the one-segment suffix [t, i-1].  Ties keep
     the smallest last-segment start time.
     """
-    scorer = _SegmentScorer(network, spec, store)
-    k = network.k
+    k = scorer.network.k
     scorer.store.fill(
         scorer.consensus,
         scorer.seed,
@@ -326,19 +330,16 @@ def exhaustive_search(
             i = back[i][ll]
             points.append(i)
         per_l[l] = tuple(reversed(points))
-    return scorer.table(per_l)
+    return per_l
 
 
-def top_down_search(
-    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
-) -> CscdTable:
+def _top_down(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
     """Greedy splitting from one whole-network segment down to singletons.
 
     Each iteration inserts the untaken time point whose split yields the
     largest objective gain; equal gains go to the smallest time point.
     """
-    scorer = _SegmentScorer(network, spec, store)
-    k = network.k
+    k = scorer.network.k
     points: list[int] = []
     per_l: dict[int, tuple[int, ...]] = {1: ()}
     for l in range(2, k + 1):
@@ -352,19 +353,16 @@ def top_down_search(
         points.append(max((t for t in range(1, k) if t not in points), key=gain))
         points.sort()
         per_l[l] = tuple(points)
-    return scorer.table(per_l)
+    return per_l
 
 
-def bottom_up_search(
-    network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
-) -> CscdTable:
+def _bottom_up(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
     """Greedy merging from singleton segments up to one whole-network segment.
 
     Each iteration removes the change point whose merge yields the largest
     objective gain; equal gains go to the leftmost pair.
     """
-    scorer = _SegmentScorer(network, spec, store)
-    k = network.k
+    k = scorer.network.k
     points = list(range(1, k))
     per_l: dict[int, tuple[int, ...]] = {k: tuple(points)}
     for l in range(k - 1, 0, -1):
@@ -377,21 +375,36 @@ def bottom_up_search(
 
         points.remove(segs[max(range(len(segs) - 1), key=gain) + 1][0])
         per_l[l] = tuple(points)
-    return scorer.table(per_l)
+    return per_l
 
 
-_SEARCHES = {
-    "exhaustive": exhaustive_search,
-    "topdown": top_down_search,
-    "bottomup": bottom_up_search,
-}
+_SEARCHES = {"exhaustive": _exhaustive, "topdown": _top_down, "bottomup": _bottom_up}
 
 
 def build_table(
     network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
 ) -> CscdTable:
-    """The spec's table; pass one store to share segment terms across objectives."""
-    return _SEARCHES[spec.strategy](network, spec, store)
+    """The table of ``spec.strategy``; pass one store to share segment terms
+    across objectives.
+
+    An exhaustive table whose store would exceed ``EXHAUSTIVE_MAX_STORE_BYTES``
+    is rejected with a ``ValueError`` before any segment is listed.
+    """
+    if store is None:
+        store = SegmentStore(network)
+    elif store.network is not network:
+        raise ValueError("segment store was built for another network")
+    if spec.strategy == "exhaustive":
+        segments = network.k * (network.k + 1) // 2
+        size = segments * (_SEGMENT_BYTES + _LABEL_BYTES * len(network.labels))
+        if size > EXHAUSTIVE_MAX_STORE_BYTES:
+            raise ValueError(
+                f"exhaustive search: {segments} segments over {len(network.labels)} "
+                f"nodes would hold about {size / 2**30:.3g} GiB, above the limit of "
+                f"{EXHAUSTIVE_MAX_STORE_BYTES} bytes (EXHAUSTIVE_MAX_STORE_BYTES)"
+            )
+    scorer = _SegmentScorer(store, spec)
+    return scorer.table(_SEARCHES[spec.strategy](scorer))
 
 
 def solve_cscd(network: DynamicNetwork, l: int, spec: SearchSpec) -> ScdOutput:

@@ -1,6 +1,7 @@
 """Weighted static-graph community detection primitives.
 
-Four methods: Louvain, Louvain initialized from a given partition,
+Four methods, run by ``cluster`` under their kind in ``KINDS``: Louvain,
+Louvain initialized from a given partition (stabilized Louvain),
 asynchronous label propagation, and random-walk agglomerative clustering.
 All of them are deterministic given (graph, seed): randomized node orders
 come from the seed and every tie-break is pinned.  Returned
@@ -203,16 +204,6 @@ def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
     return dense_codes(ids).tolist()
 
 
-def louvain(graph: WeightedGraph, seed: int) -> Partition:
-    """Greedy modularity maximization by node moves and graph contraction."""
-    return louvain_multi(graph.labels, LevelGraph.of_graph(graph), seed)
-
-
-def stabilized_louvain(graph: WeightedGraph, init: Partition | None, seed: int) -> Partition:
-    """Louvain seeded from a previous partition instead of all-singletons."""
-    return louvain_multi(graph.labels, LevelGraph.of_graph(graph), seed, init)
-
-
 # ---------------------------------------------------------------------------
 # Label propagation
 # ---------------------------------------------------------------------------
@@ -413,10 +404,9 @@ def cluster(
 ) -> Partition:
     """The ``kind`` clusterer's partition of graph; walktrap draws no seed, and
     only stabilized-louvain starts from ``init``."""
-    if kind == "louvain":
-        return louvain(graph, seed)
-    if kind == "stabilized-louvain":
-        return stabilized_louvain(graph, init, seed)
+    if kind in ("louvain", "stabilized-louvain"):
+        init = init if kind == "stabilized-louvain" else None
+        return louvain_multi(graph.labels, LevelGraph.of_graph(graph), seed, init)
     if kind == "lpa":
         return label_propagation(graph, seed)
     if kind == "walktrap":

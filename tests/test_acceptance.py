@@ -39,10 +39,7 @@ from dynseg.objectives import (
 from dynseg.search import (
     SearchSpec,
     SegmentStore,
-    bottom_up_search,
     build_table,
-    exhaustive_search,
-    top_down_search,
 )
 from label_graphs import clusters_of, from_clusters, partition_at, partition_similarity
 
@@ -108,9 +105,9 @@ def small_search_results():
     results = []
     for idx, net in enumerate(_small_instances()):
         seed = derive_seed(BASE_SEED, "search", idx)
-        t_ex = exhaustive_search(net, _spec("exhaustive", seed))
-        t_td = top_down_search(net, _spec("topdown", seed))
-        t_bu = bottom_up_search(net, _spec("bottomup", seed))
+        t_ex = build_table(net, _spec("exhaustive", seed))
+        t_td = build_table(net, _spec("topdown", seed))
+        t_bu = build_table(net, _spec("bottomup", seed))
         oracle = _enumerate_best_scores(net, _spec("exhaustive", seed))
         results.append((net, t_ex, t_td, t_bu, oracle))
     return results, time.perf_counter() - started
@@ -137,14 +134,14 @@ def test_criterion_2_consensus_call_counters():
         cfg = GeneratorConfig(k=k, l=min(2, k), n=16, c_min=4, c_in=10, c_out=2,
                               seed=derive_seed(BASE_SEED, "count", k))
         net = generate(cfg)[0]
-        t_ex = exhaustive_search(net, _spec("exhaustive", k))
+        t_ex = build_table(net, _spec("exhaustive", k))
         if t_ex.consensus_calls != k * (k + 1) // 2:
             bad.append(("exhaustive", k, t_ex.consensus_calls))
     for k in range(2, 17):
         cfg = GeneratorConfig(k=k, l=min(3, k), n=16, c_min=4, c_in=10, c_out=2,
                               seed=derive_seed(BASE_SEED, "countbu", k))
         net = generate(cfg)[0]
-        t_bu = bottom_up_search(net, _spec("bottomup", k))
+        t_bu = build_table(net, _spec("bottomup", k))
         if t_bu.consensus_calls > 4 * k - 5:
             bad.append(("bottomup", k, t_bu.consensus_calls))
     report(

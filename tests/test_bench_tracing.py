@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from dynseg.cli import main
 from dynseg.consensus import sum_graph
 from dynseg.dyngraph import load_dynamic_network
 
@@ -55,3 +56,23 @@ def test_targets_name_existing_attributes(tracing):
         if not hasattr(importlib.import_module(module_name), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("consensus, spans", [
+    ("sum-walktrap", {"consensus.sum_graph", "static_cluster.walktrap"}),
+    ("sum-lpa", {"consensus.sum_graph", "static_cluster.label_propagation"}),
+    ("sum-louvain", {"consensus.sum_graph", "static_cluster.louvain_multi"}),
+    ("cmatrix-stabilized-louvain", {"consensus.sum_graph", "static_cluster.louvain_multi"}),
+    ("avg-louvain", {"static_cluster.louvain_multi"}),
+])
+def test_detect_records_each_clusterer(tracing, tmp_path, capsys, consensus, spans):
+    # the clusterers are looked up where the tracer replaces them, on every call
+    net = tmp_path / "net.txt"
+    net.write_text(NETWORK)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["detect", "--input", str(net), "--consensus", consensus,
+                     "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert tracer.missing == []
+    assert spans <= {s.name for s in tracer.spans}

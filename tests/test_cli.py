@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -185,6 +186,21 @@ class TestDetect:
         code, _, err = run(capsys, "detect", "--input", str(net))
         assert code == 1
         assert "self-loop" in err
+
+    def test_oversized_exhaustive_table_exit_one(self, tmp_path, capsys):
+        # k = 1,000,001 snapshots: the store of its (k^2+k)/2 segments is
+        # refused before a segment list is built
+        net = tmp_path / "far.txt"
+        net.write_text("0 a b\n1000000 a b\n")
+        out = tmp_path / "out.txt"
+        started = time.perf_counter()
+        code, stdout, err = run(capsys, "detect", "--input", str(net), "--search", "exhaustive",
+                                "--output", str(out))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert err.startswith("error: exhaustive search: 500001500001 segments over 2 nodes")
+        assert err.endswith("(EXHAUSTIVE_MAX_STORE_BYTES)\n") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
 
     def test_huge_time_index_exit_one(self, tmp_path, capsys):
         net = tmp_path / "huge.txt"
@@ -536,6 +552,12 @@ class TestBenchmark:
             assert code == 1
             assert err == f"error: bad configuration {bad!r}; use objective:consensus:search\n"
             assert stdout == ""
+
+    def test_l_values_not_integers(self, capsys):
+        code, stdout, err = run(capsys, *self.BASE, "--l-values", "1,x")
+        assert code == 1
+        assert err == "error: --l-values must be comma-separated integers, got 'x'\n"
+        assert stdout == ""
 
     def test_concurrent_run_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "r1.txt"

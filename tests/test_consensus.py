@@ -8,14 +8,12 @@ from dynseg.consensus import (
     Consensus,
     _pair_keys,
     co_occurrence_graph,
-    consensus_average_louvain,
-    consensus_matrix,
-    consensus_sum_graph,
     segment_partition,
     sum_graph,
 )
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
-from dynseg.static_cluster import KINDS, louvain
+from dynseg._seeds import derive_seed
+from dynseg.static_cluster import KINDS, cluster
 from label_graphs import (
     edge_weights, from_clusters, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
 )
@@ -65,45 +63,47 @@ class TestSumGraph:
 
     def test_singleton_segment_equals_static_clustering(self):
         net = DynamicNetwork([TRIANGLES])
-        p = consensus_sum_graph(net, (0, 0), "louvain", 4)
-        direct = louvain(snapshot_graph(TRIANGLES), 4)
+        p = cluster(sum_graph(net, 0, 0), "louvain", 4)
+        direct = cluster(snapshot_graph(TRIANGLES), "louvain", 4)
         assert p.assignment == direct.assignment
 
     def test_identical_snapshots_match_single_snapshot_louvain(self):
         net = DynamicNetwork([TRIANGLES] * 3)
-        p = consensus_sum_graph(net, (0, 2), "louvain", 4)
-        direct = louvain(snapshot_graph(TRIANGLES), 4)
+        p = cluster(sum_graph(net, 0, 2), "louvain", 4)
+        direct = cluster(snapshot_graph(TRIANGLES), "louvain", 4)
         assert p == direct
 
     def test_weight_scale_invariance_of_louvain(self):
         g = label_graph([], {e: 1.0 for e in TRI_EDGES})
         scaled = label_graph([], {e: 3.0 for e in TRI_EDGES})
-        assert louvain(g, 9).assignment == louvain(scaled, 9).assignment
+        assert cluster(g, "louvain", 9).assignment == cluster(scaled, "louvain", 9).assignment
 
     def test_edgeless_segment_gives_singletons(self):
         net = DynamicNetwork([Snapshot(["a", "b", "c"], [])])
-        p = consensus_sum_graph(net, (0, 0), "walktrap", 0)
+        p = cluster(sum_graph(net, 0, 0), "walktrap", 0)
         assert p.num_clusters == 3
 
     def test_domain_is_union_of_node_sets(self):
         g1 = Snapshot(["x"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
         net = DynamicNetwork([g1, g2])
-        p = consensus_sum_graph(net, (0, 1), "louvain", 0)
+        p = cluster(sum_graph(net, 0, 1), "louvain", 0)
         assert p.domain == {"a", "b", "c", "x"}
 
 
 class TestAverageLouvain:
     def test_singleton_segment_equals_louvain(self):
         net = DynamicNetwork([TRIANGLES])
-        p = consensus_average_louvain(net, (0, 0), seed=6)
-        direct = louvain(snapshot_graph(TRIANGLES), 6)
+        p = segment_partition(net, (0, 0), Consensus.AVG_LOUVAIN, 6)
+        seg_seed = derive_seed(6, "segment", 0, 0)
+        direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
         assert p.assignment == direct.assignment
 
     def test_identical_snapshots_equal_louvain(self):
         net = DynamicNetwork([TRIANGLES] * 4)
-        p = consensus_average_louvain(net, (0, 3), seed=6)
-        direct = louvain(snapshot_graph(TRIANGLES), 6)
+        p = segment_partition(net, (0, 3), Consensus.AVG_LOUVAIN, 6)
+        seg_seed = derive_seed(6, "segment", 0, 3)
+        direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
         assert p == direct
 
     def test_opposing_snapshots_reject_merge(self):
@@ -120,17 +120,18 @@ class TestAverageLouvain:
         gain_b = (2 / 12) * (0 - 2 * 2 / 12)
         assert gain_a > 0
         assert gain_a + 10 * gain_b < 0
-        alone = louvain(snapshot_graph(a), 0)
+        alone = cluster(snapshot_graph(a), "louvain", 0)
         assert alone.assignment["u"] == alone.assignment["v"]
         net = DynamicNetwork([a] + [b] * 10)
-        p = consensus_average_louvain(net, (0, 10), seed=0)
+        p = segment_partition(net, (0, 10), Consensus.AVG_LOUVAIN, 0)
         assert p.assignment["u"] != p.assignment["v"]
 
     def test_empty_snapshot_in_segment_is_neutral(self):
         empty = Snapshot(TRIANGLES.nodes, [])
         net = DynamicNetwork([TRIANGLES, empty, TRIANGLES])
-        p = consensus_average_louvain(net, (0, 2), seed=3)
-        direct = louvain(snapshot_graph(TRIANGLES), 3)
+        p = segment_partition(net, (0, 2), Consensus.AVG_LOUVAIN, 3)
+        seg_seed = derive_seed(3, "segment", 0, 2)
+        direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
         assert p == direct
 
 
@@ -146,13 +147,13 @@ class TestConsensusMatrix:
 
     def test_unanimous_partitions_reproduced(self):
         net = DynamicNetwork([TRIANGLES] * 3)
-        p = consensus_matrix(net, (0, 2), "louvain", 2)
+        p = segment_partition(net, (0, 2), Consensus.CMATRIX_LOUVAIN, 2)
         assert p == from_clusters(["abc", "def"])
 
     def test_singleton_segment_two_triangles(self):
         net = DynamicNetwork([TRIANGLES])
         for kind in ("louvain", "walktrap"):
-            p = consensus_matrix(net, (0, 0), kind, 2)
+            p = segment_partition(net, (0, 0), Consensus(f"cmatrix-{kind}"), 2)
             assert p == from_clusters(["abc", "def"])
 
     def test_pair_never_present_together_absent(self):
@@ -166,7 +167,7 @@ class TestConsensusMatrix:
         g1 = Snapshot(["q"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
         net = DynamicNetwork([g1, g2])
-        p = consensus_matrix(net, (0, 1), "louvain", 0)
+        p = segment_partition(net, (0, 1), Consensus.CMATRIX_LOUVAIN, 0)
         assert p.domain == {"a", "b", "c", "q"}
 
 

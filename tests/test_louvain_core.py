@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dynseg._seeds import rng_for
-from dynseg.consensus import consensus_average_louvain
+from dynseg._seeds import derive_seed, rng_for
+from dynseg.consensus import Consensus, segment_partition
 from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
-from dynseg.static_cluster import WeightedGraph, louvain, stabilized_louvain
+from dynseg.static_cluster import WeightedGraph, cluster
 from label_graphs import label_graph, restrict, rows
 
 _GAIN_TOL = 1e-12
@@ -250,14 +250,16 @@ def test_average_louvain_matches_list_of_graphs(case, seed):
     start, end = segment
     if not segment_labels(net, start, end):
         return
-    got = consensus_average_louvain(net, segment, seed)
-    assert got.assignment == reference_average_louvain(net, segment, seed).assignment
+    got = segment_partition(net, segment, Consensus.AVG_LOUVAIN, seed)
+    expected = reference_average_louvain(net, segment, derive_seed(seed, "segment", start, end))
+    assert got.assignment == expected.assignment
 
 
 @settings(max_examples=300)
 @given(weighted_graphs(), st.integers(0, 2**31 - 1))
 def test_louvain_matches_list_of_graphs(graph, seed):
-    assert louvain(graph, seed).assignment == reference_louvain_multi([graph], seed).assignment
+    expected = reference_louvain_multi([graph], seed)
+    assert cluster(graph, "louvain", seed).assignment == expected.assignment
 
 
 @settings(max_examples=300)
@@ -265,4 +267,4 @@ def test_louvain_matches_list_of_graphs(graph, seed):
 def test_stabilized_louvain_matches_list_of_graphs(data, graph, seed):
     init = data.draw(inits(graph))
     expected = reference_louvain_multi([graph], seed, init=restrict(init, graph.nodes))
-    assert stabilized_louvain(graph, init, seed).assignment == expected.assignment
+    assert cluster(graph, "stabilized-louvain", seed, init).assignment == expected.assignment

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,12 +24,9 @@ from dynseg.search import (
     CscdTable,
     SearchSpec,
     SegmentStore,
-    bottom_up_search,
     build_table,
-    exhaustive_search,
     solve_cscd,
     solve_scd,
-    top_down_search,
     usable_cpus,
     worker_count,
 )
@@ -82,7 +80,7 @@ def brute_force_scores(network, spec):
 class TestExhaustive:
     def test_k1_single_entry(self):
         net = _network(k=1, l=1)
-        table = exhaustive_search(net, _spec())
+        table = build_table(net, _spec())
         assert set(table.entries) == {1}
         assert table.consensus_calls == 1
         out = table.entry(1).output
@@ -94,7 +92,7 @@ class TestExhaustive:
     def test_matches_brute_force(self, objective):
         net = _network(k=4, seed=3)
         spec = _spec(objective=objective, seed=11)
-        table = exhaustive_search(net, spec)
+        table = build_table(net, spec)
         oracle = brute_force_scores(net, spec)
         assert set(table.entries) == set(oracle)
         for l, score in oracle.items():
@@ -103,12 +101,23 @@ class TestExhaustive:
     def test_consensus_call_counter(self):
         for k in range(1, 7):
             net = _network(k=k, l=min(2, k), seed=k)
-            table = exhaustive_search(net, _spec(seed=5))
+            table = build_table(net, _spec(seed=5))
             assert table.consensus_calls == k * (k + 1) // 2
+
+    def test_store_bound_refuses_only_exhaustive(self, monkeypatch):
+        net = _network(k=4, seed=1)
+        size = 10 * (search._SEGMENT_BYTES + search._LABEL_BYTES * len(net.labels))
+        monkeypatch.setattr(search, "EXHAUSTIVE_MAX_STORE_BYTES", size - 1)
+        with pytest.raises(ValueError, match="10 segments over 16 nodes"):
+            build_table(net, _spec())
+        build_table(net, _spec("topdown"))
+        build_table(net, _spec("bottomup"))
+        monkeypatch.setattr(search, "EXHAUSTIVE_MAX_STORE_BYTES", size)
+        assert build_table(net, _spec()).consensus_calls == 10
 
     def test_entry_segment_counts(self):
         net = _network(k=5, seed=9)
-        table = exhaustive_search(net, _spec())
+        table = build_table(net, _spec())
         for l, entry in table.entries.items():
             assert entry.output.num_segments == l
             assert len(entry.output.partitions) == l
@@ -117,14 +126,14 @@ class TestExhaustive:
 class TestTopDown:
     def test_k1_identical_to_exhaustive(self):
         net = _network(k=1, l=1)
-        t_ex = exhaustive_search(net, _spec(seed=2))
-        t_td = top_down_search(net, _spec(seed=2))
+        t_ex = build_table(net, _spec(seed=2))
+        t_td = build_table(net, _spec("topdown", seed=2))
         assert t_td.entry(1).score == t_ex.entry(1).score
 
     def test_entry_k_is_all_singletons(self):
         net = _network(k=5, seed=1)
-        t_td = top_down_search(net, _spec(seed=4))
-        t_ex = exhaustive_search(net, _spec(seed=4))
+        t_td = build_table(net, _spec("topdown", seed=4))
+        t_ex = build_table(net, _spec(seed=4))
         assert t_td.entry(5).output.change_points.points == (1, 2, 3, 4)
         # identical partitions to the exhaustive entry (same memoized segments)
         for p, q in zip(t_td.entry(5).output.partitions,
@@ -134,26 +143,26 @@ class TestTopDown:
     def test_call_counter_bound(self):
         for k in (2, 4, 6):
             net = _network(k=k, seed=k + 10)
-            table = top_down_search(net, _spec(seed=0))
+            table = build_table(net, _spec("topdown", seed=0))
             assert table.consensus_calls <= k * (k + 1) // 2
 
 
 class TestBottomUp:
     def test_call_counts(self):
         net = _network(k=2, l=1, seed=7)
-        table = bottom_up_search(net, _spec(seed=0))
+        table = build_table(net, _spec("bottomup", seed=0))
         assert table.consensus_calls == 3  # 4k - 5 at k = 2
 
     def test_call_counter_bound(self):
         for k in (2, 3, 5, 8):
             net = _network(k=k, seed=k)
-            table = bottom_up_search(net, _spec(seed=1))
+            table = build_table(net, _spec("bottomup", seed=1))
             assert table.consensus_calls <= 4 * k - 5
 
     def test_entry_one_is_whole_network_consensus(self):
         net = _network(k=4, seed=6)
-        spec = _spec(seed=3)
-        table = bottom_up_search(net, spec)
+        spec = _spec("bottomup", seed=3)
+        table = build_table(net, spec)
         direct = segment_partition(net, (0, 3), Consensus.SUM_LOUVAIN, 3)
         assert table.entry(1).output.partitions[0].assignment == direct.assignment
 
@@ -185,9 +194,9 @@ class TestHeuristicDominance:
         assume(objective is not Criterion.BIC or num_observations(net) > 0)
         spec = SearchSpec("exhaustive", objective, consensus, seed)
         store = SegmentStore(net)
-        t_ex = exhaustive_search(net, spec, store)
-        t_td = top_down_search(net, spec, store)
-        t_bu = bottom_up_search(net, spec, store)
+        t_ex = build_table(net, spec, store)
+        t_td = build_table(net, replace(spec, strategy="topdown"), store)
+        t_bu = build_table(net, replace(spec, strategy="bottomup"), store)
         oracle = brute_force_scores(net, spec)
         assert set(t_ex.entries) == set(oracle) == set(range(1, net.k + 1))
         for l in t_ex.entries:
@@ -215,7 +224,7 @@ class TestSolvers:
         spec = _spec(seed=7)
         out = solve_cscd(net, 2, spec)
         oracle = brute_force_scores(net, spec)
-        table = exhaustive_search(net, spec)
+        table = build_table(net, spec)
         assert table.entry(2).score == oracle[2]
         assert out.change_points.points == table.entry(2).output.change_points.points
 

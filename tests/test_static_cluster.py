@@ -10,8 +10,6 @@ from dynseg.static_cluster import (
     WeightedGraph,
     cluster,
     label_propagation,
-    louvain,
-    stabilized_louvain,
     walktrap,
 )
 from label_graphs import (
@@ -110,8 +108,8 @@ def test_row_order_does_not_change_partitions(data, seed):
     cids = data.draw(st.lists(st.integers(0, 3), min_size=len(g.labels), max_size=len(g.labels)))
     init = Partition(dict(zip(g.labels, cids)))
     for run in (
-        lambda h: louvain(h, seed),
-        lambda h: stabilized_louvain(h, init, seed),
+        lambda h: cluster(h, "louvain", seed),
+        lambda h: cluster(h, "stabilized-louvain", seed, init),
         lambda h: label_propagation(h, seed),
     ):
         assert run(shuffled).assignment == run(g).assignment
@@ -131,8 +129,8 @@ def test_edge_orientation_does_not_change_partitions(data, seed):
     init = Partition(dict(zip(g.labels, cids)))
     for run in (
         walktrap,
-        lambda h: louvain(h, seed),
-        lambda h: stabilized_louvain(h, init, seed),
+        lambda h: cluster(h, "louvain", seed),
+        lambda h: cluster(h, "stabilized-louvain", seed, init),
         lambda h: label_propagation(h, seed),
     ):
         assert run(swapped).assignment == run(g).assignment
@@ -204,7 +202,7 @@ class TestLevelGraph:
 
 class TestLouvain:
     def test_two_triangles(self):
-        p = louvain(TWO_TRIANGLES, 0)
+        p = cluster(TWO_TRIANGLES, "louvain", 0)
         assert p == from_clusters(["abc", "def"])
         # matches the exhaustive optimum
         assert weighted_modularity(TWO_TRIANGLES, p) == pytest.approx(
@@ -213,10 +211,10 @@ class TestLouvain:
 
     def test_edgeless_graph_singletons(self):
         g = label_graph(["x", "y", "z"], {})
-        assert louvain(g, 1) == singletons("xyz")
+        assert cluster(g, "louvain", 1) == singletons("xyz")
 
     def test_single_clique_one_cluster(self):
-        p = louvain(K4, 0)
+        p = cluster(K4, "louvain", 0)
         assert p.num_clusters == 1
         assert weighted_modularity(K4, p) == pytest.approx(
             brute_force_best_modularity(K4)
@@ -225,14 +223,14 @@ class TestLouvain:
     def test_respects_weights(self):
         # path with one heavy edge: heavy pair clusters together
         g = _wg({("a", "b"): 10, ("b", "c"): 1, ("c", "d"): 10})
-        p = louvain(g, 0)
+        p = cluster(g, "louvain", 0)
         assert p.assignment["a"] == p.assignment["b"]
         assert p.assignment["c"] == p.assignment["d"]
 
     def test_determinism(self):
         for seed in (0, 1, 99):
-            p1 = louvain(TWO_TRIANGLES, seed)
-            p2 = louvain(TWO_TRIANGLES, seed)
+            p1 = cluster(TWO_TRIANGLES, "louvain", seed)
+            p2 = cluster(TWO_TRIANGLES, "louvain", seed)
             assert p1.assignment == p2.assignment
 
     def test_never_below_singletons(self):
@@ -248,30 +246,50 @@ class TestLouvain:
             if not edges:
                 continue
             g = label_graph(nodes, edges)
-            found = weighted_modularity(g, louvain(g, trial))
+            found = weighted_modularity(g, cluster(g, "louvain", trial))
             start = weighted_modularity(g, singletons(nodes))
             assert found >= start - 1e-12
 
 
 class TestStabilizedLouvain:
     def test_fixed_point(self):
-        base = louvain(TWO_TRIANGLES, 3)
-        again = stabilized_louvain(TWO_TRIANGLES, base, 3)
+        base = cluster(TWO_TRIANGLES, "louvain", 3)
+        again = cluster(TWO_TRIANGLES, "stabilized-louvain", 3, base)
         assert again.assignment == base.assignment
 
     def test_singleton_init_equals_louvain(self):
         init = singletons(TWO_TRIANGLES.nodes)
-        assert stabilized_louvain(TWO_TRIANGLES, init, 7).assignment == \
-            louvain(TWO_TRIANGLES, 7).assignment
+        assert cluster(TWO_TRIANGLES, "stabilized-louvain", 7, init).assignment == \
+            cluster(TWO_TRIANGLES, "louvain", 7).assignment
 
     def test_correct_split_kept(self):
         init = from_clusters(["abc", "def"])
-        assert stabilized_louvain(TWO_TRIANGLES, init, 0) == init
+        assert cluster(TWO_TRIANGLES, "stabilized-louvain", 0, init) == init
 
     def test_nodes_missing_from_init_become_singletons(self):
         init = from_clusters([["a", "b"]])
-        p = stabilized_louvain(TWO_TRIANGLES, init, 0)
+        p = cluster(TWO_TRIANGLES, "stabilized-louvain", 0, init)
         assert p.domain == TWO_TRIANGLES.nodes
+
+
+# Three triangles in a ring.  Joining two of them is a local optimum of
+# modularity that no clusterer reaches from scratch.
+TRIANGLE_RING = _wg({
+    ("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1,
+    ("d", "e"): 1, ("e", "f"): 1, ("d", "f"): 1,
+    ("g", "h"): 1, ("h", "i"): 1, ("g", "i"): 1,
+    ("c", "d"): 1, ("f", "g"): 1, ("i", "a"): 1,
+})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_init_matters_only_for_stabilized_louvain(kind):
+    init = from_clusters(["abcdef", "ghi"])
+    for seed in (0, 1, 2):
+        plain = cluster(TRIANGLE_RING, kind, seed)
+        assert plain != init
+        started = cluster(TRIANGLE_RING, kind, seed, init=init)
+        assert started == (init if kind == "stabilized-louvain" else plain)
 
 
 class TestLabelPropagation:
@@ -344,8 +362,8 @@ class TestWalktrap:
 
 class TestCommonContracts:
     METHODS = [
-        lambda g: louvain(g, 13),
-        lambda g: stabilized_louvain(g, singletons(g.nodes), 13),
+        lambda g: cluster(g, "louvain", 13),
+        lambda g: cluster(g, "stabilized-louvain", 13, singletons(g.nodes)),
         lambda g: label_propagation(g, 13),
         lambda g: walktrap(g),
     ]
