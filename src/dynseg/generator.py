@@ -113,9 +113,6 @@ def _feasible_next_sizes(sizes_prev: list[int], c_min: int, max_r: int) -> list[
     return feasible
 
 
-_TRANSITION_RETRIES = 1000
-
-
 def _split_hosts_needed(caps_desc: list[int], extras: int) -> int:
     """Fewest split hosts whose capacities cover `extras` extra pieces."""
     need = 0
@@ -150,6 +147,9 @@ def _sample_transition(
     Beyond the merges or splits forced by the layer size difference, a
     random churn amount adds extra split+merge pairs, biased high so that
     adjacent partitions cross rather than merely refine each other.
+
+    ``q`` comes from ``_feasible_next_sizes``, so some churn is feasible, and
+    the split hosts and merge counts drawn for it always fit in one pass.
     """
     p = len(sizes_prev)
     caps = [s // c_min - 1 for s in sizes_prev]
@@ -162,95 +162,81 @@ def _sample_transition(
         c for c in range(churn_lo, churn_hi + 1)
         if _churn_feasible(p, caps, f_min + c, a_min + c)
     ]
-    if not feasible_churn:
-        raise GenerationError(
-            f"no valid transition from layer sizes {sizes_prev} to {q} clusters"
-        )
-    for _ in range(_TRANSITION_RETRIES):
-        # max of two draws biases churn high without pinning it
-        churn = max(
-            feasible_churn[int(rng.integers(0, len(feasible_churn)))],
-            feasible_churn[int(rng.integers(0, len(feasible_churn)))],
-        )
-        extra_rights = f_min + churn
-        extra_lefts = a_min + churn
-
-        # split events: fans sum to num_splits + extra_rights, hosts need capacity
-        hosts: list[int] = []
-        fans: list[int] = []
-        if extra_rights > 0:
-            eligible = [u for u in range(p) if caps[u] >= 1]
-            s_need = _split_hosts_needed(
-                sorted((caps[u] for u in eligible), reverse=True), extra_rights
-            )
-            s_max = min(extra_rights, len(eligible),
-                        p - extra_lefts - (1 if extra_lefts else 0))
-            if s_need > s_max:
-                continue
-            num_splits = int(rng.integers(s_need, s_max + 1))
-            order = [eligible[int(i)] for i in rng.permutation(len(eligible))]
-            hosts = order[:num_splits]
-            spare = sorted(order[num_splits:], key=lambda u: caps[u])
-            while sum(caps[u] for u in hosts) < extra_rights and spare:
-                weakest = min(hosts, key=lambda u: caps[u])
-                strongest = spare.pop()
-                if caps[strongest] <= caps[weakest]:
-                    break
-                hosts[hosts.index(weakest)] = strongest
-            if sum(caps[u] for u in hosts) < extra_rights:
-                continue
-            fans = [2] * num_splits
-            room = [caps[u] - 1 for u in hosts]
-            for _ in range(extra_rights - num_splits):
-                open_slots = [i for i in range(num_splits) if room[i] > 0]
-                slot = int(open_slots[rng.integers(0, len(open_slots))])
-                fans[slot] += 1
-                room[slot] -= 1
-
-        # merge events: arities sum to num_merges + extra_lefts
-        arities: list[int] = []
-        if extra_lefts > 0:
-            m_max = p - extra_lefts - len(hosts)
-            if m_max < 1:
-                continue
-            num_merges = int(rng.integers(1, min(extra_lefts, m_max) + 1))
-            arities = [2] * num_merges
-            for _ in range(extra_lefts - num_merges):
-                arities[int(rng.integers(0, num_merges))] += 1
-
-        host_set = set(hosts)
-        pool = [int(u) for u in rng.permutation(p) if int(u) not in host_set]
-        events: list[tuple[list[int], int]] = [([u], f) for u, f in zip(hosts, fans)]
-        pos = 0
-        for a in arities:
-            events.append((pool[pos: pos + a], 1))
-            pos += a
-        events.extend(([u], 1) for u in pool[pos:])
-
-        right_order = [int(v) for v in rng.permutation(q)]
-        edges: list[tuple[int, int, int]] = []
-        sizes_next = [0] * q
-        pos = 0
-        for left_ids, fan in events:
-            if fan == 1:
-                v = right_order[pos]
-                pos += 1
-                for u in left_ids:
-                    edges.append((u, v, sizes_prev[u]))
-                    sizes_next[v] += sizes_prev[u]
-            else:
-                u = left_ids[0]
-                vs = right_order[pos: pos + fan]
-                pos += fan
-                pieces = _random_sizes(sizes_prev[u], fan, c_min, rng)
-                for v, piece in zip(vs, pieces):
-                    edges.append((u, v, piece))
-                    sizes_next[v] += piece
-        edges.sort()
-        return edges, sizes_next
-    raise GenerationError(
-        f"no valid transition from layer sizes {sizes_prev} to {q} clusters"
+    # max of two draws biases churn high without pinning it
+    churn = max(
+        feasible_churn[int(rng.integers(0, len(feasible_churn)))],
+        feasible_churn[int(rng.integers(0, len(feasible_churn)))],
     )
+    extra_rights = f_min + churn
+    extra_lefts = a_min + churn
+
+    # split events: fans sum to num_splits + extra_rights, hosts need capacity
+    hosts: list[int] = []
+    fans: list[int] = []
+    if extra_rights > 0:
+        eligible = [u for u in range(p) if caps[u] >= 1]
+        s_need = _split_hosts_needed(
+            sorted((caps[u] for u in eligible), reverse=True), extra_rights
+        )
+        s_max = min(extra_rights, len(eligible),
+                    p - extra_lefts - (1 if extra_lefts else 0))
+        num_splits = int(rng.integers(s_need, s_max + 1))
+        order = [eligible[int(i)] for i in rng.permutation(len(eligible))]
+        hosts = order[:num_splits]
+        spare = sorted(order[num_splits:], key=lambda u: caps[u])
+        while sum(caps[u] for u in hosts) < extra_rights and spare:
+            weakest = min(hosts, key=lambda u: caps[u])
+            strongest = spare.pop()
+            if caps[strongest] <= caps[weakest]:
+                break
+            hosts[hosts.index(weakest)] = strongest
+        fans = [2] * num_splits
+        room = [caps[u] - 1 for u in hosts]
+        for _ in range(extra_rights - num_splits):
+            open_slots = [i for i in range(num_splits) if room[i] > 0]
+            slot = int(open_slots[rng.integers(0, len(open_slots))])
+            fans[slot] += 1
+            room[slot] -= 1
+
+    # merge events: arities sum to num_merges + extra_lefts
+    arities: list[int] = []
+    if extra_lefts > 0:
+        m_max = p - extra_lefts - len(hosts)
+        num_merges = int(rng.integers(1, min(extra_lefts, m_max) + 1))
+        arities = [2] * num_merges
+        for _ in range(extra_lefts - num_merges):
+            arities[int(rng.integers(0, num_merges))] += 1
+
+    host_set = set(hosts)
+    pool = [int(u) for u in rng.permutation(p) if int(u) not in host_set]
+    events: list[tuple[list[int], int]] = [([u], f) for u, f in zip(hosts, fans)]
+    pos = 0
+    for a in arities:
+        events.append((pool[pos: pos + a], 1))
+        pos += a
+    events.extend(([u], 1) for u in pool[pos:])
+
+    right_order = [int(v) for v in rng.permutation(q)]
+    edges: list[tuple[int, int, int]] = []
+    sizes_next = [0] * q
+    pos = 0
+    for left_ids, fan in events:
+        if fan == 1:
+            v = right_order[pos]
+            pos += 1
+            for u in left_ids:
+                edges.append((u, v, sizes_prev[u]))
+                sizes_next[v] += sizes_prev[u]
+        else:
+            u = left_ids[0]
+            vs = right_order[pos: pos + fan]
+            pos += fan
+            pieces = _random_sizes(sizes_prev[u], fan, c_min, rng)
+            for v, piece in zip(vs, pieces):
+                edges.append((u, v, piece))
+                sizes_next[v] += piece
+    edges.sort()
+    return edges, sizes_next
 
 
 def build_partition_graph(cfg: GeneratorConfig, rng: np.random.Generator) -> PartitionGraph:

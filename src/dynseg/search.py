@@ -1,18 +1,19 @@
-"""Search over change point sets.
+"""Search over segmentations: tuples of (start, end) snapshot ranges.
 
 ``build_table`` is the one entry point: it reads the strategy from
-``SearchSpec.strategy`` alone and fills a table with one best output per
-possible number of segments; the final solution is the table entry
-maximizing a penalized likelihood criterion.  A table memoizes its additive
-segment scores by (start, end), and a per-network SegmentStore memoizes the
-partitions, so a table's consensus_calls is exactly the number of distinct
-segments it evaluated: (k^2+k)/2 for the exhaustive dynamic program, at most
-that for top-down splitting, and at most 4k-5 for bottom-up merging.  Tables
-built under several objectives on one store cluster each shared segment
-once.  The exhaustive program fills the store with all its segments up
-front, in worker processes when the store may use more than one and the
-segments hold enough edges to repay starting them; a table whose store
-would outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
+``SearchSpec.strategy`` alone, whose search returns one best segmentation
+per possible number of segments, and the table holds each as an output;
+the final solution is the table entry maximizing a penalized likelihood
+criterion.  A table memoizes its additive segment scores by (start, end),
+and a per-network SegmentStore memoizes the partitions, so a table's
+consensus_calls is exactly the number of distinct segments it evaluated:
+(k^2+k)/2 for the exhaustive dynamic program, at most that for top-down
+splitting, and at most 4k-5 for bottom-up merging.  Tables built under
+several objectives on one store cluster each shared segment once.  The
+exhaustive program fills the store with all its segments up front, in
+worker processes when the store may use more than one and the segments
+hold enough edges to repay starting them; a table whose store would
+outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ MIN_PARALLEL_EDGE_VISITS = 100_000
 # falls near k = 1,300, and on a 2-node network near k = 2,100.
 EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
 _SEGMENT_BYTES, _LABEL_BYTES = 450, 16
+
+# A search's result: one segmentation, (start, end) ranges in time order, per l.
+_PerL = dict[int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -270,17 +274,17 @@ class _SegmentScorer:
             self._scores[start, end] = s
         return s
 
-    def entry_for(self, points: tuple[int, ...]) -> CscdEntry:
-        """Table entry of a change point set, summed left to right from the memo."""
-        cps = ChangePointSet(points, self.network.k)
+    def entry_for(self, segments: tuple[tuple[int, int], ...]) -> CscdEntry:
+        """Table entry of a segmentation, summed left to right from the memo."""
         parts: list[Partition] = []
         raw, ll, n_par = 0.0, 0.0, 0
-        for start, end in cps.segmentation():
+        for start, end in segments:
             raw += self.score(start, end)
             seg = self.store.segment(self.consensus, self.seed, start, end, with_ll=True)
             parts.append(seg.partition)
             ll += seg.log_likelihood
             n_par += seg.num_parameters
+        cps = ChangePointSet(tuple(start for start, _ in segments[1:]), self.network.k)
         return CscdEntry(
             output=ScdOutput(cps, tuple(parts)),
             score=raw / self.network.k if self.weight is None else raw,
@@ -288,8 +292,8 @@ class _SegmentScorer:
             num_parameters=n_par,
         )
 
-    def table(self, per_l_points: dict[int, tuple[int, ...]]) -> CscdTable:
-        entries = {l: self.entry_for(pts) for l, pts in per_l_points.items()}
+    def table(self, per_l: _PerL) -> CscdTable:
+        entries = {l: self.entry_for(segments) for l, segments in per_l.items()}
         return CscdTable(
             entries=entries,
             consensus_calls=len(self._scores),  # distinct segments asked for
@@ -298,13 +302,13 @@ class _SegmentScorer:
         )
 
 
-def _exhaustive(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
-    """Optimal change points per l via dynamic programming over last-segment
+def _exhaustive(scorer: _SegmentScorer) -> _PerL:
+    """Optimal segmentation per l via dynamic programming over last-segment
     start times.
 
-    best[i][l] scores the best l-segment solution of the first i snapshots;
-    it extends best[t][l-1] with the one-segment suffix [t, i-1].  Ties keep
-    the smallest last-segment start time.
+    best[i][l] scores the best l-segment segmentation of the first i
+    snapshots; it extends best[t][l-1] with the one-segment suffix [t, i-1].
+    Ties keep the smallest last-segment start time.
     """
     k = scorer.network.k
     scorer.store.fill(
@@ -323,58 +327,62 @@ def _exhaustive(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
             t = max((0,) if l == 1 else range(l - 1, i), key=extend)
             best[i][l], back[i][l] = extend(t), t
 
-    per_l: dict[int, tuple[int, ...]] = {}
+    per_l: _PerL = {}
     for l in range(1, k + 1):
-        points, i = [], k
-        for ll in range(l, 1, -1):
-            i = back[i][ll]
-            points.append(i)
-        per_l[l] = tuple(reversed(points))
+        segs, i = [], k
+        for ll in range(l, 0, -1):
+            t = back[i][ll]
+            segs.append((t, i - 1))
+            i = t
+        per_l[l] = tuple(reversed(segs))
     return per_l
 
 
-def _top_down(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
-    """Greedy splitting from one whole-network segment down to singletons.
+def _top_down(scorer: _SegmentScorer) -> _PerL:
+    """Greedy splitting of one segmentation, from the whole network down to
+    singletons.
 
-    Each iteration inserts the untaken time point whose split yields the
-    largest objective gain; equal gains go to the smallest time point.
+    Each iteration splits the segment at the time point with the largest
+    objective gain; candidates run in time order, so equal gains go to the
+    smallest time point.
     """
     k = scorer.network.k
-    points: list[int] = []
-    per_l: dict[int, tuple[int, ...]] = {1: ()}
+    segs = [(0, k - 1)]
+
+    def gain(split: tuple[int, int]) -> float:
+        i, t = split
+        start, end = segs[i]
+        return scorer.score(start, t - 1) + scorer.score(t, end) - scorer.score(start, end)
+
+    per_l: _PerL = {1: tuple(segs)}
     for l in range(2, k + 1):
-        cps = ChangePointSet(tuple(points), k)
-        segments = cps.segmentation()
-
-        def gain(t: int) -> float:
-            start, end = segments[cps.seg_index(t)]
-            return scorer.score(start, t - 1) + scorer.score(t, end) - scorer.score(start, end)
-
-        points.append(max((t for t in range(1, k) if t not in points), key=gain))
-        points.sort()
-        per_l[l] = tuple(points)
+        splits = ((i, t) for i, (start, end) in enumerate(segs) for t in range(start + 1, end + 1))
+        i, t = max(splits, key=gain)
+        start, end = segs[i]
+        segs[i:i + 1] = [(start, t - 1), (t, end)]
+        per_l[l] = tuple(segs)
     return per_l
 
 
-def _bottom_up(scorer: _SegmentScorer) -> dict[int, tuple[int, ...]]:
-    """Greedy merging from singleton segments up to one whole-network segment.
+def _bottom_up(scorer: _SegmentScorer) -> _PerL:
+    """Greedy merging of one segmentation, from singletons up to the whole
+    network.
 
-    Each iteration removes the change point whose merge yields the largest
-    objective gain; equal gains go to the leftmost pair.
+    Each iteration replaces the adjacent pair whose merge yields the largest
+    objective gain by their union; equal gains go to the leftmost pair.
     """
     k = scorer.network.k
-    points = list(range(1, k))
-    per_l: dict[int, tuple[int, ...]] = {k: tuple(points)}
+    segs = [(t, t) for t in range(k)]
+
+    def gain(i: int) -> float:
+        (s1, e1), (s2, e2) = segs[i], segs[i + 1]
+        return scorer.score(s1, e2) - scorer.score(s1, e1) - scorer.score(s2, e2)
+
+    per_l: _PerL = {k: tuple(segs)}
     for l in range(k - 1, 0, -1):
-        cps = ChangePointSet(tuple(points), k)
-        segs = cps.segmentation()
-
-        def gain(idx: int) -> float:
-            (s1, e1), (s2, e2) = segs[idx], segs[idx + 1]
-            return scorer.score(s1, e2) - scorer.score(s1, e1) - scorer.score(s2, e2)
-
-        points.remove(segs[max(range(len(segs) - 1), key=gain) + 1][0])
-        per_l[l] = tuple(points)
+        i = max(range(l), key=gain)
+        segs[i:i + 2] = [(segs[i][0], segs[i + 1][1])]
+        per_l[l] = tuple(segs)
     return per_l
 
 

@@ -389,6 +389,12 @@ class TestEvaluate:
                               "--truth", str(truth))
         rows = kv(stdout)
         assert set(rows) == {"sim_t_nmi", "sim_p_nmi", "sim_b_nmi"}
+        # an empty item in the list is skipped
+        code, stdout, _ = run(capsys, "evaluate", "--pred", str(truth),
+                              "--truth", str(truth), "--metrics", "nmi,,ari")
+        assert code == 0
+        assert set(kv(stdout)) == {f"{axis}_{m}" for axis in ("sim_t", "sim_p", "sim_b")
+                                   for m in ("nmi", "ari")}
 
     def test_k_mismatch(self, scg_files, tmp_path, capsys):
         _, truth = scg_files
@@ -446,6 +452,10 @@ class TestEvaluate:
                            "--truth", str(truth), "--metrics", "f1")
         assert code == 1
         assert err == "error: unknown metric 'f1' (use nmi,ami,ari,vm)\n"
+        code, stdout, err = run(capsys, "evaluate", "--pred", str(truth),
+                                "--truth", str(truth), "--metrics", ",")
+        assert code == 1
+        assert err == "error: no metrics requested\n" and stdout == ""
 
 
 class TestRank:
@@ -609,6 +619,8 @@ class TestBenchmark:
         (("--l-values", "1,9"), "l <= k"),
         (("--cmin", "11"), "2*c_min <= n"),
         (("--l-values", "2,1,2"), "--l-values repeats a segment count: 2,1,2"),
+        (("--l-values", ","), "--l-values must name at least one segment count"),
+        (("--compare", "bic:sum-lpa:bottomup"), "--compare takes exactly two configurations"),
     ])
     def test_bad_grid_rejected_before_workers(self, tmp_path, capsys, set_cpus,
                                               inline_pool, flags, message):

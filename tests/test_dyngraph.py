@@ -215,7 +215,13 @@ class TestSegmentation:
         ("# header\nsegment 1 3\n", "line 2: first segment must start at time 0"),
         ("segment 0 1\nsegment 2 1\n", r"line 2: bad segment range \(2, 1\)"),
         ("segment 0 -1\n", r"line 1: bad segment range \(0, -1\)"),
-    ], ids=["overlap", "late-start", "end-before-start", "negative-end"])
+        ("segment 0\n", "line 1: segment line needs start and end"),
+        ("segment a b\n", "line 1: bad segment bounds"),
+        ("cluster 0: a\nsegment 0 0\n", "line 1: cluster line before any segment line"),
+        ("segment 0 0\nedge a b\n", "line 2: unrecognized line 'edge a b'"),
+        ("# header\n\n# no segment\n", "no segments found"),
+    ], ids=["overlap", "late-start", "end-before-start", "negative-end", "one-bound",
+            "non-integer-bounds", "cluster-first", "unrecognized", "comments-only"])
     def test_load_checks_contiguity_by_line(self, text, message):
         with pytest.raises(FormatError, match=f"^{message}$"):
             load_output(text)

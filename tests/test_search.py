@@ -504,3 +504,124 @@ class TestParallelFill:
         assert worker_count(64, 528) == 2
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert usable_cpus() == 64
+
+
+def _reference_top_down(k, score):
+    """Split one segment at a time; equal gains go to the smallest t."""
+    points, per_l = [], {1: ()}
+    for l in range(2, k + 1):
+        best_t, best_gain = None, None
+        for t in range(1, k):
+            if t in points:
+                continue
+            start = max([0] + [p for p in points if p < t])
+            end = min([k] + [p for p in points if p > t]) - 1
+            gain = score(start, t - 1) + score(t, end) - score(start, end)
+            if best_gain is None or gain > best_gain:
+                best_t, best_gain = t, gain
+        points = sorted(points + [best_t])
+        per_l[l] = tuple(points)
+    return per_l
+
+
+def _reference_bottom_up(k, score):
+    """Merge one adjacent pair at a time; equal gains go to the leftmost pair."""
+    segs, per_l = [[t, t] for t in range(k)], {k: tuple(range(1, k))}
+    for l in range(k - 1, 0, -1):
+        gains = [score(segs[i][0], segs[i + 1][1]) - score(*segs[i]) - score(*segs[i + 1])
+                 for i in range(len(segs) - 1)]
+        i = gains.index(max(gains))
+        segs[i:i + 2] = [[segs[i][0], segs[i + 1][1]]]
+        per_l[l] = tuple(s for s, _ in segs[1:])
+    return per_l
+
+
+def _reference_exhaustive(k, score):
+    """Best l-segment split of each prefix by recursion; equal totals keep the
+    smallest last-segment start."""
+    memo = {}
+
+    def best(i, l):  # (total, points) of the first i snapshots in l segments
+        if (i, l) not in memo:
+            if l == 1:
+                memo[i, l] = (score(0, i - 1), ())
+            else:
+                options = [(best(t, l - 1)[0] + score(t, i - 1), t) for t in range(l - 1, i)]
+                top = max(total for total, _ in options)
+                t = min(t for total, t in options if total == top)
+                memo[i, l] = (top, best(t, l - 1)[1] + (t,))
+        return memo[i, l]
+
+    return {l: best(k, l)[1] for l in range(1, k + 1)}
+
+
+_REFERENCES = {
+    "topdown": _reference_top_down,
+    "bottomup": _reference_bottom_up,
+    "exhaustive": _reference_exhaustive,
+}
+
+
+def _path_network(k):
+    """k snapshots of one edge: clustering each segment costs next to nothing."""
+    return DynamicNetwork([Snapshot(["a", "b"], [("a", "b")]) for _ in range(k)])
+
+
+@st.composite
+def tied_scores(draw):
+    """A network length and integer segment scores from a range of three, so
+    most gains tie."""
+    k = draw(st.integers(1, 30))
+    values = draw(st.lists(st.integers(-1, 1), min_size=k * (k + 1) // 2,
+                           max_size=k * (k + 1) // 2))
+    segments = [(t, i) for i in range(k) for t in range(i + 1)]
+    return k, dict(zip(segments, map(float, values)))
+
+
+class TestTieRules:
+    """With integer scores every sum is exact, so a table equals the plain
+    reference whenever it breaks ties by the same rule."""
+
+    @staticmethod
+    def _table_points(strategy, k, scores):
+        """Each entry's change points, checked against the reference."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search._SegmentScorer, "score", lambda self, start, end: scores[start, end])
+            table = build_table(_path_network(k), _spec(strategy))
+        got = {l: e.output.change_points.points for l, e in table.entries.items()}
+        assert got == _REFERENCES[strategy](k, lambda start, end: scores[start, end])
+        return got
+
+    @pytest.mark.parametrize("strategy", list(_REFERENCES))
+    @settings(max_examples=30, deadline=None)
+    @given(case=tied_scores())
+    def test_ties_follow_the_reference(self, strategy, case):
+        self._table_points(strategy, *case)
+
+    @pytest.mark.parametrize("strategy, points_of", [
+        ("topdown", lambda k, l: tuple(range(1, l))),            # smallest t first
+        ("bottomup", lambda k, l: tuple(range(k - l + 1, k))),   # leftmost pairs merge
+        ("exhaustive", lambda k, l: tuple(range(1, l))),         # smallest last start
+    ], ids=["topdown", "bottomup", "exhaustive"])
+    def test_all_scores_equal(self, strategy, points_of):
+        k = 30
+        scores = {(t, i): 1.0 for i in range(k) for t in range(i + 1)}
+        got = self._table_points(strategy, k, scores)
+        assert got == {l: points_of(k, l) for l in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
+def test_one_change_point_set_per_entry(monkeypatch, strategy):
+    """The searches edit segment ranges; only the table entry builds a
+    ChangePointSet."""
+    made = []
+
+    class Counting(ChangePointSet):
+        def __post_init__(self):
+            made.append(self.points)
+            super().__post_init__()
+
+    monkeypatch.setattr(search, "ChangePointSet", Counting)
+    net = _network(k=7, seed=2)
+    table = build_table(net, _spec(strategy))
+    assert len(made) == net.k == len(table.entries)
