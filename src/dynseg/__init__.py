@@ -2,7 +2,6 @@
 
 from .consensus import Consensus
 from .dyngraph import (
-    ChangePointSet,
     DynamicNetwork,
     Partition,
     ScdOutput,
@@ -16,7 +15,6 @@ from .search import SearchSpec, build_table, solve_cscd, solve_scd
 from .static_cluster import WeightedGraph
 
 __all__ = [
-    "ChangePointSet",
     "Consensus",
     "Criterion",
     "DynamicNetwork",

@@ -2,15 +2,14 @@
 segment-community outputs, plus the text formats used to exchange them.
 
 A dynamic network is an ordered sequence of snapshots (undirected simple
-graphs over string node labels).  A change point set over k snapshots is a
-strictly increasing sequence of time indices in [1, k-1]; it induces a
-segmentation into contiguous segments, each of which carries one node
-partition in a full solution.
+graphs over string node labels).  A segmentation of k snapshots is a tuple
+of contiguous (start, end) ranges covering 0..k-1 in time order; the start
+of every segment after the first is a change point.  A full solution
+carries one node partition per segment.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -166,40 +165,6 @@ def _sorted_records(k: int, t: np.ndarray, *columns: np.ndarray) -> list[np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class ChangePointSet:
-    """Strictly increasing time indices in [1, k-1]; time 0 is implicit."""
-
-    points: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        prev = 0
-        for t in self.points:
-            if not 1 <= t <= self.k - 1:
-                raise ValueError(f"change point {t} outside [1, {self.k - 1}]")
-            if t <= prev:
-                raise ValueError("change points must be strictly increasing")
-            prev = t
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.points) + 1
-
-    def segmentation(self) -> tuple[tuple[int, int], ...]:
-        """The (start, end) range of each segment, in time order."""
-        ends = tuple(t - 1 for t in self.points) + (self.k - 1,)
-        return tuple(zip((0,) + self.points, ends))
-
-    def seg_index(self, j: int) -> int:
-        """Index of the segment containing snapshot j."""
-        if not 0 <= j <= self.k - 1:
-            raise ValueError(f"time index {j} outside [0, {self.k - 1}]")
-        return bisect.bisect_right(self.points, j)
-
-
 def dense_codes(ids: Iterable[int]) -> np.ndarray:
     """Integer ids renumbered 0, 1, ... in order of first appearance, as a
     read-only array."""
@@ -277,28 +242,43 @@ class Partition:
 
 @dataclass(frozen=True)
 class ScdOutput:
-    """A solution pair: change point set plus one partition per segment."""
+    """A solution: contiguous (start, end) segments from snapshot 0, in time
+    order, and one partition per segment."""
 
-    change_points: ChangePointSet
+    segments: tuple[tuple[int, int], ...]
     partitions: tuple[Partition, ...]
 
     def __post_init__(self):
-        if len(self.partitions) != self.change_points.num_segments:
+        if not self.segments:
+            raise ValueError("an output needs at least one segment")
+        if self.segments[0][0] != 0:
+            raise ValueError(f"first segment starts at {self.segments[0][0]}, not at time 0")
+        next_start = 0
+        for start, end in self.segments:
+            if start != next_start:
+                raise ValueError(
+                    f"segment ({start}, {end}) does not start right after snapshot {next_start - 1}"
+                )
+            if end < start:
+                raise ValueError(f"segment ({start}, {end}) ends before it starts")
+            next_start = end + 1
+        if len(self.partitions) != len(self.segments):
             raise ValueError(
-                f"{self.change_points.num_segments} segments but "
-                f"{len(self.partitions)} partitions"
+                f"{len(self.segments)} segments but {len(self.partitions)} partitions"
             )
 
     @property
     def k(self) -> int:
-        return self.change_points.k
+        return self.segments[-1][1] + 1
 
     @property
     def num_segments(self) -> int:
-        return self.change_points.num_segments
+        return len(self.segments)
 
-    def segmentation(self) -> tuple[tuple[int, int], ...]:
-        return self.change_points.segmentation()
+    @property
+    def change_points(self) -> tuple[int, ...]:
+        """The start of every segment after the first."""
+        return tuple(start for start, _ in self.segments[1:])
 
     def validate_for(self, network: DynamicNetwork, exact: bool = True) -> None:
         """Check the per-segment domains against a network; raises on mismatch.
@@ -309,7 +289,7 @@ class ScdOutput:
         if network.k != self.k:
             raise ValueError(f"output covers k={self.k}, network has k={network.k}")
         labels = network.labels
-        for p, (start, end) in zip(self.partitions, self.segmentation()):
+        for p, (start, end) in zip(self.partitions, self.segments):
             ids = np.unique(network.segment_node_ids(start, end))
             nodes = tuple(labels[i] for i in ids.tolist())
             if nodes == p.labels:
@@ -408,7 +388,7 @@ def dump_dynamic_network(network: DynamicNetwork) -> str:
 
 def dump_output(output: ScdOutput) -> str:
     out: list[str] = []
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
+    for p, (start, end) in zip(output.partitions, output.segments):
         out.append(f"segment {start} {end}")
         members: list[list[str]] = [[] for _ in range(p.num_clusters)]
         for u, c in zip(p.labels, p.codes.tolist()):
@@ -460,7 +440,4 @@ def load_output(source: TextIO | str) -> ScdOutput:
             raise FormatError(f"unrecognized line {line!r}", line_no)
     if not segments:
         raise FormatError("no segments found")
-    k = segments[-1][1] + 1
-    points = tuple(start for start, _ in segments[1:])
-    partitions = tuple(Partition(a) for a in assignments)
-    return ScdOutput(ChangePointSet(points, k), partitions)
+    return ScdOutput(tuple(segments), tuple(Partition(a) for a in assignments))

@@ -10,6 +10,7 @@ time-point partition (segmentation axis), per-snapshot segment partitions
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -140,9 +141,10 @@ def _overlaps(o1: ScdOutput, o2: ScdOutput) -> list[tuple[int, int, int, int]]:
     past-the-last snapshot, and both segments' indices."""
     if o1.k != o2.k:
         raise ValueError("outputs cover different numbers of snapshots")
-    starts = sorted({s for o in (o1, o2) for s, _ in o.segmentation()}) + [o1.k]
+    points1, points2 = o1.change_points, o2.change_points
+    starts = sorted({0, *points1, *points2}) + [o1.k]
     return [
-        (lo, hi, o1.change_points.seg_index(lo), o2.change_points.seg_index(lo))
+        (lo, hi, bisect.bisect_right(points1, lo), bisect.bisect_right(points2, lo))
         for lo, hi in zip(starts, starts[1:])
     ]
 
@@ -258,7 +260,7 @@ def ranking_from_cscd(table) -> TimePointRanking:
     """Score each time point by the smallest segment count whose solution uses it."""
     scores = {t: float(table.k) for t in range(1, table.k)}
     for l in sorted(table.entries, reverse=True):  # smaller l overwrite larger
-        for t in table.entries[l].output.change_points.points:
+        for t in table.entries[l].output.change_points:
             scores[t] = float(l)
     return TimePointRanking(scores, table.k)
 
@@ -270,16 +272,13 @@ class ClassificationScores:
     auroc: float
 
 
-def classification_positives(truth: ScdOutput | Sequence[int], k: int) -> set[int]:
-    """The true change points of ``truth`` on 1 .. k-1.
+def classification_positives(true_points: Sequence[int], k: int) -> set[int]:
+    """The true change points as a set, on 1 .. k-1.
 
     Raises ``ValueError`` unless the classification can score them: it needs
     at least one true change point and one true non-change point.
     """
-    if isinstance(truth, ScdOutput):
-        positives = set(truth.change_points.points)
-    else:
-        positives = set(int(t) for t in truth)
+    positives = set(int(t) for t in true_points)
     if not positives or positives >= set(range(1, k)):
         raise ValueError(
             "classification needs at least one true change point and one true non-change point"
@@ -288,11 +287,11 @@ def classification_positives(truth: ScdOutput | Sequence[int], k: int) -> set[in
 
 
 def change_point_classification(
-    ranking: TimePointRanking, truth: ScdOutput | Sequence[int]
+    ranking: TimePointRanking, true_points: Sequence[int]
 ) -> ClassificationScores:
     """Sweep the ranked candidates top-1 .. top-(k-1) against the true points."""
     k = ranking.k
-    positives = classification_positives(truth, k)
+    positives = classification_positives(true_points, k)
     candidates = ranking.ordered()
     num_pos = len(positives)
     num_neg = (k - 1) - num_pos

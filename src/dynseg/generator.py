@@ -1,6 +1,6 @@
 """Synthetic dynamic networks with an embedded ground-truth solution.
 
-Generation has four steps: sample the ground-truth change points, build a
+Generation has four steps: sample the ground-truth segments, build a
 layered partition graph describing how clusters evolve between adjacent
 segments (merge, split, or continue), turn that graph into concrete segment
 partitions over nodes 0..n-1, and draw every snapshot of a segment from a
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import rng_for
-from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput
+from .dyngraph import DynamicNetwork, Partition, ScdOutput
 
 
 class GenerationError(RuntimeError):
@@ -43,6 +43,9 @@ class GeneratorConfig:
             raise ValueError("c_min must be at least 1")
         if 2 * self.c_min > self.n:
             raise ValueError("need room for at least two clusters: 2*c_min <= n")
+        if self.l >= 2 and 3 * self.c_min > self.n:
+            # two clusters admit no transition, so a change needs a third
+            raise ValueError("need room for three clusters when l >= 2: 3*c_min <= n")
         if not 0 < self.c_in <= self.n:
             raise ValueError("c_in must be in (0, n]")
         if not 0 <= self.c_out <= self.c_in:
@@ -72,12 +75,13 @@ class PartitionGraph:
     transitions: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
-def sample_change_points(k: int, l: int, rng: np.random.Generator) -> ChangePointSet:
-    """l-1 distinct time points drawn uniformly from [1, k-1], sorted."""
+def sample_segments(k: int, l: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """l segments of 0..k-1, split at l-1 distinct change points drawn
+    uniformly from [1, k-1]."""
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    points = rng.choice(np.arange(1, k), size=l - 1, replace=False)
-    return ChangePointSet(tuple(int(t) for t in sorted(points)), k)
+    starts = [0] + sorted(rng.choice(np.arange(1, k), size=l - 1, replace=False).tolist())
+    return tuple(zip(starts, [t - 1 for t in starts[1:]] + [k - 1]))
 
 
 def _random_sizes(total: int, parts: int, c_min: int, rng: np.random.Generator) -> list[int]:
@@ -240,10 +244,17 @@ def _sample_transition(
 
 
 def build_partition_graph(cfg: GeneratorConfig, rng: np.random.Generator) -> PartitionGraph:
-    """Sample the layered evolution plan, one feasible transition at a time."""
+    """Sample the layered evolution plan, one feasible transition at a time.
+
+    The first layer is redrawn until some second layer is reachable from it;
+    three clusters always merge into two, so the draws end.
+    """
     max_r = cfg.max_clusters
-    r0 = int(rng.integers(2, max_r + 1))
-    sizes = _random_sizes(cfg.n, r0, cfg.c_min, rng)
+    while True:
+        r0 = int(rng.integers(2, max_r + 1))
+        sizes = _random_sizes(cfg.n, r0, cfg.c_min, rng)
+        if cfg.l == 1 or _feasible_next_sizes(sizes, cfg.c_min, max_r):
+            break
     layer_sizes = [r0]
     cluster_sizes = [tuple(sizes)]
     transitions: list[tuple[tuple[int, int, int], ...]] = []
@@ -310,7 +321,7 @@ def generate_snapshots(
     iu, iv = np.triu_indices(n, k=1)
     index = {str(u): u for u in range(n)}  # node u is labelled str(u)
     edges: list[np.ndarray] = []
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
+    for p, (start, end) in zip(output.partitions, output.segments):
         memb = p.codes_by_id(index)
         same = memb[iu] == memb[iv]
         probs = np.where(same, p_in, p_out)
@@ -324,11 +335,9 @@ def generate_snapshots(
 
 def generate(cfg: GeneratorConfig) -> tuple[DynamicNetwork, ScdOutput]:
     """Full pipeline; a pure function of the configuration (seed included)."""
-    change_points = sample_change_points(
-        cfg.k, cfg.l, rng_for(cfg.seed, "change-points")
-    )
+    segments = sample_segments(cfg.k, cfg.l, rng_for(cfg.seed, "change-points"))
     graph = build_partition_graph(cfg, rng_for(cfg.seed, "partition-graph"))
     partitions = derive_segment_partitions(graph, cfg.n, rng_for(cfg.seed, "memberships"))
-    truth = ScdOutput(change_points, tuple(partitions))
+    truth = ScdOutput(segments, tuple(partitions))
     network = generate_snapshots(truth, cfg, rng_for(cfg.seed, "snapshots"))
     return network, truth

@@ -176,7 +176,7 @@ def segment_log_likelihood(
 def log_likelihood(output: ScdOutput, network: DynamicNetwork) -> float:
     """Sum of per-segment log-likelihoods (segments are independent)."""
     total = 0.0
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
+    for p, (start, end) in zip(output.partitions, output.segments):
         total += segment_log_likelihood(network, start, end, p)
     return total
 

@@ -12,7 +12,7 @@ splitting, and at most 4k-5 for bottom-up merging.  Tables built under
 several objectives on one store cluster each shared segment once.  The
 exhaustive program fills the store with all its segments up front, in
 worker processes when the store may use more than one and the segments
-hold enough edges to repay starting them; a table whose store would
+hold enough edges to repay starting them; a table whose peak would
 outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
 """
 
@@ -24,7 +24,7 @@ from functools import partial
 
 from . import objectives
 from .consensus import Consensus, segment_partition
-from .dyngraph import ChangePointSet, DynamicNetwork, Partition, ScdOutput
+from .dyngraph import DynamicNetwork, Partition, ScdOutput
 from .objectives import Criterion, FitMeasure
 
 STRATEGIES = ("exhaustive", "topdown", "bottomup")
@@ -43,15 +43,17 @@ _CHUNKS_PER_WORKER = 4
 # clusterer only moves the break-even lower.
 MIN_PARALLEL_EDGE_VISITS = 100_000
 
-# An exhaustive table keeps the terms of all (k^2+k)/2 segments in its store.
-# Measured with tracemalloc on generated networks (sum-lpa), a stored segment
-# held 560 B at 10 nodes, 1.2 KB at 50 and 3.6 KB at 200: about 450 B plus
-# 16 B per node (its code array and its label tuple).  The bound counts every
-# node of the network in every segment.  A larger table is rejected with a
+# An exhaustive table holds (k^2+k)/2 entries in each of its store, score
+# memo, best/back dicts and per-l segment lists.  The tracemalloc peak of
+# build_table (sum-lpa, BIC, one process) was 730 B per segment at 2 nodes
+# and k=256 (793 at k=512, where indices above 256 are int objects), 882 B at
+# 10 nodes, 1.5 KB at 50 and 4.0 KB at 200: about 850 B plus 16 B per node
+# (a partition's code array and label tuple).  The bound counts every node
+# of the network in every segment.  A larger table is rejected with a
 # ValueError, which the command line reports as exit 1; at 50 nodes the limit
-# falls near k = 1,300, and on a 2-node network near k = 2,100.
+# falls near k = 1,140, and on a 2-node network near k = 1,560.
 EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
-_SEGMENT_BYTES, _LABEL_BYTES = 450, 16
+_SEGMENT_BYTES, _LABEL_BYTES = 850, 16
 
 # A search's result: one segmentation, (start, end) ranges in time order, per l.
 _PerL = dict[int, tuple[tuple[int, int], ...]]
@@ -284,9 +286,8 @@ class _SegmentScorer:
             parts.append(seg.partition)
             ll += seg.log_likelihood
             n_par += seg.num_parameters
-        cps = ChangePointSet(tuple(start for start, _ in segments[1:]), self.network.k)
         return CscdEntry(
-            output=ScdOutput(cps, tuple(parts)),
+            output=ScdOutput(segments, tuple(parts)),
             score=raw / self.network.k if self.weight is None else raw,
             log_likelihood=ll,
             num_parameters=n_par,
@@ -395,7 +396,7 @@ def build_table(
     """The table of ``spec.strategy``; pass one store to share segment terms
     across objectives.
 
-    An exhaustive table whose store would exceed ``EXHAUSTIVE_MAX_STORE_BYTES``
+    An exhaustive table whose peak would exceed ``EXHAUSTIVE_MAX_STORE_BYTES``
     is rejected with a ``ValueError`` before any segment is listed.
     """
     if store is None:

@@ -11,9 +11,13 @@ partition cut down to a node set, for the label-keyed reference loops.
 ``from_clusters``, ``singletons`` and ``clusters_of`` state partitions by
 their member sets, and ``is_canonical`` checks the code order.
 
+``segments_of`` turns change points into segment ranges, and
+``output_of`` builds an output from change points.
+
 The whole-output oracles live here too, since only the tests call them:
-``partition_at``, the partition covering a snapshot;
-``partition_similarity`` and ``vmeasure_components``, which score two
+``segment_at`` and ``partition_at``, the index and the partition of the
+segment covering a snapshot; ``partition_similarity`` and
+``vmeasure_components``, which score two
 ``Partition``s of one domain; ``sim_t_per_snapshot``, the time-point
 similarity from one code per snapshot; and ``q_p``, ``q_b`` and ``num_parameters``,
 an output's objective summed segment by segment, which the search's
@@ -24,7 +28,8 @@ dropped scipy: one cluster pair at a time, with ``scipy.special.gammaln``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import bisect
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -159,9 +164,27 @@ def reference_co_occurrence_graph(
     return label_graph(nodes, co_occurrence_weights(network, segment, kind, seed))
 
 
+def segments_of(points: Sequence[int], k: int) -> tuple[tuple[int, int], ...]:
+    """The (start, end) ranges of k snapshots split at sorted change points."""
+    starts = [0, *points]
+    return tuple(zip(starts, [t - 1 for t in starts[1:]] + [k - 1]))
+
+
+def output_of(points: Sequence[int], k: int, partitions: Iterable[Partition]) -> ScdOutput:
+    """The output of k snapshots split at sorted change points."""
+    return ScdOutput(segments_of(points, k), tuple(partitions))
+
+
+def segment_at(output: ScdOutput, j: int) -> int:
+    """Index of the segment covering snapshot j."""
+    if not 0 <= j < output.k:
+        raise ValueError(f"time index {j} outside [0, {output.k - 1}]")
+    return bisect.bisect_right(output.change_points, j)
+
+
 def partition_at(output: ScdOutput, j: int) -> Partition:
     """Segment partition covering snapshot j."""
-    return output.partitions[output.change_points.seg_index(j)]
+    return output.partitions[segment_at(output, j)]
 
 
 def partition_similarity(metric: PartitionMetric, p1: Partition, p2: Partition) -> float:
@@ -175,7 +198,7 @@ def sim_t_per_snapshot(o1: ScdOutput, o2: ScdOutput, metric: PartitionMetric) ->
     """The library's similarity of the two outputs' segment indices, snapshot by snapshot."""
     t = np.arange(o1.k)
     return _similarity(
-        metric, *(np.searchsorted(o.change_points.points, t, side="right") for o in (o1, o2))
+        metric, *(np.searchsorted(o.change_points, t, side="right") for o in (o1, o2))
     )
 
 
@@ -210,7 +233,7 @@ def expected_mutual_information_gammaln(table: np.ndarray, n: int) -> float:
 def q_p(output: ScdOutput, network: DynamicNetwork, fit: FitMeasure) -> float:
     """Mean per-snapshot fit of the output's segment partitions."""
     total = 0.0
-    for p, (start, end) in zip(output.partitions, output.segmentation()):
+    for p, (start, end) in zip(output.partitions, output.segments):
         for value in objectives.snapshot_fit(fit, network, start, end, p):
             total += value
     return total / network.k

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s or -v to see them).
 
-The heavyweight detection grid (criteria 4-6) is computed once in a
+The heavyweight detection grid (criteria 4-6 and 10) is computed once in a
 module-scoped fixture.  All randomness is pinned to fixed base seeds, so
 every run checks the same instances.
 """
@@ -20,7 +20,7 @@ import dynseg
 from dynseg._seeds import derive_seed
 from dynseg.cli import main as cli_main
 from dynseg.consensus import Consensus, segment_partition
-from dynseg.dyngraph import ChangePointSet, Partition, ScdOutput
+from dynseg.dyngraph import Partition, ScdOutput
 from dynseg.evaluation import (
     PartitionMetric,
     change_point_classification,
@@ -41,7 +41,7 @@ from dynseg.search import (
     SegmentStore,
     build_table,
 )
-from label_graphs import clusters_of, from_clusters, partition_at, partition_similarity
+from label_graphs import clusters_of, from_clusters, partition_at, partition_similarity, segments_of
 
 BASE_SEED = 0
 GRID_L = (1, 2, 4, 8, 16)
@@ -90,7 +90,7 @@ def _enumerate_best_scores(network, spec):
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):
             total = 0.0
-            for start, end in ChangePointSet(points, k).segmentation():
+            for start, end in segments_of(points, k):
                 p = segment_partition(network, (start, end), spec.consensus, spec.seed)
                 n_par = p.num_clusters * (p.num_clusters + 1) // 2
                 total += segment_log_likelihood(network, start, end, p) - weight * n_par
@@ -170,7 +170,7 @@ def test_criterion_3_heuristics_never_beat_exhaustive(small_search_results):
 
 
 # ---------------------------------------------------------------------------
-# Criteria 4-6: detection-quality grid (shared runs)
+# Criteria 4-6 and 10: detection-quality grid (shared runs)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -193,12 +193,17 @@ def detection_grid():
             table_aic = build_table(net, SearchSpec(objective=Criterion.AIC, seed=det_seed), store)
             row = {
                 "sim_b": sim_b(out, truth, PartitionMetric.NMI, net),
+                # the extremes: one organization for all, one per snapshot
+                "sim_b_one": sim_b(table_bic.entry(1).output, truth, PartitionMetric.NMI, net),
+                "sim_b_each": sim_b(
+                    table_bic.entry(net.k).output, truth, PartitionMetric.NMI, net
+                ),
                 "l_bic": chosen_bic,
                 "l_aic": table_aic.select(Criterion.AIC),
             }
             if l in (2, 4, 8):
                 ranking = ranking_from_cscd(table_bic)
-                row["aupr"] = change_point_classification(ranking, truth).aupr
+                row["aupr"] = change_point_classification(ranking, truth.change_points).aupr
             rows[l].append(row)
     return rows, time.perf_counter() - started
 
@@ -246,6 +251,29 @@ def test_criterion_6_change_point_ranking(detection_grid):
     )
 
 
+def test_criterion_10_segments_beat_both_extremes(detection_grid):
+    """The paper's compromise: where the truth changes a few times, the chosen
+    segmentation recovers it better than one organization for all snapshots
+    (l=1) and better than one per snapshot (l=k)."""
+    rows, _ = detection_grid
+    means = {
+        l: {key: float(np.mean([r[key] for r in rows[l]]))
+            for key in ("sim_b", "sim_b_one", "sim_b_each")}
+        for l in GRID_L
+    }
+    report(
+        "criterion 10 (segments beat both extremes)",
+        all(means[l]["sim_b"] > max(means[l]["sim_b_one"], means[l]["sim_b_each"])
+            for l in (2, 4, 8)),
+        "mean sim_b(NMI) chosen vs l=1 vs l=k: "
+        + ", ".join(
+            f"l={l}: {m['sim_b']:.3f} vs {m['sim_b_one']:.3f} vs {m['sim_b_each']:.3f}"
+            for l, m in means.items()
+        )
+        + " (chosen must beat both at l=2, 4, 8)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Criterion 7: metric suite
 # ---------------------------------------------------------------------------
@@ -257,8 +285,7 @@ def test_criterion_7_metric_suite():
     for metric in PartitionMetric:
         if partition_similarity(metric, p, relabeled) != 1.0:
             problems.append(f"{metric.value} identity")
-    cps = ChangePointSet((2, 4), 6)
-    out = ScdOutput(cps, tuple([p] * 3))
+    out = ScdOutput(((0, 1), (2, 3), (4, 5)), (p,) * 3)
     for fn, name in ((sim_t, "sim_t"), (sim_p, "sim_p"), (sim_b, "sim_b")):
         for metric in PartitionMetric:
             if fn(out, out, metric) != 1.0:

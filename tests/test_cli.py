@@ -12,7 +12,6 @@ import dynseg
 from dynseg import cli, search, static_cluster
 from dynseg.cli import main
 from dynseg.dyngraph import (
-    ChangePointSet,
     Partition,
     ScdOutput,
     dump_output,
@@ -150,7 +149,7 @@ class TestDetect:
 
     def test_invalid_output_is_not_written(self, tmp_path, capsys, monkeypatch):
         # the chosen partition misses node c of the only snapshot
-        bad = ScdOutput(ChangePointSet((), 1), (Partition({"a": 0, "b": 0}),))
+        bad = ScdOutput(((0, 0),), (Partition({"a": 0, "b": 0}),))
         table = SimpleNamespace(
             consensus_calls=1, entries={},
             entry=lambda l: SimpleNamespace(output=bad), select=lambda criterion: 1,
@@ -621,6 +620,7 @@ class TestBenchmark:
         (("--l-values", "2,1,2"), "--l-values repeats a segment count: 2,1,2"),
         (("--l-values", ","), "--l-values must name at least one segment count"),
         (("--compare", "bic:sum-lpa:bottomup"), "--compare takes exactly two configurations"),
+        (("--cmin", "7"), "need room for three clusters when l >= 2: 3*c_min <= n"),
     ])
     def test_bad_grid_rejected_before_workers(self, tmp_path, capsys, set_cpus,
                                               inline_pool, flags, message):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dynseg.dyngraph import (
     MAX_TIME_INDEX,
-    ChangePointSet,
     DynamicNetwork,
     FormatError,
     Partition,
@@ -18,7 +17,8 @@ from dynseg.dyngraph import (
     load_dynamic_network,
     load_output,
 )
-from label_graphs import from_clusters, is_canonical, partition_at
+from dynseg.evaluation import _overlaps
+from label_graphs import from_clusters, is_canonical, output_of, partition_at, segment_at
 
 
 class TestLoadDynamicNetwork:
@@ -186,24 +186,18 @@ class TestSnapshot:
 
 class TestSegmentation:
     def test_from_change_points(self):
-        seg = ChangePointSet((4, 7), 10).segmentation()
-        assert seg == ((0, 3), (4, 6), (7, 9))
+        out = output_of((4, 7), 10, [Partition({})] * 3)
+        assert out.segments == ((0, 3), (4, 6), (7, 9))
+        assert (out.change_points, out.k, out.num_segments) == ((4, 7), 10, 3)
 
     def test_no_change_points(self):
-        seg = ChangePointSet((), 5).segmentation()
-        assert seg == ((0, 4),)
+        out = ScdOutput(((0, 4),), (Partition({}),))
+        assert (out.change_points, out.k, out.num_segments) == ((), 5, 1)
 
     def test_maximal(self):
-        seg = ChangePointSet((1, 2, 3), 4).segmentation()
-        assert seg == ((0, 0), (1, 1), (2, 2), (3, 3))
-
-    def test_invalid_points(self):
-        with pytest.raises(ValueError):
-            ChangePointSet((0,), 5)
-        with pytest.raises(ValueError):
-            ChangePointSet((5,), 5)
-        with pytest.raises(ValueError):
-            ChangePointSet((3, 3), 5)
+        out = output_of((1, 2, 3), 4, [Partition({})] * 4)
+        assert out.segments == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert out.change_points == (1, 2, 3)
 
     def test_non_contiguous_rejected(self):
         text = "segment 0 2\ncluster 0: a\n# gap\nsegment 4 5\ncluster 0: a\n"
@@ -231,34 +225,38 @@ class TestSegmentation:
         for k in range(1, 13):
             for r in range(k):
                 for points in itertools.combinations(range(1, k), r):
-                    cps = ChangePointSet(points, k)
-                    seg = cps.segmentation()
-                    starts = tuple(s for s, _ in seg)[1:]
-                    assert starts == points
-                    assert seg[-1][1] + 1 == k
+                    out = output_of(points, k, [Partition({})] * (r + 1))
+                    assert out.change_points == points
+                    assert out.k == k
 
 
 class TestSegIndex:
+    """The index of the segment covering a snapshot, as the tests' ``segment_at``
+    and the library's ``evaluation._overlaps`` find it from the change points."""
+
     def test_examples(self):
-        cps = ChangePointSet((4, 7), 10)
-        assert cps.seg_index(0) == 0
-        assert cps.seg_index(4) == 1
-        assert cps.seg_index(9) == 2
+        out = output_of((4, 7), 10, [Partition({})] * 3)
+        assert [segment_at(out, j) for j in (0, 3, 4, 6, 7, 9)] == [0, 0, 1, 1, 2, 2]
+        assert _overlaps(out, out) == [(0, 4, 0, 0), (4, 7, 1, 1), (7, 10, 2, 2)]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ChangePointSet((4, 7), 10).seg_index(10)
+            segment_at(output_of((4, 7), 10, [Partition({})] * 3), 10)
         with pytest.raises(ValueError):
-            ChangePointSet((), 3).seg_index(-1)
+            segment_at(ScdOutput(((0, 2),), (Partition({}),)), -1)
+        with pytest.raises(ValueError, match="different numbers of snapshots"):
+            _overlaps(ScdOutput(((0, 2),), (Partition({}),)), ScdOutput(((0, 3),), (Partition({}),)))
 
     def test_matches_ranges_exhaustively(self):
         for k in range(1, 13):
+            maximal = output_of(range(1, k), k, [Partition({})] * k)
             for r in range(k):
                 for points in itertools.combinations(range(1, k), r):
-                    cps = ChangePointSet(points, k)
-                    for i, (start, end) in enumerate(cps.segmentation()):
-                        for j in range(start, end + 1):
-                            assert cps.seg_index(j) == i
+                    out = output_of(points, k, [Partition({})] * (r + 1))
+                    index = [i for i, (start, end) in enumerate(out.segments)
+                             for _ in range(start, end + 1)]
+                    assert [segment_at(out, j) for j in range(k)] == index
+                    assert [s1 for _, _, s1, _ in _overlaps(out, maximal)] == index
 
 
 class TestPartition:
@@ -312,7 +310,7 @@ class TestPartition:
             assert (cu == cv) == (mapping[u] == mapping[v])
         renamed = {u: ~cid for u, cid in reversed(mapping.items())}
         assert Partition(renamed) == p and hash(Partition(renamed)) == hash(p)
-        out = ScdOutput(ChangePointSet((), 1), (p,))
+        out = ScdOutput(((0, 0),), (p,))
         assert load_output(dump_output(out)) == out
 
 
@@ -332,20 +330,34 @@ def solutions(draw):
         domain = draw(st.lists(SOLUTION_LABELS, unique=True, max_size=6))  # may be empty
         cids = draw(st.lists(st.integers(-3, 3), min_size=len(domain), max_size=len(domain)))
         partitions.append(Partition(dict(zip(domain, cids))))
-    return ScdOutput(ChangePointSet(tuple(points), k), tuple(partitions))
+    return output_of(points, k, partitions)
 
 
 class TestScdOutput:
     def _output(self):
-        cps = ChangePointSet((2,), 4)
         p0 = from_clusters([["a", "b"], ["c"]])
         p1 = from_clusters([["a", "c", "b"]])
-        return ScdOutput(cps, (p0, p1))
+        return ScdOutput(((0, 1), (2, 3)), (p0, p1))
 
     def test_partition_count_must_match(self):
-        cps = ChangePointSet((2,), 4)
         with pytest.raises(ValueError):
-            ScdOutput(cps, (Partition({"a": 0}),))
+            ScdOutput(((0, 1), (2, 3)), (Partition({"a": 0}),))
+
+    @pytest.mark.parametrize("segments, partitions, message", [
+        ((), 0, "an output needs at least one segment"),
+        (((1, 3),), 1, "first segment starts at 1, not at time 0"),
+        (((0, 2), (4, 5)), 2, r"segment \(4, 5\) does not start right after snapshot 2"),
+        (((0, 3), (3, 5)), 2, r"segment \(3, 5\) does not start right after snapshot 3"),
+        (((0, 2), (3, 3), (3, 4)), 3, r"segment \(3, 4\) does not start right after snapshot 3"),
+        (((0, -1),), 1, r"segment \(0, -1\) ends before it starts"),
+        (((0, 1), (2, 1)), 2, r"segment \(2, 1\) ends before it starts"),
+        (((0, 1), (2, 3)), 1, "2 segments but 1 partitions"),
+        (((0, 1),), 2, "1 segments but 2 partitions"),
+    ], ids=["empty", "late-start", "gap", "overlap", "repeated-start", "negative-end",
+            "end-before-start", "too-few-partitions", "too-many-partitions"])
+    def test_rejects_invalid_segments(self, segments, partitions, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScdOutput(segments, (Partition({"a": 0}),) * partitions)
 
     def test_partition_at(self):
         out = self._output()
@@ -396,9 +408,8 @@ class TestScdOutput:
         assert dump_output(again) == text
 
     def test_cluster_ids_follow_smallest_member(self):
-        cps = ChangePointSet((), 1)
         p = from_clusters([["z", "m"], ["a", "q"]])
-        text = dump_output(ScdOutput(cps, (p,)))
+        text = dump_output(ScdOutput(((0, 0),), (p,)))
         assert "cluster 0: a q" in text
         assert "cluster 1: m z" in text
 

@@ -15,7 +15,7 @@ from scipy import integrate
 import dynseg
 
 from dynseg.dyngraph import (
-    ChangePointSet, DynamicNetwork, Partition, ScdOutput, Snapshot, dense_codes, load_output,
+    DynamicNetwork, Partition, ScdOutput, Snapshot, dense_codes, load_output,
 )
 from dynseg.evaluation import (
     PartitionMetric,
@@ -35,8 +35,9 @@ from dynseg.evaluation import (
     _t_two_sided_p,
 )
 from label_graphs import (
-    expected_mutual_information_gammaln, from_clusters, partition_at, partition_similarity,
-    restrict, sim_t_per_snapshot, singletons, vmeasure_components,
+    expected_mutual_information_gammaln, from_clusters, output_of, partition_at,
+    partition_similarity, restrict, segment_at, segments_of, sim_t_per_snapshot, singletons,
+    vmeasure_components,
 )
 
 ALL_METRICS = list(PartitionMetric)
@@ -216,13 +217,12 @@ class TestVMeasure:
 
 def time_point_partition(output: ScdOutput) -> Partition:
     """Snapshot indices, as strings, grouped by the segment containing them."""
-    return Partition({str(j): output.change_points.seg_index(j) for j in range(output.k)})
+    return Partition({str(j): segment_at(output, j) for j in range(output.k)})
 
 
 def _uniform_output(points, k, clusters):
     p = from_clusters(clusters)
-    cps = ChangePointSet(points, k)
-    return ScdOutput(cps, tuple([p] * cps.num_segments))
+    return output_of(points, k, [p] * (len(points) + 1))
 
 
 class TestSimT:
@@ -296,8 +296,8 @@ class TestSimP:
         p_a = from_clusters([["a", "b"], ["c", "d"]])
         p_b = from_clusters([["a", "c"], ["b", "d"]])
         p_c = from_clusters([["a"], ["b"], ["c", "d"]])
-        o1 = ScdOutput(ChangePointSet((2,), 4), (p_a, p_b))
-        o2 = ScdOutput(ChangePointSet((1, 3), 4), (p_b, p_c, p_a))
+        o1 = ScdOutput(((0, 1), (2, 3)), (p_a, p_b))
+        o2 = ScdOutput(((0, 0), (1, 2), (3, 3)), (p_b, p_c, p_a))
         for metric in ALL_METRICS:
             direct = sum(
                 partition_similarity(
@@ -311,8 +311,8 @@ class TestSimP:
         # snapshot 2 compares o1's first partition with o2's second
         p0 = from_clusters([["a", "b"], ["c", "d"]])
         p1 = from_clusters([["a", "c"], ["b", "d"]])
-        o1 = ScdOutput(ChangePointSet((), 3), (p0,))
-        o2 = ScdOutput(ChangePointSet((2,), 3), (p0, p1))
+        o1 = ScdOutput(((0, 2),), (p0,))
+        o2 = ScdOutput(((0, 1), (2, 2)), (p0, p1))
         val = sim_p(o1, o2, PartitionMetric.ARI)
         per = (1.0 + 1.0 + hand_ari(p0, p1)) / 3
         assert val == pytest.approx(per)
@@ -324,8 +324,8 @@ class TestSimP:
         net = DynamicNetwork([g])
         p_big = from_clusters([["a", "b", "z"]])
         p_small = from_clusters([["a", "b"]])
-        o1 = ScdOutput(ChangePointSet((), 1), (p_big,))
-        o2 = ScdOutput(ChangePointSet((), 1), (p_small,))
+        o1 = ScdOutput(((0, 0),), (p_big,))
+        o2 = ScdOutput(((0, 0),), (p_small,))
         assert sim_p(o1, o2, PartitionMetric.NMI, net) == 1.0
 
 
@@ -338,7 +338,7 @@ class TestSimB:
     def test_single_element_is_one(self):
         # one node, one snapshot: a single node-time element on both sides
         o1 = _uniform_output((), 1, [["a"]])
-        o2 = ScdOutput(ChangePointSet((), 1), (Partition({"a": 3}),))
+        o2 = ScdOutput(((0, 0),), (Partition({"a": 3}),))
         for metric in ALL_METRICS:
             assert sim_b(o1, o2, metric) == 1.0
 
@@ -485,7 +485,7 @@ class TestSimConsistency:
                 for u in rng.choice(nodes, size=flips, replace=False):
                     assignment[str(u)] = int(ids[rng.integers(0, len(ids))])
                 parts.append(Partition(assignment))
-            outputs.append(ScdOutput(truth.change_points, tuple(parts)))
+            outputs.append(ScdOutput(truth.segments, tuple(parts)))
         scored = [
             (sim_p(o, truth, PartitionMetric.NMI, net),
              sim_b(o, truth, PartitionMetric.NMI, net))
@@ -516,7 +516,7 @@ def output_pairs(draw):
         partitions = tuple(
             Partition(dict(zip(nodes, draw(ids)))) for _ in range(len(points) + 1)
         )
-        return ScdOutput(ChangePointSet(tuple(sorted(points)), k), partitions)
+        return output_of(sorted(points), k, partitions)
 
     return output(), output(), draw(st.permutations(range(4)))
 
@@ -526,7 +526,7 @@ def _relabelled(output: ScdOutput, perm) -> ScdOutput:
         Partition({u: 10 + perm[c] for u, c in p.assignment.items()})
         for p in output.partitions
     )
-    return ScdOutput(output.change_points, partitions)
+    return ScdOutput(output.segments, partitions)
 
 
 def reference_sim_p(o1, o2, metric, network=None):
@@ -552,7 +552,7 @@ def reference_sim_b(o1, o2, metric, network=None):
         keys = {}
         return Partition({
             f"{u}\x1f{t}": keys.setdefault(
-                (output.change_points.seg_index(t), partition_at(output, t).assignment[u]),
+                (segment_at(output, t), partition_at(output, t).assignment[u]),
                 len(keys),
             )
             for u, t in elements
@@ -572,12 +572,12 @@ def network_output_pairs(draw):
     def output():
         points = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
         partitions = []
-        for start, end in ChangePointSet(tuple(points), k).segmentation():
+        for start, end in segments_of(points, k):
             held = set().union(*(network[j].nodes for j in range(start, end + 1)))
             domain = sorted(held | set(draw(st.lists(st.sampled_from(OUTPUT_NODES + ["x"])))))
             ids = draw(st.lists(st.integers(0, 3), min_size=len(domain), max_size=len(domain)))
             partitions.append(Partition(dict(zip(domain, ids))))
-        return ScdOutput(ChangePointSet(tuple(points), k), tuple(partitions))
+        return output_of(points, k, partitions)
 
     return network, output(), output()
 

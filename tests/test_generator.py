@@ -4,14 +4,13 @@ import pytest
 
 from dynseg import generator
 from dynseg._seeds import rng_for
-from dynseg.dyngraph import dump_dynamic_network, dump_output
+from dynseg.dyngraph import Partition, ScdOutput, dump_dynamic_network, dump_output
 from dynseg.generator import (
-    GenerationError,
     GeneratorConfig,
     build_partition_graph,
     derive_segment_partitions,
     generate,
-    sample_change_points,
+    sample_segments,
 )
 from label_graphs import clusters_of, from_clusters, partition_at
 
@@ -46,38 +45,50 @@ class TestConfig:
             GeneratorConfig(k=4, l=2, n=50, c_min=5, c_in=10, c_out=12)
 
     def test_too_tight_for_transitions(self):
-        # only two clusters fit, and equal-size-2 layers admit no valid
-        # transition, so multi-segment generation must fail loudly
-        cfg = GeneratorConfig(k=4, l=2, n=10, c_min=5, c_in=6, c_out=1)
-        with pytest.raises(GenerationError):
-            generate(cfg)
+        # only two clusters fit, and two clusters admit no transition, so a
+        # multi-segment configuration is refused before any draw
+        for n, c_min in ((10, 5), (4, 2), (7, 3), (20, 8), (33, 13)):
+            with pytest.raises(ValueError, match=r"^need room for three clusters when l >= 2"):
+                GeneratorConfig(k=4, l=2, n=n, c_min=c_min, c_in=1, c_out=1)
+            GeneratorConfig(k=4, l=1, n=n, c_min=c_min, c_in=1, c_out=1)
+
+    @pytest.mark.parametrize("n, c_min", [(10, 3), (60, 20), (9, 3), (30, 10)])
+    def test_every_seed_generates(self, n, c_min):
+        # a first layer with no reachable second layer is drawn again
+        for l in (2, 4, 8):
+            for seed in range(12):
+                cfg = GeneratorConfig(k=8, l=l, n=n, c_min=c_min, c_in=1, c_out=0.5, seed=seed)
+                graph = build_partition_graph(cfg, rng_for(seed, "g"))
+                assert len(graph.layer_sizes) == l
+                assert all(min(sizes) >= c_min for sizes in graph.cluster_sizes)
 
 
 class TestChangePoints:
     def test_l1_empty(self):
-        cps = sample_change_points(10, 1, rng_for(0, "t"))
-        assert cps.points == ()
+        assert sample_segments(10, 1, rng_for(0, "t")) == ((0, 9),)
 
     def test_lk_all_points(self):
-        cps = sample_change_points(6, 6, rng_for(0, "t"))
-        assert cps.points == (1, 2, 3, 4, 5)
+        segments = sample_segments(6, 6, rng_for(0, "t"))
+        assert segments == tuple((t, t) for t in range(6))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_change_points(4, 5, rng_for(0, "t"))
+            sample_segments(4, 5, rng_for(0, "t"))
 
     def test_distinct_and_sorted(self):
         for i in range(50):
-            cps = sample_change_points(16, 4, rng_for(i, "t"))
-            assert len(set(cps.points)) == 3
-            assert list(cps.points) == sorted(cps.points)
-            assert all(1 <= t <= 15 for t in cps.points)
+            segments = sample_segments(16, 4, rng_for(i, "t"))
+            points = [start for start, _ in segments[1:]]
+            assert len(set(points)) == 3
+            assert points == sorted(points)
+            assert all(1 <= t <= 15 for t in points)
+            assert ScdOutput(segments, (Partition({}),) * 4).k == 16
 
     def test_inclusion_frequency_uniform(self):
         trials = 2000
         counts = {t: 0 for t in range(1, 16)}
         for i in range(trials):
-            for t in sample_change_points(16, 4, rng_for(i, "freq")).points:
+            for t, _ in sample_segments(16, 4, rng_for(i, "freq"))[1:]:
                 counts[t] += 1
         expected = 3 / 15
         sigma = math.sqrt(expected * (1 - expected) / trials)

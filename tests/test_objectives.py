@@ -10,7 +10,6 @@ from scipy import stats
 
 import dynseg
 from dynseg.dyngraph import (
-    ChangePointSet,
     DynamicNetwork,
     Partition,
     ScdOutput,
@@ -27,7 +26,7 @@ from dynseg.objectives import (
     snapshot_fit,
 )
 from label_graphs import (
-    clusters_of, from_clusters, num_parameters, q_b, q_p, restrict, singletons,
+    clusters_of, from_clusters, num_parameters, output_of, q_b, q_p, restrict, singletons,
 )
 
 TRIANGLES = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c"),
@@ -51,7 +50,7 @@ def loss_of(kind: FitMeasure, p: Partition, g: Snapshot) -> float:
 
 def _single(snapshot: Snapshot, partition: Partition) -> tuple[DynamicNetwork, ScdOutput]:
     net = DynamicNetwork([snapshot])
-    out = ScdOutput(ChangePointSet((), 1), (partition,))
+    out = ScdOutput(((0, 0),), (partition,))
     return net, out
 
 
@@ -210,7 +209,7 @@ class TestQp:
 
     def test_identical_snapshots_one_segment(self):
         net = DynamicNetwork([TRIANGLES, TRIANGLES])
-        out = ScdOutput(ChangePointSet((), 2), (TRI_SPLIT,))
+        out = ScdOutput(((0, 1),), (TRI_SPLIT,))
         assert q_p(out, net, FitMeasure.MODULARITY) == pytest.approx(0.5)
 
     def test_mean_over_singleton_segments(self):
@@ -218,7 +217,7 @@ class TestQp:
         net = DynamicNetwork([g1, g1])
         p_split = from_clusters([["a", "b"], ["c"]])
         p_one = from_clusters([["a", "b", "c"]])
-        out = ScdOutput(ChangePointSet((1,), 2), (p_split, p_one))
+        out = ScdOutput(((0, 0), (1, 1)), (p_split, p_one))
         # F' = 1 - F: (0.375 + 1.0) / 2
         assert q_p(out, net, FitMeasure.CONDUCTANCE) == pytest.approx(0.6875)
 
@@ -230,9 +229,7 @@ class TestQp:
                                   seed=int(rng.integers(1 << 31)))
             net, truth = generate(cfg)
             p = truth.partitions[0]
-            out = ScdOutput(
-                ChangePointSet(tuple(range(1, k)), k), tuple([p] * k)
-            )
+            out = output_of(range(1, k), k, [p] * k)
             for fit in FitMeasure:
                 direct = sum(snapshot_fit(fit, net, 0, k - 1, p)) / k
                 assert q_p(out, net, fit) == pytest.approx(direct)
@@ -357,7 +354,7 @@ class TestLogLikelihood:
             ll = log_likelihood(truth, net)
             assert ll <= 0.0
             est_extreme = True
-            for p, (s, e) in zip(truth.partitions, truth.segmentation()):
+            for p, (s, e) in zip(truth.partitions, truth.segments):
                 edges, pairs, _ = _segment_counts(net, s, e, p)
                 # theta = m / npair lies strictly inside (0, 1)
                 if ((0 < edges) & (edges < pairs)).any():
@@ -368,7 +365,7 @@ class TestLogLikelihood:
         cfg = GeneratorConfig(k=5, l=2, n=20, c_min=5, c_in=12, c_out=3, seed=9)
         net, truth = generate(cfg)
         relabeled = ScdOutput(
-            truth.change_points,
+            truth.segments,
             tuple(
                 Partition({u: cid + 17 for u, cid in p.assignment.items()})
                 for p in truth.partitions
@@ -385,9 +382,9 @@ class TestCounts:
         p1 = from_clusters([["a", "b"]])
         p3 = from_clusters([["a"], ["b"], ["c"]])
         net = DynamicNetwork([Snapshot(["a", "b"], []), Snapshot(["a", "b", "c"], [])])
-        assert num_parameters(ScdOutput(ChangePointSet((), 2), (p2,))) == 3
-        assert num_parameters(ScdOutput(ChangePointSet((), 2), (p1,))) == 1
-        out = ScdOutput(ChangePointSet((1,), 2), (p2, p3))
+        assert num_parameters(ScdOutput(((0, 1),), (p2,))) == 3
+        assert num_parameters(ScdOutput(((0, 1),), (p1,))) == 1
+        out = ScdOutput(((0, 0), (1, 1)), (p2, p3))
         assert num_parameters(out) == 9
 
     def test_num_observations(self):
@@ -412,7 +409,7 @@ class TestQb:
         clique = [(u, v) for i, u in enumerate(five) for v in five[i + 1:]]
         net = DynamicNetwork([Snapshot(five, clique), Snapshot(five, clique)])
         p = from_clusters([five[:2], five[2:]])
-        out = ScdOutput(ChangePointSet((), 2), (p,))
+        out = ScdOutput(((0, 1),), (p,))
         ll = log_likelihood(out, net)
         expected = ll - 1.5 * math.log(20)
         assert q_b(out, net, Criterion.BIC) == pytest.approx(expected)
@@ -428,7 +425,7 @@ class TestQb:
 
     def test_bic_rejects_degenerate_network(self):
         net = DynamicNetwork([Snapshot(["a"], [])])
-        out = ScdOutput(ChangePointSet((), 1), (Partition({"a": 0}),))
+        out = ScdOutput(((0, 0),), (Partition({"a": 0}),))
         with pytest.raises(ValueError):
             q_b(out, net, Criterion.BIC)
 
@@ -436,7 +433,7 @@ class TestQb:
         cfg = GeneratorConfig(k=4, l=2, n=16, c_min=4, c_in=10, c_out=2, seed=4)
         net, truth = generate(cfg)
         renamed = ScdOutput(
-            truth.change_points,
+            truth.segments,
             tuple(
                 Partition({u: 1000 - cid for u, cid in p.assignment.items()})
                 for p in truth.partitions
@@ -464,7 +461,7 @@ class TestFitCorrelation:
                 nodes = list(net.labels)
                 labels = rng.integers(0, int(rng.integers(1, 6)) + 1, size=len(nodes))
                 p = Partition({u: int(c) for u, c in zip(nodes, labels)})
-                out = ScdOutput(ChangePointSet(pts, 4), tuple([p] * l))
+                out = output_of(pts, 4, [p] * l)
             for fit in FitMeasure:
                 rows[fit].append(q_p(out, net, fit))
         fits = list(FitMeasure)

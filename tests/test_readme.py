@@ -16,7 +16,7 @@ def test_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), namespace)
     points, nmi = capsys.readouterr().out.splitlines()
     assert namespace["spec"] == SearchSpec(seed=0)
-    assert points == str(namespace["solution"].change_points.points)
+    assert points == str(namespace["solution"].change_points)
     assert 0.0 <= float(nmi) <= 1.0
 
 

@@ -1,13 +1,14 @@
 import concurrent.futures
 import itertools
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dynseg.consensus import Consensus, segment_partition
-from dynseg.dyngraph import ChangePointSet, DynamicNetwork, Snapshot
+from dynseg.dyngraph import DynamicNetwork, ScdOutput, Snapshot
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
@@ -30,7 +31,7 @@ from dynseg.search import (
     usable_cpus,
     worker_count,
 )
-from label_graphs import num_parameters, q_b, q_p
+from label_graphs import num_parameters, q_b, q_p, segments_of
 
 
 def _spec(strategy="exhaustive", objective=Criterion.BIC, seed=0):
@@ -57,9 +58,8 @@ def brute_force_scores(network, spec):
     best: dict[int, float] = {}
     for r in range(k):
         for points in itertools.combinations(range(1, k), r):
-            cps = ChangePointSet(points, k)
             total = 0.0
-            for start, end in cps.segmentation():
+            for start, end in segments_of(points, k):
                 p = segment_partition(network, (start, end), spec.consensus, spec.seed)
                 if fit:
                     total += sum(snapshot_fit(spec.objective, network, start, end, p))
@@ -84,7 +84,7 @@ class TestExhaustive:
         assert set(table.entries) == {1}
         assert table.consensus_calls == 1
         out = table.entry(1).output
-        assert out.change_points.points == ()
+        assert out.change_points == ()
 
     @pytest.mark.parametrize("objective", [
         Criterion.BIC, Criterion.AIC, FitMeasure.MODULARITY, FitMeasure.CONDUCTANCE,
@@ -115,6 +115,20 @@ class TestExhaustive:
         monkeypatch.setattr(search, "EXHAUSTIVE_MAX_STORE_BYTES", size)
         assert build_table(net, _spec()).consensus_calls == 10
 
+    def test_store_bound_covers_table_peak(self):
+        """The estimate counts all a table holds at its peak: the store, the
+        score memo, the program's best/back dicts and the entries."""
+        net = _network(k=32, seed=1)
+        spec = SearchSpec("exhaustive", Criterion.BIC, Consensus.SUM_LPA, 0)
+        tracemalloc.start()
+        try:
+            build_table(net, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_segment = search._SEGMENT_BYTES + search._LABEL_BYTES * len(net.labels)
+        assert peak <= 32 * 33 // 2 * per_segment
+
     def test_entry_segment_counts(self):
         net = _network(k=5, seed=9)
         table = build_table(net, _spec())
@@ -134,7 +148,7 @@ class TestTopDown:
         net = _network(k=5, seed=1)
         t_td = build_table(net, _spec("topdown", seed=4))
         t_ex = build_table(net, _spec(seed=4))
-        assert t_td.entry(5).output.change_points.points == (1, 2, 3, 4)
+        assert t_td.entry(5).output.change_points == (1, 2, 3, 4)
         # identical partitions to the exhaustive entry (same memoized segments)
         for p, q in zip(t_td.entry(5).output.partitions,
                         t_ex.entry(5).output.partitions):
@@ -216,8 +230,8 @@ class TestSolvers:
     def test_solve_cscd_extremes(self):
         net = _network(k=4, seed=8)
         spec = _spec(seed=5)
-        assert solve_cscd(net, 1, spec).change_points.points == ()
-        assert solve_cscd(net, 4, spec).change_points.points == (1, 2, 3)
+        assert solve_cscd(net, 1, spec).change_points == ()
+        assert solve_cscd(net, 4, spec).change_points == (1, 2, 3)
 
     def test_solve_cscd_two_segments_is_argmax_of_three_candidates(self):
         net = _network(k=4, seed=12)
@@ -226,7 +240,7 @@ class TestSolvers:
         oracle = brute_force_scores(net, spec)
         table = build_table(net, spec)
         assert table.entry(2).score == oracle[2]
-        assert out.change_points.points == table.entry(2).output.change_points.points
+        assert out.change_points == table.entry(2).output.change_points
 
     def test_solve_scd_returns_table_argmax(self):
         net = _network(k=5, seed=4)
@@ -236,7 +250,7 @@ class TestSolvers:
         chosen = table.select(Criterion.BIC)
         scores = {l: table.selection_score(l, Criterion.BIC) for l in table.entries}
         assert scores[chosen] == max(scores.values())
-        assert out.change_points.points == table.entry(chosen).output.change_points.points
+        assert out.change_points == table.entry(chosen).output.change_points
 
     def test_scd_single_segment_ground_truth(self):
         cfg = GeneratorConfig(k=8, l=1, n=30, c_min=5, c_in=20, c_out=4, seed=21)
@@ -588,7 +602,7 @@ class TestTieRules:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search._SegmentScorer, "score", lambda self, start, end: scores[start, end])
             table = build_table(_path_network(k), _spec(strategy))
-        got = {l: e.output.change_points.points for l, e in table.entries.items()}
+        got = {l: e.output.change_points for l, e in table.entries.items()}
         assert got == _REFERENCES[strategy](k, lambda start, end: scores[start, end])
         return got
 
@@ -611,17 +625,17 @@ class TestTieRules:
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "topdown", "bottomup"])
-def test_one_change_point_set_per_entry(monkeypatch, strategy):
+def test_one_output_per_entry(monkeypatch, strategy):
     """The searches edit segment ranges; only the table entry builds a
-    ChangePointSet."""
+    validated ScdOutput."""
     made = []
 
-    class Counting(ChangePointSet):
+    class Counting(ScdOutput):
         def __post_init__(self):
-            made.append(self.points)
+            made.append(self.segments)
             super().__post_init__()
 
-    monkeypatch.setattr(search, "ChangePointSet", Counting)
+    monkeypatch.setattr(search, "ScdOutput", Counting)
     net = _network(k=7, seed=2)
     table = build_table(net, _spec(strategy))
     assert len(made) == net.k == len(table.entries)
