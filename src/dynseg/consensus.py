@@ -10,22 +10,27 @@ Three ways to reconcile the snapshots of a segment into a single partition:
   graph whose weights are the fraction of shared snapshots in which two
   nodes land in one cluster.
 
-``segment_partition`` is the one entry point; a ``Consensus`` member names
-the method and its clusterer kind, which ``static_cluster.cluster`` runs.
-The partition domain is always the union of the segment's node sets; a
+``segment_partition`` is the one entry point for a segment, and
+``segment_partitions`` for a list of them; a ``Consensus`` member names the
+method and its clusterer kind, which ``static_cluster.cluster`` runs.  The
+partition domain is always the union of the segment's node sets; a
 per-segment seed derived from (search seed, start, end) makes results
-independent of evaluation order.
+independent of evaluation order, so a list's sum-lpa partitions can be
+computed together.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
 from ._seeds import derive_seed
 from .dyngraph import DynamicNetwork, Partition
-from .static_cluster import LevelGraph, WeightedGraph, cluster, louvain_multi
+from .static_cluster import (
+    LevelGraph, WeightedGraph, cluster, label_propagation_many, louvain_multi,
+)
 
 
 class Consensus(str, Enum):
@@ -141,3 +146,23 @@ def segment_partition(
         return louvain_multi(labels, level, seg_seed)
     graph = co_occurrence_graph(network, segment, kind, seg_seed)
     return cluster(graph, kind, derive_seed(seg_seed, "cm-final"))
+
+
+def segment_partitions(
+    network: DynamicNetwork, segments: list[tuple[int, int]], spec: Consensus, seed: int
+) -> list[Partition]:
+    """``segment_partition`` of each segment.
+
+    Under sum-lpa, the segments' sum graphs are built one at a time and
+    clustered together by ``label_propagation_many``, which runs their
+    sweeps in lockstep batches of bounded size.
+    """
+    if spec is not Consensus.SUM_LPA:
+        return [segment_partition(network, s, spec, seed) for s in segments]
+    has_nodes = [network.segment_node_ids(start, end).size > 0 for start, end in segments]
+    full = list(compress(segments, has_nodes))
+    parts = iter(label_propagation_many(
+        (sum_graph(network, start, end) for start, end in full),
+        (derive_seed(seed, "segment", start, end) for start, end in full),
+    ))
+    return [next(parts) if ok else Partition({}) for ok in has_nodes]

@@ -12,8 +12,10 @@ splitting, and at most 4k-5 for bottom-up merging.  Tables built under
 several objectives on one store cluster each shared segment once.  The
 exhaustive program fills the store with all its segments up front, in
 worker processes when the store may use more than one and the segments
-hold enough edges to repay starting them; a table whose peak would
-outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
+hold enough edges to repay starting them; each process clusters its
+segments together (``consensus.segment_partitions``), which runs sum-lpa's
+label propagation in lockstep batches.  A table whose peak would outgrow
+``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from . import objectives
-from .consensus import Consensus, segment_partition
+from . import objectives, static_cluster
+from .consensus import Consensus, segment_partition, segment_partitions
 from .dyngraph import DynamicNetwork, Partition, ScdOutput
 from .objectives import Criterion, FitMeasure
 
@@ -37,10 +39,14 @@ _CHUNKS_PER_WORKER = 4
 # Edge records the missing segments of a fill must read (the sum over the
 # segments of their snapshots' edge counts) before a pool starts.  Below it,
 # starting the workers and sending the partitions back cost more than they
-# save.  On two CPUs with sum-lpa, the cheapest clusterer, exhaustive detect
-# ran faster in-process at up to about 85,000 visits (k=16, n=20) and faster
-# in a pool from about 105,000 (k=12, n=50; k=18, n=20); a costlier
-# clusterer only moves the break-even lower.
+# save.  Fill alone on two CPUs (median of six): sum-louvain and sum-walktrap
+# ran faster in a pool from 89,000 visits (k=12, n=50: 272 against 191 ms and
+# 289 against 250 ms), while sum-lpa, whose segments each process clusters in
+# lockstep batches, ran faster in-process up to about 270,000 (k=16, n=50:
+# 110 against 129 ms; k=24, n=20: 133 against 137 ms) and in a pool from
+# about 600,000 (k=32, n=20: 232 against 214 ms; k=32, n=50: 487 against
+# 377 ms).  One threshold serves every clusterer, so it stays near the
+# costlier ones' break-even.
 MIN_PARALLEL_EDGE_VISITS = 100_000
 
 # An exhaustive table holds (k^2+k)/2 entries in each of its store, score
@@ -49,9 +55,11 @@ MIN_PARALLEL_EDGE_VISITS = 100_000
 # and k=256 (793 at k=512, where indices above 256 are int objects), 882 B at
 # 10 nodes, 1.5 KB at 50 and 4.0 KB at 200: about 850 B plus 16 B per node
 # (a partition's code array and label tuple).  The bound counts every node
-# of the network in every segment.  A larger table is rejected with a
-# ValueError, which the command line reports as exit 1; at 50 nodes the limit
-# falls near k = 1,140, and on a 2-node network near k = 1,560.
+# of the network in every segment, plus one label-propagation batch
+# (static_cluster.LPA_BATCH_BYTES), which the fill holds while the store
+# grows.  A larger table is rejected with a ValueError, which the command
+# line reports as exit 1; at 50 nodes the limit falls near k = 1,140, and on
+# a 2-node network near k = 1,560.
 EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
 _SEGMENT_BYTES, _LABEL_BYTES = 850, 16
 
@@ -147,17 +155,24 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def _segment_terms(
-    network: DynamicNetwork, consensus: Consensus, seed: int, start: int, end: int,
-    with_ll: bool,
+    network: DynamicNetwork, segment: tuple[int, int], partition: Partition, with_ll: bool
 ) -> _Segment:
-    """A segment's partition, parameter count and, if ``with_ll``, log-likelihood.
+    """A segment's terms from its partition; the log-likelihood only if ``with_ll``."""
+    ll = objectives.segment_log_likelihood(network, *segment, partition) if with_ll else None
+    return _Segment(partition, objectives.segment_num_parameters(partition), ll)
+
+
+def _segments_terms(
+    network: DynamicNetwork, consensus: Consensus, seed: int,
+    segments: list[tuple[int, int]], with_ll: bool,
+) -> list[_Segment]:
+    """The terms of each segment, clustered together by ``segment_partitions``.
 
     Every segment draws its own derived seed, so the terms do not depend on
-    which process computes them or in what order.
+    which process computes them, in what order or alongside which others.
     """
-    p = segment_partition(network, (start, end), consensus, seed)
-    ll = objectives.segment_log_likelihood(network, start, end, p) if with_ll else None
-    return _Segment(p, objectives.segment_num_parameters(p), ll)
+    parts = segment_partitions(network, segments, consensus, seed)
+    return [_segment_terms(network, s, p, with_ll) for s, p in zip(segments, parts)]
 
 
 _worker_network: DynamicNetwork | None = None
@@ -174,7 +189,7 @@ def _worker_terms(
     consensus: Consensus, seed: int, with_ll: bool, chunk: list[tuple[int, int]]
 ) -> list[_Segment]:
     """A worker's terms of a chunk of segments."""
-    return [_segment_terms(_worker_network, consensus, seed, *s, with_ll) for s in chunk]
+    return _segments_terms(_worker_network, consensus, seed, chunk, with_ll)
 
 
 class SegmentStore:
@@ -197,7 +212,8 @@ class SegmentStore:
         """The segment's terms; ``with_ll`` computes its log-likelihood if unset."""
         seg = self._memo.get((consensus, seed, start, end))
         if seg is None:
-            seg = _segment_terms(self.network, consensus, seed, start, end, with_ll)
+            p = segment_partition(self.network, (start, end), consensus, seed)
+            seg = _segment_terms(self.network, (start, end), p, with_ll)
             self._memo[consensus, seed, start, end] = seg
         if with_ll and seg.log_likelihood is None:
             seg.log_likelihood = objectives.segment_log_likelihood(
@@ -220,14 +236,16 @@ class SegmentStore:
         reaches the workers through the pool's initializer.
         """
         missing = [s for s in segments if (consensus, seed, *s) not in self._memo]
+        if not missing:
+            return
         offsets = self.network.edge_offsets
         visits = sum(int(offsets[end + 1] - offsets[start]) for start, end in missing)
         workers = 1
         if visits >= MIN_PARALLEL_EDGE_VISITS:
             workers = worker_count(self.jobs, len(missing))
         if workers == 1:
-            for start, end in missing:
-                self.segment(consensus, seed, start, end, with_ll)
+            segs = _segments_terms(self.network, consensus, seed, missing, with_ll)
+            self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(missing, segs))
             return
         # Imported here: the import costs about 30 ms that serial runs skip.
         from concurrent.futures import ProcessPoolExecutor
@@ -390,6 +408,14 @@ def _bottom_up(scorer: _SegmentScorer) -> _PerL:
 _SEARCHES = {"exhaustive": _exhaustive, "topdown": _top_down, "bottomup": _bottom_up}
 
 
+def exhaustive_bytes(network: DynamicNetwork) -> int:
+    """The estimated peak of an exhaustive table on ``network``, which
+    ``build_table`` holds to ``EXHAUSTIVE_MAX_STORE_BYTES``."""
+    segments = network.k * (network.k + 1) // 2
+    per_segment = _SEGMENT_BYTES + _LABEL_BYTES * len(network.labels)
+    return segments * per_segment + static_cluster.LPA_BATCH_BYTES
+
+
 def build_table(
     network: DynamicNetwork, spec: SearchSpec, store: SegmentStore | None = None
 ) -> CscdTable:
@@ -405,7 +431,7 @@ def build_table(
         raise ValueError("segment store was built for another network")
     if spec.strategy == "exhaustive":
         segments = network.k * (network.k + 1) // 2
-        size = segments * (_SEGMENT_BYTES + _LABEL_BYTES * len(network.labels))
+        size = exhaustive_bytes(network)
         if size > EXHAUSTIVE_MAX_STORE_BYTES:
             raise ValueError(
                 f"exhaustive search: {segments} segments over {len(network.labels)} "

@@ -15,7 +15,7 @@ import heapq
 import math
 from collections import deque
 from operator import add, mul, sub
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,11 +217,17 @@ def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
     labels = graph.labels
     if not labels:
         raise ValueError("no nodes to cluster")
-    n = len(labels)
-    adj = _rows(n, graph.a, graph.b, graph.w)
-    lab = list(range(n))
-    rng = rng_for(seed, "lpa")
-    for _ in range(MAX_SWEEPS):
+    lab = list(range(len(labels)))
+    _propagate(_rows(len(labels), graph.a, graph.b, graph.w), lab, rng_for(seed, "lpa"), MAX_SWEEPS)
+    return Partition.from_codes(labels, lab)
+
+
+def _propagate(
+    adj: list[dict[int, float]], lab: list[int], rng: np.random.Generator, sweeps: int
+) -> None:
+    # up to ``sweeps`` sweeps of label propagation, updating ``lab`` in place
+    n = len(lab)
+    for _ in range(sweeps):
         changed = False
         for u in rng.permutation(n).tolist():
             if not adj[u]:
@@ -236,7 +242,124 @@ def label_propagation(graph: WeightedGraph, seed: int) -> Partition:
                 changed = True
         if not changed:
             break
-    return Partition.from_codes(labels, lab)
+
+
+# A lockstep batch holds its graphs' rows, an id and a weight per end of
+# each edge, in a buffer of half this size that every batch of a call
+# reuses, and its per-graph state and per-node arrays (an rng and about 1 KB
+# per graph, about 16 int arrays over the nodes) in the other half.  A batch
+# ends before the next graph would overflow either half.
+LPA_BATCH_BYTES = 2 << 20
+_LPA_ENTRY_BYTES, _LPA_NODE_BYTES, _LPA_GRAPH_BYTES = 16, 128, 1024
+# A sweep whose graphs visit fewer nodes per lockstep step than this (their
+# nodes with edges over the most any of them has) runs each graph alone: a
+# step's dozen numpy calls cost more than a few graphs' dict loops.
+_MIN_LOCKSTEP_WIDTH = 8
+
+
+def label_propagation_many(
+    graphs: Iterable[WeightedGraph], seeds: Iterable[int]
+) -> list[Partition]:
+    """``[label_propagation(g, s) for g, s in zip(graphs, seeds)]``, with the
+    graphs' sweeps run in lockstep.
+
+    Graphs are taken one at a time, so a generator bounds what is held to
+    one batch of about ``LPA_BATCH_BYTES``.  Each graph draws its own
+    permutations; at step s of a sweep every graph of the batch visits the
+    s-th node of its own permutation, and one ``np.bincount`` over those
+    nodes' rows, in edge order, sums every label weight with the same float
+    additions as the dict loop.  A graph that changes nothing in a sweep
+    leaves the batch.
+    """
+    out: list[Partition] = []
+    half = LPA_BATCH_BYTES // 2
+    nbr = np.empty(half // _LPA_ENTRY_BYTES, dtype=np.intp)
+    wt = np.empty(len(nbr))
+    batch: list[tuple[tuple[str, ...], np.random.Generator, np.ndarray]] = []
+    used = nodes = 0
+    for graph, seed in zip(graphs, seeds):
+        n, m = len(graph.labels), len(graph.w)
+        if not n:
+            raise ValueError("no nodes to cluster")
+        state = _LPA_NODE_BYTES * (nodes + n) + _LPA_GRAPH_BYTES * (len(batch) + 1)
+        if batch and (used + 2 * m > len(nbr) or state > half):
+            out += _lockstep(batch, nbr[:used], wt[:used])
+            batch, used, nodes = [], 0, 0
+        if 2 * m > len(nbr):
+            nbr, wt = np.empty(2 * m, dtype=np.intp), np.empty(2 * m)
+        # rows in edge order: sorting the keys (row node, edge) keeps it
+        keys = np.sort(np.concatenate((graph.a, graph.b)) * m + np.tile(np.arange(m), 2))
+        row, edge = np.divmod(keys, max(m, 1))
+        np.subtract((graph.a + graph.b)[edge], row - nodes, out=nbr[used:used + 2 * m])
+        np.take(graph.w, edge, out=wt[used:used + 2 * m])
+        batch.append((graph.labels, rng_for(seed, "lpa"), np.bincount(row, minlength=n)))
+        used += 2 * m
+        nodes += n
+    if batch:
+        out += _lockstep(batch, nbr[:used], wt[:used])
+    return out
+
+
+def _lockstep(batch: list, nbr: np.ndarray, wt: np.ndarray) -> list[Partition]:
+    """Label propagation of a batch of graphs joined into one id space, whose
+    nodes' rows are ``nbr`` and ``wt`` in node order."""
+    labels, rngs, degs = zip(*batch)
+    sizes = [len(x) for x in labels]
+    base = np.cumsum([0] + sizes)
+    deg = np.concatenate(degs)
+    del degs
+    ptr = np.concatenate(([0], np.cumsum(deg)))  # node u's row is nbr[ptr[u]:ptr[u + 1]]
+    graph_of = np.repeat(np.arange(len(sizes)), sizes)
+    lab = np.arange(base[-1])
+    # graphs by nodes with edges, most first: the graphs with more than s
+    # such nodes, which visit one at step s of a sweep, lead the active ones
+    width = np.bincount(graph_of, weights=deg > 0, minlength=len(sizes)).astype(np.intp)
+    active = sorted(range(len(sizes)), key=lambda g: -width[g])
+    for sweep in range(MAX_SWEEPS):
+        m = width[active]
+        if m.sum() < _MIN_LOCKSTEP_WIDTH * m.max():
+            for g in active:
+                lo, hi = base[g], base[g + 1]
+                cut = (ptr[lo:hi + 1] - ptr[lo]).tolist()
+                row_nbr = (nbr[ptr[lo]:ptr[hi]] - lo).tolist()
+                row_wt = wt[ptr[lo]:ptr[hi]].tolist()
+                adj = [dict(zip(row_nbr[x:y], row_wt[x:y])) for x, y in zip(cut, cut[1:])]
+                rest = (lab[lo:hi] - lo).tolist()
+                _propagate(adj, rest, rngs[g], MAX_SWEEPS - sweep)
+                lab[lo:hi] = np.add(rest, lo)
+            break
+        visit = np.concatenate([rngs[g].permutation(sizes[g]) + base[g] for g in active])
+        visit = visit[deg[visit] > 0]  # a node without edges keeps its label
+        # step-major order: step s holds the s-th visit of each graph with more
+        pos = np.arange(len(visit)) - np.repeat(np.cumsum(m) - m, m)
+        per_step = np.bincount(pos)
+        first = np.cumsum(per_step) - per_step
+        steps = np.empty_like(visit)
+        steps[first[pos] + np.repeat(np.arange(len(active)), m)] = visit
+        # each visit's run of neighbour entries within its step
+        d = deg[steps]
+        off = np.cumsum(d)
+        total = np.diff(off[first + per_step - 1], prepend=0).tolist()
+        off -= d + np.repeat(off[first] - d[first], per_step)
+        start = ptr[steps] - off
+        before = lab.copy()
+        for lo, hi, t in zip(first.tolist(), (first + per_step).tolist(), total):
+            u, o, dd = steps[lo:hi], off[lo:hi], d[lo:hi]
+            idx = np.repeat(start[lo:hi], dd) + np.arange(t)
+            ln = lab[nbr[idx]]
+            # label weights summed from 0.0 in edge order, as the dict loop adds
+            weight = np.bincount(ln, weights=wt[idx])[ln]
+            top = np.maximum.reduceat(weight, o)
+            ok = weight >= np.repeat(top - _GAIN_TOL, dd)
+            lab[u] = np.minimum.reduceat(np.where(ok, ln, len(lab)), o)
+        # a node is set only when visited, so a graph changed this sweep
+        # exactly when its labels differ from the sweep's start
+        changed = np.bincount(graph_of, weights=lab != before, minlength=len(sizes))
+        active = [g for g in active if changed[g]]
+        if not active:
+            break
+    return [Partition.from_codes(x, lab[lo:hi])
+            for x, lo, hi in zip(labels, base.tolist(), base[1:].tolist())]
 
 
 # ---------------------------------------------------------------------------

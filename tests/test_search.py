@@ -19,7 +19,7 @@ from dynseg.objectives import (
     segment_log_likelihood,
     snapshot_fit,
 )
-from dynseg import search
+from dynseg import search, static_cluster
 from dynseg.search import (
     CscdEntry,
     CscdTable,
@@ -106,7 +106,7 @@ class TestExhaustive:
 
     def test_store_bound_refuses_only_exhaustive(self, monkeypatch):
         net = _network(k=4, seed=1)
-        size = 10 * (search._SEGMENT_BYTES + search._LABEL_BYTES * len(net.labels))
+        size = search.exhaustive_bytes(net)
         monkeypatch.setattr(search, "EXHAUSTIVE_MAX_STORE_BYTES", size - 1)
         with pytest.raises(ValueError, match="10 segments over 16 nodes"):
             build_table(net, _spec())
@@ -115,19 +115,27 @@ class TestExhaustive:
         monkeypatch.setattr(search, "EXHAUSTIVE_MAX_STORE_BYTES", size)
         assert build_table(net, _spec()).consensus_calls == 10
 
-    def test_store_bound_covers_table_peak(self):
+    def test_store_bound_covers_table_peak(self, monkeypatch):
         """The estimate counts all a table holds at its peak: the store, the
-        score memo, the program's best/back dicts and the entries."""
-        net = _network(k=32, seed=1)
+        score memo, the program's best/back dicts, the entries and one
+        label-propagation batch; each segment adds no more than its term."""
         spec = SearchSpec("exhaustive", Criterion.BIC, Consensus.SUM_LPA, 0)
-        tracemalloc.start()
-        try:
-            build_table(net, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_segment = search._SEGMENT_BYTES + search._LABEL_BYTES * len(net.labels)
-        assert peak <= 32 * 33 // 2 * per_segment
+
+        def peak(net):
+            tracemalloc.start()
+            try:
+                build_table(net, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        net, half = _network(k=32, seed=1), _network(k=16, seed=1)
+        assert peak(net) <= search.exhaustive_bytes(net)
+        # with batches too small to hide it, the growth between two lengths
+        # is the per-segment term's alone (the batch term cancels)
+        monkeypatch.setattr(static_cluster, "LPA_BATCH_BYTES", 1 << 14)
+        growth = search.exhaustive_bytes(net) - search.exhaustive_bytes(half)
+        assert peak(net) - peak(half) <= growth
 
     def test_entry_segment_counts(self):
         net = _network(k=5, seed=9)
@@ -378,13 +386,18 @@ class TestSegmentStore:
         fresh = [build_table(net, spec) for spec in specs]
 
         clustered = []
-        real = search.segment_partition
+        one, many = search.segment_partition, search.segment_partitions
 
         def counting(network, segment, consensus, seed):
             clustered.append(segment)
-            return real(network, segment, consensus, seed)
+            return one(network, segment, consensus, seed)
+
+        def counting_many(network, segments, consensus, seed):
+            clustered.extend(segments)
+            return many(network, segments, consensus, seed)
 
         monkeypatch.setattr(search, "segment_partition", counting)
+        monkeypatch.setattr(search, "segment_partitions", counting_many)
         store = SegmentStore(net)
         shared = [build_table(net, spec, store) for spec in specs]
         for t, ref in zip(shared, fresh):
@@ -418,7 +431,8 @@ class TestSegmentStore:
 
 
 class TestParallelFill:
-    """A store filled in worker processes equals one filled in-process."""
+    """A store filled in worker processes equals one filled in-process, and
+    both equal terms computed one segment at a time."""
 
     CONSENSUS, SEED = Consensus.SUM_LOUVAIN, 5
 
@@ -430,30 +444,39 @@ class TestParallelFill:
 
     @pytest.mark.parametrize("with_ll", [True, False])
     def test_parallel_fill_equals_serial(self, monkeypatch, two_workers, with_ll):
+        # sum-lpa fills run label_propagation_many: in lockstep over the serial
+        # fill's 36 segments, graph by graph over the workers' chunks of 4-5
         net = _network(k=8, seed=3, l=3, n=20)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
+        methods = (Consensus.SUM_LOUVAIN, Consensus.SUM_LPA)
+        one_by_one = SegmentStore(net)
+        want = {c: [one_by_one.segment(c, self.SEED, *s, with_ll) for s in segments]
+                for c in methods}
         serial = SegmentStore(net)
-        serial.fill(self.CONSENSUS, self.SEED, segments, with_ll)
+        for c in methods:
+            serial.fill(c, self.SEED, segments, with_ll)
 
-        parent, real = os.getpid(), search.segment_partition
+        parent, real = os.getpid(), search.segment_partitions
 
         def in_workers_only(*args):
-            assert os.getpid() != parent, "a segment was clustered in the parent"
+            assert os.getpid() != parent, "segments were clustered in the parent"
             return real(*args)
 
-        monkeypatch.setattr(search, "segment_partition", in_workers_only)
+        monkeypatch.setattr(search, "segment_partitions", in_workers_only)
         parallel = SegmentStore(net, jobs=2)
-        parallel.fill(self.CONSENSUS, self.SEED, segments, with_ll)
-        for start, end in segments:
-            want = serial.segment(self.CONSENSUS, self.SEED, start, end)
-            got = parallel.segment(self.CONSENSUS, self.SEED, start, end)
-            assert list(got.partition.assignment.items()) == \
-                list(want.partition.assignment.items())
-            assert got.num_parameters == want.num_parameters
-            if with_ll:
-                assert got.log_likelihood.hex() == want.log_likelihood.hex()
-            else:
-                assert got.log_likelihood is None is want.log_likelihood
+        for c in methods:
+            parallel.fill(c, self.SEED, segments, with_ll)
+        for c in methods:
+            for (start, end), ref in zip(segments, want[c]):
+                for store in (serial, parallel):
+                    got = store.segment(c, self.SEED, start, end)
+                    assert list(got.partition.assignment.items()) == \
+                        list(ref.partition.assignment.items())
+                    assert got.num_parameters == ref.num_parameters
+                    if with_ll:
+                        assert got.log_likelihood.hex() == ref.log_likelihood.hex()
+                    else:
+                        assert got.log_likelihood is None is ref.log_likelihood
 
     def test_fill_computes_only_missing_segments(self, monkeypatch, two_workers):
         net = _network(k=5, seed=4)
@@ -465,6 +488,7 @@ class TestParallelFill:
             raise AssertionError("a memoized segment was computed again")
 
         monkeypatch.setattr(search, "segment_partition", no_work)
+        monkeypatch.setattr(search, "segment_partitions", no_work)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         store.fill(self.CONSENSUS, self.SEED, segments, with_ll=True)
         last = store.segment(self.CONSENSUS, self.SEED, 0, net.k - 1, with_ll=True)

@@ -10,6 +10,7 @@ from dynseg.static_cluster import (
     WeightedGraph,
     cluster,
     label_propagation,
+    label_propagation_many,
     walktrap,
 )
 from label_graphs import (
@@ -317,6 +318,73 @@ class TestLabelPropagation:
         p2 = label_propagation(TWO_TRIANGLES, 5)
         assert p1.assignment == p2.assignment
 
+    def test_many_rejects_a_graph_without_nodes(self):
+        with pytest.raises(ValueError, match="no nodes to cluster"):
+            label_propagation_many([TWO_TRIANGLES, label_graph([], {})], [0, 1])
+
+
+# Exact ties (0.5 + 0.5 against 1.0, 0.1 + 0.2 against 0.3) and near-ties
+# around _GAIN_TOL (1 +- 1e-12, and weights so small that top - _GAIN_TOL
+# is not positive).
+LPA_WEIGHTS = (1.0, 2.0, 0.5, 0.25, 0.1, 0.2, 0.3, 1.0 + 1e-12, 1.0 - 1e-12, 1e-12, 5e-13)
+
+
+@st.composite
+def lpa_graphs(draw):
+    """A graph of 1-9 nodes, edgeless or with isolated nodes as drawn, its
+    edges in drawn order and orientation."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flip = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    ends = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+    w = draw(st.lists(st.sampled_from(LPA_WEIGHTS), min_size=len(edges), max_size=len(edges)))
+    return WeightedGraph(
+        tuple(f"v{i}" for i in range(n)),
+        np.array([u for u, _ in ends], dtype=np.intp),
+        np.array([v for _, v in ends], dtype=np.intp),
+        np.array(w, dtype=float),
+    )
+
+
+@pytest.mark.parametrize("sweeps", [static_cluster.MAX_SWEEPS, 1, 2])
+@settings(max_examples=40, deadline=None)
+@given(
+    graphs=st.lists(lpa_graphs(), min_size=1, max_size=24),
+    seed=st.integers(0, 2**32),
+    batch_bytes=st.sampled_from([static_cluster.LPA_BATCH_BYTES, 1 << 14, 1 << 10]),
+    width=st.sampled_from([1, static_cluster._MIN_LOCKSTEP_WIDTH]),
+)
+def test_label_propagation_many_equals_one_by_one(sweeps, graphs, seed, batch_bytes, width):
+    """Graph by graph, the lockstep kernel gives label_propagation's partition.
+
+    Small byte caps split the list into several batches and grow the row
+    buffer for a graph that does not fit it; width 1 keeps every sweep in
+    lockstep, the default hands the last graphs of a batch to the dict loop.
+    """
+    seeds = [seed + i for i in range(len(graphs))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(static_cluster, "MAX_SWEEPS", sweeps)
+        mp.setattr(static_cluster, "LPA_BATCH_BYTES", batch_bytes)
+        mp.setattr(static_cluster, "_MIN_LOCKSTEP_WIDTH", width)
+        want = [label_propagation(g, s) for g, s in zip(graphs, seeds)]
+        got = label_propagation_many(iter(graphs), iter(seeds))
+    assert len(got) == len(want)
+    for g, p, q in zip(graphs, got, want):
+        assert p.labels is g.labels
+        assert p.codes.tolist() == q.codes.tolist()
+
+
+@pytest.mark.parametrize("sweeps", [6, static_cluster.MAX_SWEEPS])
+def test_label_propagation_many_hands_stragglers_their_sweeps_left(monkeypatch, sweeps):
+    """A 9-node path takes 4 to 8 sweeps: once too few paths of the batch are
+    left for lockstep, the rest finish in the dict loop within MAX_SWEEPS."""
+    nodes = [f"v{i}" for i in range(9)]
+    path = label_graph(nodes, {(u, v): 1.0 for u, v in zip(nodes, nodes[1:])})
+    monkeypatch.setattr(static_cluster, "MAX_SWEEPS", sweeps)
+    seeds = range(12)
+    assert label_propagation_many([path] * 12, seeds) == [label_propagation(path, s) for s in seeds]
+
 
 class TestWalktrap:
     def test_two_triangles(self):
@@ -366,9 +434,10 @@ class TestCommonContracts:
         lambda g: cluster(g, "stabilized-louvain", 13, singletons(g.nodes)),
         lambda g: label_propagation(g, 13),
         lambda g: walktrap(g),
+        lambda g: label_propagation_many([g, g], [13, 14])[0],
     ]
 
-    @pytest.mark.parametrize("method_idx", range(4))
+    @pytest.mark.parametrize("method_idx", range(5))
     def test_output_covers_exactly_graph_nodes(self, method_idx):
         rng = np.random.default_rng(40 + method_idx)
         for _ in range(5):
@@ -384,7 +453,7 @@ class TestCommonContracts:
             assert p.labels is g.labels  # shared, not copied
             assert p == Partition(dict(zip(p.labels, p.codes.tolist())))
 
-    @pytest.mark.parametrize("method_idx", range(4))
+    @pytest.mark.parametrize("method_idx", range(5))
     def test_component_safety(self, method_idx):
         # two random components with no bridge
         rng = np.random.default_rng(60 + method_idx)
@@ -405,7 +474,7 @@ class TestCommonContracts:
         for members in clusters_of(p):
             assert members <= set(left) or members <= set(right)
 
-    @pytest.mark.parametrize("method_idx", range(4))
+    @pytest.mark.parametrize("method_idx", range(5))
     def test_graph_left_unchanged(self, method_idx):
         before = [x.copy() for x in TWO_TRIANGLES[1:]]
         self.METHODS[method_idx](TWO_TRIANGLES)
