@@ -5,7 +5,6 @@ from .dyngraph import (
     DynamicNetwork,
     Partition,
     ScdOutput,
-    Snapshot,
     load_dynamic_network,
     load_output,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Partition",
     "ScdOutput",
     "SearchSpec",
-    "Snapshot",
     "WeightedGraph",
     "build_table",
     "generate",

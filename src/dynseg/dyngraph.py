@@ -2,16 +2,16 @@
 segment-community outputs, plus the text formats used to exchange them.
 
 A dynamic network is an ordered sequence of snapshots (undirected simple
-graphs over string node labels).  A segmentation of k snapshots is a tuple
-of contiguous (start, end) ranges covering 0..k-1 in time order; the start
-of every segment after the first is a change point.  A full solution
-carries one node partition per segment.
+graphs over string node labels), held as id arrays.  A segmentation of k
+snapshots is a tuple of contiguous (start, end) ranges covering 0..k-1 in
+time order; the start of every segment after the first is a change point.
+A full solution carries one node partition per segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -26,35 +26,11 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-class Snapshot:
-    """One static graph: a node set and a set of undirected simple edges."""
+class IdSnapshot(NamedTuple):
+    """One snapshot as ids: ascending node ids, and (m, 2) edge rows u < v."""
 
-    __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
-        node_set = set(nodes)
-        edge_set = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u!r}")
-            node_set.add(u)
-            node_set.add(v)
-            edge_set.add((u, v) if u <= v else (v, u))
-        self.nodes: frozenset[str] = frozenset(node_set)
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Snapshot)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Snapshot(|V|={len(self.nodes)}, |E|={len(self.edges)})"
+    nodes: np.ndarray
+    edges: np.ndarray
 
 
 class DynamicNetwork:
@@ -66,8 +42,7 @@ class DynamicNetwork:
     the same slice of ``edge_u``/``edge_v`` under ``edge_offsets``, with
     u < v; within a snapshot both are in ascending order.  A segment's nodes
     and edges are therefore one contiguous slice, and an empty snapshot
-    costs one entry per offset array.  ``network[j]`` builds snapshot j as a
-    ``Snapshot`` from its slices.
+    costs one entry per offset array.
     """
 
     __slots__ = (
@@ -75,37 +50,27 @@ class DynamicNetwork:
         "node_ids", "node_offsets", "edge_u", "edge_v", "edge_offsets",
     )
 
-    def __init__(self, snapshots: Sequence[Snapshot]):
-        index: dict[str, int] = {}
-        nodes = [
-            (t, index.setdefault(u, len(index))) for t, g in enumerate(snapshots) for u in g.nodes
-        ]
-        edges = [(t, index[u], index[v]) for t, g in enumerate(snapshots) for u, v in g.edges]
-        self._build(len(snapshots), list(index), nodes, edges)
-
-    @classmethod
-    def from_records(cls, k: int, labels: Sequence[str], nodes, edges) -> "DynamicNetwork":
-        """Network of k snapshots from id records.
-
-        ``labels`` are distinct, in any order, and ids index them.  ``nodes``
-        holds (t, id) records and ``edges`` (t, u, v) records, as rows or
-        flattened, with 0 <= t < k and u != v.  An edge's endpoints join its
-        snapshot; repeated records and edge orientation do not matter.
-        """
-        network = cls.__new__(cls)
-        network._build(k, labels, nodes, edges)
-        return network
-
-    def _build(self, k: int, labels: Sequence[str], nodes, edges) -> None:
+    def __init__(self, k: int, labels: Sequence[str], nodes, edges):
+        """Network of k snapshots from id records: ``nodes`` holds (t, id)
+        and ``edges`` (t, u, v) records, as rows or flattened, with
+        0 <= t < k and u != v, and ids index the distinct ``labels``, in any
+        order; anything else raises ValueError.  An edge's endpoints join its
+        snapshot; repeated records and edge orientation do not matter."""
         if k < 1:
             raise ValueError("a dynamic network needs at least one snapshot")
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        rank = np.empty(len(labels), dtype=np.intp)
-        rank[order] = np.arange(len(labels))
         self.labels: tuple[str, ...] = tuple(labels[i] for i in order)
         self.label_index: dict[str, int] = dict(zip(self.labels, range(len(order))))
-        nt, nid = np.asarray(nodes, dtype=np.intp).reshape(-1, 2).T
-        et, eu, ev = np.asarray(edges, dtype=np.intp).reshape(-1, 3).T
+        if len(self.label_index) < len(order):
+            twice = next(a for a, b in zip(self.labels, self.labels[1:]) if a == b)
+            raise ValueError(f"label {twice!r} appears twice")
+        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+        _check_records(k, labels, nodes, edges)
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[order] = np.arange(len(labels))
+        nt, nid = nodes.T
+        et, eu, ev = edges.T
         eu, ev = rank[eu], rank[ev]
         self.edge_offsets, self.edge_u, self.edge_v = _sorted_records(
             k, et, np.minimum(eu, ev), np.maximum(eu, ev)
@@ -127,20 +92,12 @@ class DynamicNetwork:
     def k(self) -> int:
         return len(self.node_offsets) - 1
 
-    def __getitem__(self, j: int) -> Snapshot:
+    # The library does not call this; bench/tracing.py reads its edge count.
+    def __getitem__(self, j: int) -> IdSnapshot:
         j = range(self.k)[j]
-        labels = self.labels
-        u, v = self.segment_edges(j, j)
-        return Snapshot(
-            [labels[i] for i in self.segment_node_ids(j, j).tolist()],
-            [(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())],
+        return IdSnapshot(
+            self.segment_node_ids(j, j), np.column_stack(self.segment_edges(j, j))
         )
-
-    def __iter__(self) -> Iterator[Snapshot]:
-        return (self[j] for j in range(self.k))
-
-    def __len__(self) -> int:
-        return self.k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DynamicNetwork) and self.labels == other.labels and all(
@@ -150,6 +107,23 @@ class DynamicNetwork:
 
     def __hash__(self) -> int:
         return hash((self.labels, self.node_offsets.tobytes(), self.edge_offsets.tobytes()))
+
+
+def _check_records(k: int, labels: Sequence[str], nodes: np.ndarray, edges: np.ndarray) -> None:
+    """Raise ValueError on the first (t, id) node record or (t, u, v) edge
+    record with t outside 0..k-1, an id that names no label, or u == v."""
+    for what, records in (("node", nodes), ("edge", edges)):
+        for problem, bad in (
+            (f"time index outside 0..{k - 1}", (records[:, 0] < 0) | (records[:, 0] >= k)),
+            (f"node id outside the {len(labels)} labels",
+             ((records[:, 1:] < 0) | (records[:, 1:] >= len(labels))).any(axis=1)),
+        ):
+            if bad.any():
+                raise ValueError(f"{what} record {tuple(records[bad][0].tolist())}: {problem}")
+    loop = edges[:, 1] == edges[:, 2]
+    if loop.any():
+        t, u, _ = edges[loop][0].tolist()
+        raise ValueError(f"edge record {(t, u, u)}: self-loop on node {labels[u]!r}")
 
 
 def _sorted_records(k: int, t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
@@ -204,15 +178,6 @@ class Partition:
     def __setstate__(self, state) -> None:
         self.labels, raw = state
         self.codes = np.frombuffer(raw, dtype=np.int64)  # read-only, already canonical
-
-    @property
-    def assignment(self) -> dict[str, int]:
-        """A fresh {label: code} dict."""
-        return dict(zip(self.labels, self.codes.tolist()))
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.labels)
 
     def codes_by_id(self, index: Mapping[str, int]) -> np.ndarray:
         """The code of every id of ``index``, a map from labels onto ids
@@ -352,7 +317,7 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
         edges += (t, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
     if not k:
         raise FormatError("no snapshot records found")
-    return DynamicNetwork.from_records(k, list(index), nodes, edges)
+    return DynamicNetwork(k, list(index), nodes, edges)
 
 
 def dump_dynamic_network(network: DynamicNetwork) -> str:

@@ -8,8 +8,8 @@ stochastic blockmodel under that segment's partition (intra-cluster edge
 probability c_in/n, inter-cluster c_out/n).
 
 The partition graph carries planned cluster sizes on its edges, so every
-cluster of every segment keeps at least c_min members whenever the
-configuration permits, and adjacent segment partitions always differ.
+cluster of every segment keeps at least c_min members, and adjacent segment
+partitions always differ.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def sample_segments(k: int, l: int, rng: np.random.Generator) -> tuple[tuple[int
 
 
 def _random_sizes(total: int, parts: int, c_min: int, rng: np.random.Generator) -> list[int]:
-    """Split `total` into `parts` sizes, each >= c_min when total allows,
-    degrading to >= 1 otherwise; the remainder lands in uniform-random parts."""
-    if parts < 1 or total < parts:
-        raise GenerationError(f"cannot split {total} members into {parts} parts")
-    floor = c_min if total >= parts * c_min else 1
-    sizes = [floor] * parts
-    rest = total - floor * parts
+    """Split `total` into `parts` sizes, each >= c_min, which every call can
+    meet (a first layer has at most n // c_min parts and a split host of s
+    members at most s // c_min); the remainder lands in uniform-random parts."""
+    if parts < 1 or total < parts * c_min:
+        raise GenerationError(f"cannot split {total} members into {parts} parts of {c_min}+")
+    sizes = [c_min] * parts
+    rest = total - c_min * parts
     if rest > 0:
         picks = rng.integers(0, parts, size=rest)
         for p in picks:
@@ -330,7 +330,7 @@ def generate_snapshots(
             edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
     # every snapshot holds every node
     nodes = np.column_stack([np.repeat(np.arange(k), n), np.tile(np.arange(n), k)])
-    return DynamicNetwork.from_records(k, list(index), nodes, np.concatenate(edges))
+    return DynamicNetwork(k, list(index), nodes, np.concatenate(edges))
 
 
 def generate(cfg: GeneratorConfig) -> tuple[DynamicNetwork, ScdOutput]:

@@ -24,6 +24,8 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from . import objectives, static_cluster
 from .consensus import Consensus, segment_partition, segment_partitions
 from .dyngraph import DynamicNetwork, Partition, ScdOutput
@@ -50,8 +52,9 @@ _CHUNKS_PER_WORKER = 4
 MIN_PARALLEL_EDGE_VISITS = 100_000
 
 # An exhaustive table holds (k^2+k)/2 entries in each of its store, score
-# memo, best/back dicts and per-l segment lists.  The tracemalloc peak of
-# build_table (sum-lpa, BIC, one process) was 730 B per segment at 2 nodes
+# memo and per-l segment lists.  The tracemalloc peak of build_table
+# (sum-lpa, BIC, one process, while the dynamic program still held two dicts
+# where it now holds two arrays) was 730 B per segment at 2 nodes
 # and k=256 (793 at k=512, where indices above 256 are int objects), 882 B at
 # 10 nodes, 1.5 KB at 50 and 4.0 KB at 200: about 850 B plus 16 B per node
 # (a partition's code array and label tuple).  The bound counts every node
@@ -325,9 +328,10 @@ def _exhaustive(scorer: _SegmentScorer) -> _PerL:
     """Optimal segmentation per l via dynamic programming over last-segment
     start times.
 
-    best[i][l] scores the best l-segment segmentation of the first i
-    snapshots; it extends best[t][l-1] with the one-segment suffix [t, i-1].
-    Ties keep the smallest last-segment start time.
+    best[l, i] scores the best l-segment segmentation of the first i
+    snapshots; it extends best[l-1, t] with the one-segment suffix [t, i-1].
+    Cells with no such segmentation hold -inf.  Ties keep the smallest
+    last-segment start time, the first maximum that argmax returns.
     """
     k = scorer.network.k
     scorer.store.fill(
@@ -336,21 +340,21 @@ def _exhaustive(scorer: _SegmentScorer) -> _PerL:
         [(t, i) for i in range(k) for t in range(i + 1)],
         with_ll=scorer.weight is not None,
     )
-    best: list[dict[int, float]] = [{0: 0.0}] + [{} for _ in range(k)]
-    back: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    best = np.full((k + 1, k + 1), -np.inf)
+    best[0, 0] = 0.0
+    back = np.zeros((k + 1, k + 1), dtype=np.intp)
     for i in range(1, k + 1):
-        for l in range(1, i + 1):
-            def extend(t: int) -> float:
-                return best[t][l - 1] + scorer.score(t, i - 1)
+        # row t is the score of the suffix [t, i-1]; cand[l-1, t] extends best[l-1, t]
+        cand = best[:i, :i] + np.array([scorer.score(t, i - 1) for t in range(i)])
+        back[1:i + 1, i] = cand.argmax(axis=1)
+        best[1:i + 1, i] = cand.max(axis=1)
 
-            t = max((0,) if l == 1 else range(l - 1, i), key=extend)
-            best[i][l], back[i][l] = extend(t), t
-
+    back = back.tolist()  # Python ints for the segment ranges
     per_l: _PerL = {}
     for l in range(1, k + 1):
         segs, i = [], k
         for ll in range(l, 0, -1):
-            t = back[i][ll]
+            t = back[ll][i]
             segs.append((t, i - 1))
             i = t
         per_l[l] = tuple(reversed(segs))

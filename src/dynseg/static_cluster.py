@@ -52,6 +52,7 @@ class WeightedGraph(NamedTuple):
     b: np.ndarray
     w: np.ndarray
 
+    # The library does not call this; bench/tracing.py reads its node count.
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self.labels)

@@ -1,5 +1,11 @@
 """Label-keyed graph builders for the tests.
 
+The library holds a network as id arrays.  The tests state their snapshots
+by label: ``Snapshot`` is one such graph, ``network_of`` builds a network
+from a list of them through the record constructor, ``snapshot_at`` reads
+snapshot j back by label, and ``assignment`` gives a partition as a
+``{label: code}`` dict, for the label-keyed reference loops.
+
 A ``WeightedGraph`` is its sorted labels and its edge arrays ``(a, b, w)``,
 which the library's builders fill from id arrays.  The tests state their
 graphs by label, so the label-keyed constructor lives here.  So do ``rows``,
@@ -35,10 +41,58 @@ import numpy as np
 
 from dynseg import objectives
 from dynseg._seeds import derive_seed
-from dynseg.dyngraph import DynamicNetwork, Partition, ScdOutput, Snapshot
+from dynseg.dyngraph import DynamicNetwork, Partition, ScdOutput
 from dynseg.evaluation import PartitionMetric, _contingency, _information, _similarity
 from dynseg.objectives import Criterion, FitMeasure
 from dynseg.static_cluster import WeightedGraph, cluster
+
+
+class Snapshot:
+    """One static graph by label: a node set and a set of undirected edges
+    (u, v), u <= v, whose endpoints join the node set."""
+
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
+        self.edges = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
+        self.nodes = frozenset(nodes).union(*self.edges)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Snapshot) and (self.nodes, self.edges) == (
+            other.nodes, other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Snapshot({sorted(self.nodes)}, {sorted(self.edges)})"
+
+
+def network_of(snapshots: Sequence[Snapshot]) -> DynamicNetwork:
+    """The network of these snapshots, in order, through the record constructor."""
+    index: dict[str, int] = {}
+    nodes = [
+        (t, index.setdefault(u, len(index))) for t, g in enumerate(snapshots) for u in g.nodes
+    ]
+    edges = [(t, index[u], index[v]) for t, g in enumerate(snapshots) for u, v in g.edges]
+    return DynamicNetwork(len(snapshots), list(index), nodes, edges)
+
+
+def snapshot_at(network: DynamicNetwork, j: int) -> Snapshot:
+    """Snapshot j of the network by label."""
+    j = range(network.k)[j]
+    labels = network.labels
+    u, v = network.segment_edges(j, j)
+    return Snapshot(
+        [labels[i] for i in network.segment_node_ids(j, j).tolist()],
+        [(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())],
+    )
+
+
+def assignment(p: Partition) -> dict[str, int]:
+    """A fresh {label: code} dict."""
+    return dict(zip(p.labels, p.codes.tolist()))
 
 
 def label_graph(
@@ -72,23 +126,24 @@ def rows(graph: WeightedGraph) -> list[dict[int, float]]:
 
 
 def restrict(p: Partition, nodes: Iterable[str]) -> Partition:
-    """Partition of ``p.domain`` intersect ``nodes``; empty clusters drop out."""
-    return Partition({u: p.assignment[u] for u in p.domain & frozenset(nodes)})
+    """Partition of p's labels that are in ``nodes``; empty clusters drop out."""
+    keep = frozenset(nodes)
+    return Partition({u: c for u, c in assignment(p).items() if u in keep})
 
 
 def from_clusters(clusters: Iterable[Iterable[str]]) -> Partition:
     """Partition with these member lists; rejects an empty cluster and a
     node listed twice."""
-    assignment: dict[str, int] = {}
+    assign: dict[str, int] = {}
     for cid, members in enumerate(clusters):
         members = list(members)
         if not members:
             raise ValueError("empty cluster")
         for u in members:
-            if u in assignment:
+            if u in assign:
                 raise ValueError(f"node {u!r} assigned to two clusters")
-            assignment[u] = cid
-    return Partition(assignment)
+            assign[u] = cid
+    return Partition(assign)
 
 
 def singletons(nodes: Iterable[str]) -> Partition:
@@ -139,13 +194,13 @@ def co_occurrence_weights(
     shared: dict[tuple[str, str], int] = {}
     prev: Partition | None = None
     for j in range(start, end + 1):
-        g = network[j]
+        g = snapshot_at(network, j)
         if not g.nodes:
             continue
         p = cluster(snapshot_graph(g), kind, derive_seed(seed, "cm-snapshot", j), init=prev)
         prev = p
         ordered = sorted(g.nodes)
-        assign = p.assignment
+        assign = assignment(p)
         for idx, u in enumerate(ordered):
             for v in ordered[idx + 1:]:
                 key = (u, v)
@@ -160,7 +215,7 @@ def reference_co_occurrence_graph(
 ) -> WeightedGraph:
     """The co-occurrence graph built through the label-keyed constructor."""
     start, end = segment
-    nodes = frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
+    nodes = frozenset().union(*(snapshot_at(network, j).nodes for j in range(start, end + 1)))
     return label_graph(nodes, co_occurrence_weights(network, segment, kind, seed))
 
 

@@ -41,7 +41,10 @@ from dynseg.search import (
     SegmentStore,
     build_table,
 )
-from label_graphs import clusters_of, from_clusters, partition_at, partition_similarity, segments_of
+from label_graphs import (
+    assignment, clusters_of, from_clusters, partition_at, partition_similarity, segments_of,
+    snapshot_at,
+)
 
 BASE_SEED = 0
 GRID_L = (1, 2, 4, 8, 16)
@@ -281,7 +284,7 @@ def test_criterion_10_segments_beat_both_extremes(detection_grid):
 def test_criterion_7_metric_suite():
     problems = []
     p = from_clusters([["a", "b"], ["c"], ["d", "e", "f"]])
-    relabeled = Partition({u: c + 9 for u, c in p.assignment.items()})
+    relabeled = Partition({u: c + 9 for u, c in assignment(p).items()})
     for metric in PartitionMetric:
         if partition_similarity(metric, p, relabeled) != 1.0:
             problems.append(f"{metric.value} identity")
@@ -341,11 +344,12 @@ def test_criterion_8_generator_statistics():
         for a, b in zip(truth.partitions, truth.partitions[1:]):
             if a == b:
                 adjacent_differ = False
-        for j, g in enumerate(net):
+        for j in range(net.k):
             if snapshots >= 200:
                 break
+            g = snapshot_at(net, j)
             snapshots += 1
-            assign = partition_at(truth, j).assignment
+            assign = assignment(partition_at(truth, j))
             nodes = sorted(g.nodes)
             for idx, u in enumerate(nodes):
                 for v in nodes[idx + 1:]:

@@ -11,11 +11,12 @@ from dynseg.consensus import (
     segment_partition,
     sum_graph,
 )
-from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
+from dynseg.dyngraph import Partition
 from dynseg._seeds import derive_seed
 from dynseg.static_cluster import KINDS, cluster
 from label_graphs import (
-    edge_weights, from_clusters, label_graph, reference_co_occurrence_graph, rows, snapshot_graph,
+    Snapshot, assignment, edge_weights, from_clusters, label_graph, network_of,
+    reference_co_occurrence_graph, rows, snapshot_at, snapshot_graph,
 )
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
@@ -28,7 +29,7 @@ class TestSumGraph:
         g1 = Snapshot([], [("a", "b"), ("b", "c")])
         g2 = Snapshot([], [("a", "b")])
         g3 = Snapshot([], [("a", "c")])
-        net = DynamicNetwork([g1, g2, g3])
+        net = network_of([g1, g2, g3])
         sg = sum_graph(net, 0, 2)
         assert edge_weights(sg) == {("a", "b"): 2.0, ("b", "c"): 1.0, ("a", "c"): 1.0}
 
@@ -38,37 +39,37 @@ class TestSumGraph:
             Snapshot([], [("a", "b"), ("b", "c")]),
             Snapshot([], [("b", "c")]),
         ]
-        net = DynamicNetwork(snaps)
+        net = network_of(snaps)
         for start in range(3):
             for end in range(start, 3):
                 sg = sum_graph(net, start, end)
                 for edge, w in edge_weights(sg).items():
                     count = sum(
-                        1 for j in range(start, end + 1) if edge in net[j].edges
+                        1 for j in range(start, end + 1) if edge in snapshot_at(net, j).edges
                     )
                     assert w == count
                 # and no edge missing
                 seen = set()
                 for j in range(start, end + 1):
-                    seen |= net[j].edges
+                    seen |= snapshot_at(net, j).edges
                 assert set(edge_weights(sg)) == seen
 
     def test_disjoint_edge_sets_weight_one(self):
         g1 = Snapshot([], [("a", "b")])
         g2 = Snapshot([], [("c", "d")])
-        net = DynamicNetwork([g1, g2])
+        net = network_of([g1, g2])
         sg = sum_graph(net, 0, 1)
         assert set(edge_weights(sg).values()) == {1.0}
         assert set(edge_weights(sg)) == {("a", "b"), ("c", "d")}
 
     def test_singleton_segment_equals_static_clustering(self):
-        net = DynamicNetwork([TRIANGLES])
+        net = network_of([TRIANGLES])
         p = cluster(sum_graph(net, 0, 0), "louvain", 4)
         direct = cluster(snapshot_graph(TRIANGLES), "louvain", 4)
-        assert p.assignment == direct.assignment
+        assert assignment(p) == assignment(direct)
 
     def test_identical_snapshots_match_single_snapshot_louvain(self):
-        net = DynamicNetwork([TRIANGLES] * 3)
+        net = network_of([TRIANGLES] * 3)
         p = cluster(sum_graph(net, 0, 2), "louvain", 4)
         direct = cluster(snapshot_graph(TRIANGLES), "louvain", 4)
         assert p == direct
@@ -76,31 +77,31 @@ class TestSumGraph:
     def test_weight_scale_invariance_of_louvain(self):
         g = label_graph([], {e: 1.0 for e in TRI_EDGES})
         scaled = label_graph([], {e: 3.0 for e in TRI_EDGES})
-        assert cluster(g, "louvain", 9).assignment == cluster(scaled, "louvain", 9).assignment
+        assert assignment(cluster(g, "louvain", 9)) == assignment(cluster(scaled, "louvain", 9))
 
     def test_edgeless_segment_gives_singletons(self):
-        net = DynamicNetwork([Snapshot(["a", "b", "c"], [])])
+        net = network_of([Snapshot(["a", "b", "c"], [])])
         p = cluster(sum_graph(net, 0, 0), "walktrap", 0)
         assert p.num_clusters == 3
 
     def test_domain_is_union_of_node_sets(self):
         g1 = Snapshot(["x"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
-        net = DynamicNetwork([g1, g2])
+        net = network_of([g1, g2])
         p = cluster(sum_graph(net, 0, 1), "louvain", 0)
-        assert p.domain == {"a", "b", "c", "x"}
+        assert set(p.labels) == {"a", "b", "c", "x"}
 
 
 class TestAverageLouvain:
     def test_singleton_segment_equals_louvain(self):
-        net = DynamicNetwork([TRIANGLES])
+        net = network_of([TRIANGLES])
         p = segment_partition(net, (0, 0), Consensus.AVG_LOUVAIN, 6)
         seg_seed = derive_seed(6, "segment", 0, 0)
         direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
-        assert p.assignment == direct.assignment
+        assert assignment(p) == assignment(direct)
 
     def test_identical_snapshots_equal_louvain(self):
-        net = DynamicNetwork([TRIANGLES] * 4)
+        net = network_of([TRIANGLES] * 4)
         p = segment_partition(net, (0, 3), Consensus.AVG_LOUVAIN, 6)
         seg_seed = derive_seed(6, "segment", 0, 3)
         direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
@@ -121,14 +122,14 @@ class TestAverageLouvain:
         assert gain_a > 0
         assert gain_a + 10 * gain_b < 0
         alone = cluster(snapshot_graph(a), "louvain", 0)
-        assert alone.assignment["u"] == alone.assignment["v"]
-        net = DynamicNetwork([a] + [b] * 10)
+        assert assignment(alone)["u"] == assignment(alone)["v"]
+        net = network_of([a] + [b] * 10)
         p = segment_partition(net, (0, 10), Consensus.AVG_LOUVAIN, 0)
-        assert p.assignment["u"] != p.assignment["v"]
+        assert assignment(p)["u"] != assignment(p)["v"]
 
     def test_empty_snapshot_in_segment_is_neutral(self):
         empty = Snapshot(TRIANGLES.nodes, [])
-        net = DynamicNetwork([TRIANGLES, empty, TRIANGLES])
+        net = network_of([TRIANGLES, empty, TRIANGLES])
         p = segment_partition(net, (0, 2), Consensus.AVG_LOUVAIN, 3)
         seg_seed = derive_seed(3, "segment", 0, 2)
         direct = cluster(snapshot_graph(TRIANGLES), "louvain", seg_seed)
@@ -140,18 +141,18 @@ class TestConsensusMatrix:
         # u,v together in 3 of 4 snapshots
         together = Snapshot([], [("u", "v"), ("u", "w"), ("v", "w"), ("x", "y"), ("x", "z"), ("y", "z")])
         apart = Snapshot([], [("u", "w"), ("v", "x"), ("v", "y"), ("x", "y"), ("u", "z"), ("w", "z")])
-        net = DynamicNetwork([together, together, together, apart])
+        net = network_of([together, together, together, apart])
         graph = co_occurrence_graph(net, (0, 3), "louvain", 1)
         weights = edge_weights(graph)
         assert weights[("u", "v")] == pytest.approx(0.75)
 
     def test_unanimous_partitions_reproduced(self):
-        net = DynamicNetwork([TRIANGLES] * 3)
+        net = network_of([TRIANGLES] * 3)
         p = segment_partition(net, (0, 2), Consensus.CMATRIX_LOUVAIN, 2)
         assert p == from_clusters(["abc", "def"])
 
     def test_singleton_segment_two_triangles(self):
-        net = DynamicNetwork([TRIANGLES])
+        net = network_of([TRIANGLES])
         for kind in ("louvain", "walktrap"):
             p = segment_partition(net, (0, 0), Consensus(f"cmatrix-{kind}"), 2)
             assert p == from_clusters(["abc", "def"])
@@ -159,16 +160,16 @@ class TestConsensusMatrix:
     def test_pair_never_present_together_absent(self):
         g1 = Snapshot([], [("a", "b")])
         g2 = Snapshot([], [("c", "d")])
-        net = DynamicNetwork([g1, g2])
+        net = network_of([g1, g2])
         weights = edge_weights(co_occurrence_graph(net, (0, 1), "louvain", 0))
         assert ("a", "c") not in weights
 
     def test_domain_is_union(self):
         g1 = Snapshot(["q"], [("a", "b")])
         g2 = Snapshot([], [("b", "c")])
-        net = DynamicNetwork([g1, g2])
+        net = network_of([g1, g2])
         p = segment_partition(net, (0, 1), Consensus.CMATRIX_LOUVAIN, 0)
-        assert p.domain == {"a", "b", "c", "q"}
+        assert set(p.labels) == {"a", "b", "c", "q"}
 
 
 LABELS = [f"n{i}" for i in range(8)]
@@ -184,7 +185,7 @@ def segments(draw):
         pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         snapshots.append(Snapshot(nodes, edges))
-    net = DynamicNetwork(snapshots)
+    net = network_of(snapshots)
     start = draw(st.integers(0, k - 1))
     end = draw(st.integers(start, k - 1))
     return net, (start, end)
@@ -255,7 +256,7 @@ def test_co_occurrence_rows_follow_first_shared_snapshot():
     # so a's row lists c before b although (a, b) sorts before (a, c)
     split = Snapshot([], [("a", "c"), ("b", "x")])
     triangle = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c")])
-    net = DynamicNetwork([split, triangle])
+    net = network_of([split, triangle])
     graph = co_occurrence_graph(net, (0, 1), "walktrap", 0)
     assert graph.labels == ("a", "b", "c", "x")
     assert [list(row.items()) for row in rows(graph)] == [
@@ -286,11 +287,11 @@ class TestSegmentPartition:
     def test_deterministic_and_covering(self, spec):
         g1 = Snapshot(["x"], TRI_EDGES[:5])
         g2 = Snapshot([], TRI_EDGES[2:])
-        net = DynamicNetwork([g1, g2, g1])
+        net = network_of([g1, g2, g1])
         p1 = segment_partition(net, (0, 2), spec, 8)
         p2 = segment_partition(net, (0, 2), spec, 8)
-        assert p1.assignment == p2.assignment
-        assert p1.domain == g1.nodes | g2.nodes
+        assert assignment(p1) == assignment(p2)
+        assert set(p1.labels) == g1.nodes | g2.nodes
 
     @pytest.mark.parametrize("spec", [
         Consensus.SUM_WALKTRAP,
@@ -298,16 +299,16 @@ class TestSegmentPartition:
         Consensus.CMATRIX_LOUVAIN,
     ], ids=[f"spec{i}" for i in range(3)])
     def test_empty_segment_gets_empty_partition(self, spec):
-        net = DynamicNetwork([TRIANGLES, Snapshot(), Snapshot(), TRIANGLES])
+        net = network_of([TRIANGLES, Snapshot(), Snapshot(), TRIANGLES])
         assert segment_partition(net, (1, 2), spec, 0) == Partition({})
-        assert segment_partition(net, (0, 1), spec, 0).domain == TRIANGLES.nodes
+        assert set(segment_partition(net, (0, 1), spec, 0).labels) == TRIANGLES.nodes
 
     def test_per_segment_seeds_differ(self):
         # two different segments of identical content may differ, but the same
         # segment scored from different call orders may not
-        net = DynamicNetwork([TRIANGLES, TRIANGLES, TRIANGLES])
+        net = network_of([TRIANGLES, TRIANGLES, TRIANGLES])
         spec = Consensus.SUM_LOUVAIN
         first = segment_partition(net, (1, 2), spec, 5)
         segment_partition(net, (0, 0), spec, 5)
         second = segment_partition(net, (1, 2), spec, 5)
-        assert first.assignment == second.assignment
+        assert assignment(first) == assignment(second)

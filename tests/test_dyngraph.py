@@ -2,6 +2,7 @@ import itertools
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,28 +12,30 @@ from dynseg.dyngraph import (
     FormatError,
     Partition,
     ScdOutput,
-    Snapshot,
     dump_dynamic_network,
     dump_output,
     load_dynamic_network,
     load_output,
 )
 from dynseg.evaluation import _overlaps
-from label_graphs import from_clusters, is_canonical, output_of, partition_at, segment_at
+from label_graphs import (
+    Snapshot, assignment, from_clusters, is_canonical, network_of, output_of, partition_at,
+    segment_at, snapshot_at,
+)
 
 
 class TestLoadDynamicNetwork:
     def test_basic_edges(self):
         net = load_dynamic_network("0 a b\n0 b c\n1 a c")
         assert net.k == 2
-        assert net[0].edges == {("a", "b"), ("b", "c")}
-        assert net[1].edges == {("a", "c")}
+        assert snapshot_at(net, 0).edges == {("a", "b"), ("b", "c")}
+        assert snapshot_at(net, 1).edges == {("a", "c")}
 
     def test_duplicate_edges_collapse(self):
         net = load_dynamic_network("0 a b\n0 a b")
-        assert len(net[0].edges) == 1
+        assert len(snapshot_at(net, 0).edges) == 1
         net = load_dynamic_network("0 a b\n0 b a")
-        assert len(net[0].edges) == 1
+        assert len(snapshot_at(net, 0).edges) == 1
 
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(FormatError, match="line 1"):
@@ -63,13 +66,13 @@ class TestLoadDynamicNetwork:
 
     def test_isolated_node_line(self):
         net = load_dynamic_network("0 a b\n0 c")
-        assert net[0].nodes == {"a", "b", "c"}
-        assert len(net[0].edges) == 1
+        assert snapshot_at(net, 0).nodes == {"a", "b", "c"}
+        assert len(snapshot_at(net, 0).edges) == 1
 
     def test_missing_intermediate_time_gives_empty_snapshot(self):
         net = load_dynamic_network("0 a b\n2 a b")
         assert net.k == 3
-        assert len(net[1].nodes) == 0
+        assert len(snapshot_at(net, 1).nodes) == 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(FormatError):
@@ -84,7 +87,7 @@ class TestLoadDynamicNetwork:
             tracemalloc.stop()
         assert net.k == 200001
         assert peak < 20 * 2**20
-        assert net[1] == net[199999] == Snapshot()
+        assert snapshot_at(net, 1) == snapshot_at(net, 199999) == Snapshot()
         assert net.node_offsets[1] == net.node_offsets[200000] == 2
         assert net.edge_offsets[199999] == net.edge_offsets[200000] == 1
         assert len(net.node_ids) == 4 and len(net.edge_u) == 2
@@ -112,18 +115,18 @@ class TestLoadDynamicNetwork:
             pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
             edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
             snapshots.append(Snapshot(nodes, edges))
-        net = DynamicNetwork(snapshots)
+        net = network_of(snapshots)
         text = dump_dynamic_network(net)
         again = load_dynamic_network(text)
         assert again == net
         assert dump_dynamic_network(again) == text
 
     def test_trailing_empty_snapshot_cannot_be_dumped(self):
-        net = DynamicNetwork([Snapshot(["a", "b"], [("a", "b")]), Snapshot()])
+        net = network_of([Snapshot(["a", "b"], [("a", "b")]), Snapshot()])
         with pytest.raises(ValueError):
             dump_dynamic_network(net)
         with pytest.raises(ValueError):
-            dump_dynamic_network(DynamicNetwork([Snapshot(), Snapshot()]))
+            dump_dynamic_network(network_of([Snapshot(), Snapshot()]))
 
 
 class TestIdArrays:
@@ -145,13 +148,17 @@ class TestIdArrays:
 
     def test_views_and_equality(self):
         net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
-        assert net[0] == Snapshot(["c"], [("a", "b")])
-        assert net[-1] == Snapshot([], [("a", "c")])
-        assert [len(g.nodes) for g in net] == [3, 2, 0, 2]
+        nodes, edges = net[0]
+        assert (nodes.tolist(), edges.tolist()) == ([0, 1, 2], [[0, 1]])
+        assert (net[-1].nodes.tolist(), net[-1].edges.tolist()) == ([0, 2], [[0, 2]])
+        assert net[2].nodes.shape == (0,) and net[2].edges.shape == (0, 2)
+        assert [len(net[j].edges) for j in range(net.k)] == [1, 1, 0, 1]
         with pytest.raises(IndexError):
             net[4]
-        assert DynamicNetwork(list(net)) == net
-        assert hash(DynamicNetwork(list(net))) == hash(net)
+        assert snapshot_at(net, 0) == Snapshot(["c"], [("a", "b")])
+        assert snapshot_at(net, -1) == Snapshot([], [("a", "c")])
+        again = network_of([snapshot_at(net, j) for j in range(net.k)])
+        assert again == net and hash(again) == hash(net)
         assert net != load_dynamic_network("0 b a\n0 c\n1 c b\n3 a b\n")
 
     def test_pickles(self):
@@ -159,29 +166,87 @@ class TestIdArrays:
         net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
         copy = pickle.loads(pickle.dumps(net))
         assert copy == net and copy.label_index == net.label_index
-        assert [copy[j] for j in range(copy.k)] == list(net)
+        assert [snapshot_at(copy, j) for j in range(copy.k)] == [
+            snapshot_at(net, j) for j in range(net.k)
+        ]
 
     def test_snapshots_and_loader_build_the_same_arrays(self):
         # labels sort as strings, so ids follow "10" < "9"; edges given
         # either way round and repeated collapse
         snapshots = [Snapshot(["9"], [("10", "2"), ("2", "10")]), Snapshot(["x"])]
-        net = DynamicNetwork(snapshots)
+        net = network_of(snapshots)
         assert net.labels == ("10", "2", "9", "x")
         assert net.node_ids.tolist() == [0, 1, 2, 3]
         assert (net.edge_u.tolist(), net.edge_v.tolist()) == ([0], [1])
         assert load_dynamic_network("0 2 10\n0 10 2\n0 9\n1 x\n") == net
         with pytest.raises(ValueError, match="at least one snapshot"):
-            DynamicNetwork([])
+            DynamicNetwork(0, [], [], [])
 
 
-class TestSnapshot:
-    def test_edge_endpoints_join_node_set(self):
-        g = Snapshot(["x"], [("a", "b")])
-        assert g.nodes == {"x", "a", "b"}
+class TestRecords:
+    def test_edge_endpoints_join_their_snapshot(self):
+        net = DynamicNetwork(2, ["x", "b", "a"], [(0, 0)], [(1, 1, 2)])
+        assert snapshot_at(net, 0) == Snapshot(["x"])
+        assert snapshot_at(net, 1) == Snapshot([], [("a", "b")])
 
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Snapshot([], [("a", "a")])
+    @pytest.mark.parametrize("k, labels, nodes, edges, message", [
+        (1, ["a", "b"], [], [(0, 0, 0)], r"edge record \(0, 0, 0\): self-loop on node 'a'"),
+        (1, ["a", "b"], [], [(3, 0, 1)], r"edge record \(3, 0, 1\): time index outside 0\.\.0"),
+        (2, ["a", "b"], [], [(-1, 0, 1)], r"edge record \(-1, 0, 1\): time index outside"),
+        (2, ["a", "b"], [(2, 0)], [], r"node record \(2, 0\): time index outside 0\.\.1"),
+        (1, ["a", "b"], [(0, -1)], [], r"node record \(0, -1\): node id outside the 2 labels"),
+        (1, ["a", "b"], [], [(0, 0, 5)], r"edge record \(0, 0, 5\): node id outside the 2"),
+        (1, ["a", "b"], [], [(0, -1, 0)], r"edge record \(0, -1, 0\): node id outside the 2"),
+        (1, ["a", "a", "b"], [(0, 2)], [], r"label 'a' appears twice"),
+    ], ids=["self-loop", "time-above-k", "negative-time", "node-time-above-k",
+            "negative-node-id", "edge-id-above-labels", "negative-edge-id", "repeated-label"])
+    def test_bad_records_rejected(self, k, labels, nodes, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            DynamicNetwork(k, labels, nodes, edges)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_any_record_form_builds_the_canonical_network(self, data):
+        # records shuffled, repeated, in either orientation, as rows or
+        # flattened, with isolated nodes and empty snapshots; every label
+        # has a record, so the text format can hold the network
+        k = data.draw(st.integers(1, 5))
+        labels = data.draw(st.lists(
+            st.text("abxyz", min_size=1, max_size=2), min_size=1, max_size=6, unique=True
+        ))
+        n = len(labels)
+        time = st.integers(0, k - 1)
+        nodes = [(data.draw(time), i) for i in range(n)]
+        nodes += data.draw(st.lists(st.tuples(time, st.integers(0, n - 1)), max_size=8))
+        edges = []
+        if n > 1:
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            edges = [(t, *uv) for t, uv in data.draw(st.lists(st.tuples(time, pair), max_size=12))]
+        records = [(3, r) for r in edges] + [(2, r) for r in nodes]
+        records += data.draw(st.lists(st.sampled_from(records), max_size=6))
+        records = data.draw(st.permutations(records))
+        node_rows = [r for width, r in records if width == 2]
+        edge_rows = [r for width, r in records if width == 3]
+        if data.draw(st.booleans()):
+            node_rows, edge_rows = np.ravel(node_rows), np.ravel(edge_rows)
+        net = DynamicNetwork(k, labels, node_rows, edge_rows)
+
+        rank = {i: sorted(labels).index(u) for i, u in enumerate(labels)}
+        canon_edges = sorted({(t, *sorted((rank[u], rank[v]))) for t, u, v in edges})
+        canon_nodes = sorted(
+            {(t, rank[i]) for t, i in nodes} | {(t, u) for t, *uv in canon_edges for u in uv}
+        )
+        assert net == DynamicNetwork(k, sorted(labels), canon_nodes, canon_edges)
+        assert net.labels == tuple(sorted(labels))
+        assert net.node_ids.tolist() == [i for _, i in canon_nodes]
+        assert net.node_offsets.tolist() == [
+            sum(1 for t, _ in canon_nodes if t < j) for j in range(k + 1)
+        ]
+        assert [(t, u, v) for t in range(k) for u, v in zip(*net.segment_edges(t, t))] == [
+            tuple(e) for e in canon_edges
+        ]
+        if net.node_offsets[-1] > net.node_offsets[-2]:
+            assert load_dynamic_network(dump_dynamic_network(net)) == net
 
 
 class TestSegmentation:
@@ -264,7 +329,7 @@ class TestPartition:
         p = from_clusters([["c"], ["b", "a"]])
         assert (p.labels, p.codes.tolist()) == (("a", "b", "c"), [0, 0, 1])
         assert p.num_clusters == 2
-        assert p.domain == {"a", "b", "c"}
+        assert p.labels == ("a", "b", "c")
         assert Partition({}).num_clusters == 0
 
     def test_empty_cluster_rejected(self):
@@ -284,7 +349,7 @@ class TestPartition:
     def test_canonical_orders_by_smallest_member(self):
         p = Partition({"d": 7, "a": 3, "b": 7})
         assert p.codes.tolist() == [0, 1, 1]
-        assert p.assignment == {"a": 0, "b": 1, "d": 1}
+        assert assignment(p) == {"a": 0, "b": 1, "d": 1}
         assert Partition.from_codes(p.labels, [-4, 8, 8]) == p
         with pytest.raises(ValueError):
             p.codes[0] = 1  # read-only

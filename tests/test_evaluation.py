@@ -14,9 +14,7 @@ from scipy import integrate
 
 import dynseg
 
-from dynseg.dyngraph import (
-    DynamicNetwork, Partition, ScdOutput, Snapshot, dense_codes, load_output,
-)
+from dynseg.dyngraph import Partition, ScdOutput, dense_codes, load_output
 from dynseg.evaluation import (
     PartitionMetric,
     TimePointRanking,
@@ -35,9 +33,9 @@ from dynseg.evaluation import (
     _t_two_sided_p,
 )
 from label_graphs import (
-    expected_mutual_information_gammaln, from_clusters, output_of, partition_at,
-    partition_similarity, restrict, segment_at, segments_of, sim_t_per_snapshot, singletons,
-    vmeasure_components,
+    Snapshot, assignment, expected_mutual_information_gammaln, from_clusters, network_of,
+    output_of, partition_at, partition_similarity, restrict, segment_at, segments_of,
+    sim_t_per_snapshot, singletons, snapshot_at, vmeasure_components,
 )
 
 ALL_METRICS = list(PartitionMetric)
@@ -45,11 +43,11 @@ ALL_METRICS = list(PartitionMetric)
 
 def hand_ari(p1: Partition, p2: Partition) -> float:
     """Independent pair-counting ARI: count pair agreements directly."""
-    nodes = sorted(p1.domain)
+    a1, a2 = assignment(p1), assignment(p2)
     a = b = c = d = 0
-    for u, v in itertools.combinations(nodes, 2):
-        same1 = p1.assignment[u] == p1.assignment[v]
-        same2 = p2.assignment[u] == p2.assignment[v]
+    for u, v in itertools.combinations(p1.labels, 2):
+        same1 = a1[u] == a1[v]
+        same2 = a2[u] == a2[v]
         if same1 and same2:
             a += 1
         elif same1:
@@ -73,7 +71,7 @@ class TestMetricIdentity:
             from_clusters([["only"]]),  # single node
         ]
         for p in cases:
-            relabeled = Partition({u: cid + 40 for u, cid in p.assignment.items()})
+            relabeled = Partition({u: cid + 40 for u, cid in assignment(p).items()})
             assert partition_similarity(metric, p, relabeled) == 1.0
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -86,7 +84,7 @@ class TestMetricIdentity:
             s12 = partition_similarity(metric, p1, p2)
             s21 = partition_similarity(metric, p2, p1)
             assert s12 == pytest.approx(s21, abs=1e-12)
-            shuffled = Partition({u: 107 - cid for u, cid in p2.assignment.items()})
+            shuffled = Partition({u: 107 - cid for u, cid in assignment(p2).items()})
             assert partition_similarity(metric, p1, shuffled) == pytest.approx(s12)
 
     def test_domain_mismatch_rejected(self):
@@ -321,7 +319,7 @@ class TestSimP:
         # partitions with different domains are compared on V_j when the
         # network is supplied
         g = Snapshot([], [("a", "b")])
-        net = DynamicNetwork([g])
+        net = network_of([g])
         p_big = from_clusters([["a", "b", "z"]])
         p_small = from_clusters([["a", "b"]])
         o1 = ScdOutput(((0, 0),), (p_big,))
@@ -480,11 +478,11 @@ class TestSimConsistency:
             flips = level + 1
             parts = []
             for p in truth.partitions:
-                assignment = dict(p.assignment)
-                ids = sorted(set(p.assignment.values()))
+                assign = assignment(p)
+                ids = sorted(set(assign.values()))
                 for u in rng.choice(nodes, size=flips, replace=False):
-                    assignment[str(u)] = int(ids[rng.integers(0, len(ids))])
-                parts.append(Partition(assignment))
+                    assign[str(u)] = int(ids[rng.integers(0, len(ids))])
+                parts.append(Partition(assign))
             outputs.append(ScdOutput(truth.segments, tuple(parts)))
         scored = [
             (sim_p(o, truth, PartitionMetric.NMI, net),
@@ -523,7 +521,7 @@ def output_pairs(draw):
 
 def _relabelled(output: ScdOutput, perm) -> ScdOutput:
     partitions = tuple(
-        Partition({u: 10 + perm[c] for u, c in p.assignment.items()})
+        Partition({u: 10 + perm[c] for u, c in assignment(p).items()})
         for p in output.partitions
     )
     return ScdOutput(output.segments, partitions)
@@ -534,9 +532,12 @@ def reference_sim_p(o1, o2, metric, network=None):
     total = 0.0
     for j in range(o1.k):
         p1, p2 = partition_at(o1, j), partition_at(o2, j)
-        scope = network[j].nodes if network is not None else p1.domain & p2.domain
+        scope = (
+            snapshot_at(network, j).nodes if network is not None
+            else set(p1.labels) & set(p2.labels)
+        )
         q1, q2 = restrict(p1, scope), restrict(p2, scope)
-        total += partition_similarity(metric, q1, q2) if q1.assignment else 1.0
+        total += partition_similarity(metric, q1, q2) if q1.labels else 1.0
     return total / o1.k
 
 
@@ -545,14 +546,17 @@ def reference_sim_b(o1, o2, metric, network=None):
     elements = []
     for t in range(o1.k):
         p1, p2 = partition_at(o1, t), partition_at(o2, t)
-        scope = network[t].nodes if network is not None else p1.domain & p2.domain
+        scope = (
+            snapshot_at(network, t).nodes if network is not None
+            else set(p1.labels) & set(p2.labels)
+        )
         elements += [(u, t) for u in sorted(scope)]
 
     def node_time(output):
         keys = {}
         return Partition({
             f"{u}\x1f{t}": keys.setdefault(
-                (segment_at(output, t), partition_at(output, t).assignment[u]),
+                (segment_at(output, t), assignment(partition_at(output, t))[u]),
                 len(keys),
             )
             for u, t in elements
@@ -567,13 +571,13 @@ def network_output_pairs(draw):
     plus nodes of other snapshots or of none."""
     k = draw(st.integers(1, 6))
     nodes = st.lists(st.sampled_from(OUTPUT_NODES), unique=True, min_size=1)
-    network = DynamicNetwork([Snapshot(draw(nodes)) for _ in range(k)])
+    network = network_of([Snapshot(draw(nodes)) for _ in range(k)])
 
     def output():
         points = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
         partitions = []
         for start, end in segments_of(points, k):
-            held = set().union(*(network[j].nodes for j in range(start, end + 1)))
+            held = set().union(*(snapshot_at(network, j).nodes for j in range(start, end + 1)))
             domain = sorted(held | set(draw(st.lists(st.sampled_from(OUTPUT_NODES + ["x"])))))
             ids = draw(st.lists(st.integers(0, 3), min_size=len(domain), max_size=len(domain)))
             partitions.append(Partition(dict(zip(domain, ids))))
@@ -595,7 +599,7 @@ def test_sim_p_and_sim_b_match_label_keyed_references(case):
 
 
 def test_sim_p_and_sim_b_reject_an_uncovered_snapshot_node():
-    network = DynamicNetwork([Snapshot(["a", "b"]), Snapshot(["a", "c"])])
+    network = network_of([Snapshot(["a", "b"]), Snapshot(["a", "c"])])
     out = _uniform_output((), 2, [["a", "b"]])  # misses c, which snapshot 1 holds
     for sim in (sim_p, sim_b):
         with pytest.raises(ValueError, match="misses a node of snapshot 1"):

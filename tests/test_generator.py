@@ -12,7 +12,7 @@ from dynseg.generator import (
     generate,
     sample_segments,
 )
-from label_graphs import clusters_of, from_clusters, partition_at
+from label_graphs import assignment, clusters_of, from_clusters, partition_at, snapshot_at
 
 DEFAULT = dict(k=16, l=4, n=50, c_min=5, c_in=20, c_out=4)
 
@@ -200,7 +200,7 @@ class TestSnapshots:
         net, truth = generate(cfg)
         if truth.partitions[0].num_clusters == 2:
             # intra pairs are always edges
-            for g in net:
+            for g in (snapshot_at(net, j) for j in range(net.k)):
                 for members in clusters_of(truth.partitions[0]):
                     ms = sorted(members)
                     for i, u in enumerate(ms):
@@ -210,8 +210,8 @@ class TestSnapshots:
     def test_cout_zero_no_inter_edges(self):
         cfg = GeneratorConfig(k=3, l=1, n=20, c_min=5, c_in=10, c_out=0, seed=4)
         net, truth = generate(cfg)
-        p = truth.partitions[0].assignment
-        for g in net:
+        p = assignment(truth.partitions[0])
+        for g in (snapshot_at(net, j) for j in range(net.k)):
             for u, v in g.edges:
                 assert p[u] == p[v]
 
@@ -224,11 +224,12 @@ class TestSnapshots:
             cfg = GeneratorConfig(seed=seed, **DEFAULT)
             net, truth = generate(cfg)
             seed += 1
-            for j, g in enumerate(net):
+            for j in range(net.k):
                 if count >= 200:
                     break
+                g = snapshot_at(net, j)
                 count += 1
-                assign = partition_at(truth, j).assignment
+                assign = assignment(partition_at(truth, j))
                 nodes = sorted(g.nodes)
                 for i, u in enumerate(nodes):
                     for v in nodes[i + 1:]:
@@ -250,7 +251,7 @@ class TestSnapshots:
         cfg = GeneratorConfig(seed=2, **DEFAULT)
         net, _ = generate(cfg)
         expected = {str(i) for i in range(50)}
-        for g in net:
+        for g in (snapshot_at(net, j) for j in range(net.k)):
             assert g.nodes == expected
 
 

@@ -20,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from dynseg._seeds import derive_seed, rng_for
 from dynseg.consensus import Consensus, segment_partition
-from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot
+from dynseg.dyngraph import Partition
 from dynseg.static_cluster import WeightedGraph, cluster
-from label_graphs import label_graph, restrict, rows
+from label_graphs import (
+    Snapshot, assignment, label_graph, network_of, restrict, rows, snapshot_at,
+)
 
 _GAIN_TOL = 1e-12
 
@@ -176,9 +178,10 @@ def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
     ids = []
     next_id = 0
     seen: dict[int, int] = {}
+    assign = assignment(init)
     for u in labels:
-        if u in init.assignment:
-            cid = init.assignment[u]
+        if u in assign:
+            cid = assign[u]
             if cid not in seen:
                 seen[cid] = next_id
                 next_id += 1
@@ -190,7 +193,7 @@ def _init_ids(init: Partition, labels: Sequence[str]) -> list[int]:
 
 
 def segment_labels(network, start, end):
-    return frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
+    return frozenset().union(*(snapshot_at(network, j).nodes for j in range(start, end + 1)))
 
 
 def reference_average_louvain(network, segment, seed):
@@ -198,7 +201,7 @@ def reference_average_louvain(network, segment, seed):
     nodes = segment_labels(network, start, end)
     graphs = []
     for j in range(start, end + 1):
-        g = network[j]
+        g = snapshot_at(network, j)
         graphs.append(label_graph(nodes, {e: 1.0 for e in g.edges}))
     return reference_louvain_multi(graphs, seed)
 
@@ -221,7 +224,7 @@ def segments(draw):
         pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         snapshots.append(Snapshot(nodes, edges))
-    net = DynamicNetwork(snapshots)
+    net = network_of(snapshots)
     start = draw(st.integers(0, k - 1))
     end = draw(st.integers(start, k - 1))
     return net, (start, end)
@@ -252,14 +255,14 @@ def test_average_louvain_matches_list_of_graphs(case, seed):
         return
     got = segment_partition(net, segment, Consensus.AVG_LOUVAIN, seed)
     expected = reference_average_louvain(net, segment, derive_seed(seed, "segment", start, end))
-    assert got.assignment == expected.assignment
+    assert assignment(got) == assignment(expected)
 
 
 @settings(max_examples=300)
 @given(weighted_graphs(), st.integers(0, 2**31 - 1))
 def test_louvain_matches_list_of_graphs(graph, seed):
     expected = reference_louvain_multi([graph], seed)
-    assert cluster(graph, "louvain", seed).assignment == expected.assignment
+    assert assignment(cluster(graph, "louvain", seed)) == assignment(expected)
 
 
 @settings(max_examples=300)
@@ -267,4 +270,4 @@ def test_louvain_matches_list_of_graphs(graph, seed):
 def test_stabilized_louvain_matches_list_of_graphs(data, graph, seed):
     init = data.draw(inits(graph))
     expected = reference_louvain_multi([graph], seed, init=restrict(init, graph.nodes))
-    assert cluster(graph, "stabilized-louvain", seed, init).assignment == expected.assignment
+    assert assignment(cluster(graph, "stabilized-louvain", seed, init)) == assignment(expected)

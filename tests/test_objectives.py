@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import dynseg
-from dynseg.dyngraph import (
-    DynamicNetwork,
-    Partition,
-    ScdOutput,
-    Snapshot,
-)
+from dynseg.dyngraph import DynamicNetwork, Partition, ScdOutput
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
@@ -26,7 +21,8 @@ from dynseg.objectives import (
     snapshot_fit,
 )
 from label_graphs import (
-    clusters_of, from_clusters, num_parameters, output_of, q_b, q_p, restrict, singletons,
+    Snapshot, assignment, clusters_of, from_clusters, network_of, num_parameters, output_of,
+    q_b, q_p, restrict, singletons,
 )
 
 TRIANGLES = Snapshot([], [("a", "b"), ("b", "c"), ("a", "c"),
@@ -37,7 +33,7 @@ TRI_ONE = from_clusters([["a", "b", "c", "d", "e", "f"]])
 
 def fit_of(fit: FitMeasure, p: Partition, g: Snapshot) -> float:
     """The fit of p on the one-snapshot network [g]."""
-    return snapshot_fit(fit, DynamicNetwork([g]), 0, 0, p)[0]
+    return snapshot_fit(fit, network_of([g]), 0, 0, p)[0]
 
 
 def modularity_of(p: Partition, g: Snapshot) -> float:
@@ -49,7 +45,7 @@ def loss_of(kind: FitMeasure, p: Partition, g: Snapshot) -> float:
 
 
 def _single(snapshot: Snapshot, partition: Partition) -> tuple[DynamicNetwork, ScdOutput]:
-    net = DynamicNetwork([snapshot])
+    net = network_of([snapshot])
     out = ScdOutput(((0, 0),), (partition,))
     return net, out
 
@@ -167,7 +163,7 @@ class TestLossFits:
         g = Snapshot([], [("a", "b"), ("b", "c")])
         p = from_clusters([["a", "b"], ["c"]])
         # one value per snapshot in time order: 1 - 0.625, then 1 - 0 (no edges)
-        net = DynamicNetwork([g, Snapshot(["a", "c"]), g])
+        net = network_of([g, Snapshot(["a", "c"]), g])
         assert snapshot_fit(FitMeasure.CONDUCTANCE, net, 0, 2, p) == pytest.approx(
             [0.375, 1.0, 0.375]
         )
@@ -179,11 +175,12 @@ class TestLossFits:
         # same way on clear-cut cases and both vanish on boundary-free ones
         def textbook(p, g):
             restricted = restrict(p, g.nodes)
+            assign = assignment(restricted)
             clusters = dict(enumerate(clusters_of(restricted)))
             m_c = {cid: 0 for cid in clusters}
             b_c = {cid: 0 for cid in clusters}
             for u, v in g.edges:
-                cu, cv = restricted.assignment[u], restricted.assignment[v]
+                cu, cv = assign[u], assign[v]
                 if cu == cv:
                     m_c[cu] += 1
                 else:
@@ -208,13 +205,13 @@ class TestQp:
         assert q_p(out, net, FitMeasure.MODULARITY) == pytest.approx(0.5)
 
     def test_identical_snapshots_one_segment(self):
-        net = DynamicNetwork([TRIANGLES, TRIANGLES])
+        net = network_of([TRIANGLES, TRIANGLES])
         out = ScdOutput(((0, 1),), (TRI_SPLIT,))
         assert q_p(out, net, FitMeasure.MODULARITY) == pytest.approx(0.5)
 
     def test_mean_over_singleton_segments(self):
         g1 = Snapshot([], [("a", "b"), ("b", "c")])  # conductance 0.625 under split
-        net = DynamicNetwork([g1, g1])
+        net = network_of([g1, g1])
         p_split = from_clusters([["a", "b"], ["c"]])
         p_one = from_clusters([["a", "b", "c"]])
         out = ScdOutput(((0, 0), (1, 1)), (p_split, p_one))
@@ -273,7 +270,7 @@ class TestBlockEstimate:
         nodes_b = ["b0", "b1"]
         cross = [("a0", "b0"), ("a1", "b0"), ("a2", "b1")]
         g = Snapshot(nodes_a + nodes_b, cross)
-        net = DynamicNetwork([g, g])
+        net = network_of([g, g])
         p = from_clusters([nodes_a, nodes_b])
         edges, pairs, _ = _segment_counts(net, 0, 1, p)
         assert edges.tolist() == [[0, 6], [0, 0]]
@@ -286,7 +283,7 @@ class TestBlockEstimate:
     def test_full_clique_theta_one(self):
         nodes = ["a", "b", "c", "d"]
         g = Snapshot(nodes, [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
-        net = DynamicNetwork([g, g, g])
+        net = network_of([g, g, g])
         p = from_clusters([nodes])
         edges, pairs, _ = _segment_counts(net, 0, 2, p)
         assert edges.tolist() == pairs.tolist() == [[18]]
@@ -294,7 +291,7 @@ class TestBlockEstimate:
 
     def test_no_edges_theta_zero(self):
         g = Snapshot(["a", "b", "c"], [])
-        net = DynamicNetwork([g])
+        net = network_of([g])
         p = from_clusters([["a", "b"], ["c"]])
         edges, pairs, _ = _segment_counts(net, 0, 0, p)
         assert edges.tolist() == [[0, 0], [0, 0]]
@@ -304,7 +301,7 @@ class TestBlockEstimate:
     def test_zero_pair_count_defined_zero(self):
         # cluster with one node has no intra pairs
         g = Snapshot(["a", "b"], [("a", "b")])
-        net = DynamicNetwork([g])
+        net = network_of([g])
         p = from_clusters([["a"], ["b"]])
         edges, pairs, _ = _segment_counts(net, 0, 0, p)
         assert pairs[0, 0] == 0
@@ -367,7 +364,7 @@ class TestLogLikelihood:
         relabeled = ScdOutput(
             truth.segments,
             tuple(
-                Partition({u: cid + 17 for u, cid in p.assignment.items()})
+                Partition({u: cid + 17 for u, cid in assignment(p).items()})
                 for p in truth.partitions
             ),
         )
@@ -381,7 +378,7 @@ class TestCounts:
         p2 = from_clusters([["a"], ["b"]])
         p1 = from_clusters([["a", "b"]])
         p3 = from_clusters([["a"], ["b"], ["c"]])
-        net = DynamicNetwork([Snapshot(["a", "b"], []), Snapshot(["a", "b", "c"], [])])
+        net = network_of([Snapshot(["a", "b"], []), Snapshot(["a", "b", "c"], [])])
         assert num_parameters(ScdOutput(((0, 1),), (p2,))) == 3
         assert num_parameters(ScdOutput(((0, 1),), (p1,))) == 1
         out = ScdOutput(((0, 0), (1, 1)), (p2, p3))
@@ -389,10 +386,10 @@ class TestCounts:
 
     def test_num_observations(self):
         five = [f"v{i}" for i in range(5)]
-        net = DynamicNetwork([Snapshot(five, []), Snapshot(five, [])])
+        net = network_of([Snapshot(five, []), Snapshot(five, [])])
         assert num_observations(net) == 20
-        assert num_observations(DynamicNetwork([Snapshot(["a"], [])])) == 0
-        mixed = DynamicNetwork([Snapshot(five[:3], []), Snapshot(five[:4], [])])
+        assert num_observations(network_of([Snapshot(["a"], [])])) == 0
+        mixed = network_of([Snapshot(five[:3], []), Snapshot(five[:4], [])])
         assert num_observations(mixed) == 9
 
 
@@ -407,7 +404,7 @@ class TestQb:
     def test_bic_direct(self):
         five = [f"v{i}" for i in range(5)]
         clique = [(u, v) for i, u in enumerate(five) for v in five[i + 1:]]
-        net = DynamicNetwork([Snapshot(five, clique), Snapshot(five, clique)])
+        net = network_of([Snapshot(five, clique), Snapshot(five, clique)])
         p = from_clusters([five[:2], five[2:]])
         out = ScdOutput(((0, 1),), (p,))
         ll = log_likelihood(out, net)
@@ -424,7 +421,7 @@ class TestQb:
         assert q_b(truth, net, Criterion.BIC) <= q_b(truth, net, Criterion.AIC)
 
     def test_bic_rejects_degenerate_network(self):
-        net = DynamicNetwork([Snapshot(["a"], [])])
+        net = network_of([Snapshot(["a"], [])])
         out = ScdOutput(((0, 0),), (Partition({"a": 0}),))
         with pytest.raises(ValueError):
             q_b(out, net, Criterion.BIC)
@@ -435,7 +432,7 @@ class TestQb:
         renamed = ScdOutput(
             truth.segments,
             tuple(
-                Partition({u: 1000 - cid for u, cid in p.assignment.items()})
+                Partition({u: 1000 - cid for u, cid in assignment(p).items()})
                 for p in truth.partitions
             ),
         )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dynseg.consensus import Consensus, segment_partition
-from dynseg.dyngraph import DynamicNetwork, ScdOutput, Snapshot
+from dynseg.dyngraph import ScdOutput
 from dynseg.generator import GeneratorConfig, generate
 from dynseg.objectives import (
     Criterion,
@@ -31,7 +31,9 @@ from dynseg.search import (
     usable_cpus,
     worker_count,
 )
-from label_graphs import num_parameters, q_b, q_p, segments_of
+from label_graphs import (
+    Snapshot, assignment, network_of, num_parameters, q_b, q_p, segments_of,
+)
 
 
 def _spec(strategy="exhaustive", objective=Criterion.BIC, seed=0):
@@ -160,7 +162,7 @@ class TestTopDown:
         # identical partitions to the exhaustive entry (same memoized segments)
         for p, q in zip(t_td.entry(5).output.partitions,
                         t_ex.entry(5).output.partitions):
-            assert p.assignment == q.assignment
+            assert assignment(p) == assignment(q)
 
     def test_call_counter_bound(self):
         for k in (2, 4, 6):
@@ -186,7 +188,7 @@ class TestBottomUp:
         spec = _spec("bottomup", seed=3)
         table = build_table(net, spec)
         direct = segment_partition(net, (0, 3), Consensus.SUM_LOUVAIN, 3)
-        assert table.entry(1).output.partitions[0].assignment == direct.assignment
+        assert assignment(table.entry(1).output.partitions[0]) == assignment(direct)
 
 
 LABELS = [f"n{i}" for i in range(10)]
@@ -202,7 +204,7 @@ def small_networks(draw):
         pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         snapshots.append(Snapshot(nodes, edges))
-    return DynamicNetwork(snapshots)
+    return network_of(snapshots)
 
 
 class TestHeuristicDominance:
@@ -325,7 +327,7 @@ class TestDeterminism:
             assert t1.entry(l).score == t2.entry(l).score
             assert t1.entry(l).output.change_points == t2.entry(l).output.change_points
             for p, q in zip(t1.entry(l).output.partitions, t2.entry(l).output.partitions):
-                assert p.assignment == q.assignment
+                assert assignment(p) == assignment(q)
 
     def test_output_valid_for_network(self):
         net = _network(k=6, seed=16, l=3)
@@ -368,8 +370,8 @@ def _assert_same_table(t, ref):
         assert e.log_likelihood == r.log_likelihood
         assert e.num_parameters == r.num_parameters
         assert e.output.change_points == r.output.change_points
-        assert [p.assignment for p in e.output.partitions] == [
-            p.assignment for p in r.output.partitions
+        assert [assignment(p) for p in e.output.partitions] == [
+            assignment(p) for p in r.output.partitions
         ]
 
 
@@ -415,7 +417,7 @@ class TestSegmentStore:
         fresh = [build_table(net, spec) for spec in specs]
         # every spec clusters some segment differently, so a coarser key would show
         outputs = {
-            tuple(tuple(sorted(p.assignment.items()))
+            tuple(tuple(sorted(assignment(p).items()))
                   for e in t.entries.values() for p in e.output.partitions)
             for t in fresh
         }
@@ -470,8 +472,8 @@ class TestParallelFill:
             for (start, end), ref in zip(segments, want[c]):
                 for store in (serial, parallel):
                     got = store.segment(c, self.SEED, start, end)
-                    assert list(got.partition.assignment.items()) == \
-                        list(ref.partition.assignment.items())
+                    assert list(assignment(got.partition).items()) == \
+                        list(assignment(ref.partition).items())
                     assert got.num_parameters == ref.num_parameters
                     if with_ll:
                         assert got.log_likelihood.hex() == ref.log_likelihood.hex()
@@ -602,7 +604,7 @@ _REFERENCES = {
 
 def _path_network(k):
     """k snapshots of one edge: clustering each segment costs next to nothing."""
-    return DynamicNetwork([Snapshot(["a", "b"], [("a", "b")]) for _ in range(k)])
+    return network_of([Snapshot(["a", "b"], [("a", "b")]) for _ in range(k)])
 
 
 @st.composite

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynseg.consensus import sum_graph
-from dynseg.dyngraph import DynamicNetwork, Partition, Snapshot, load_dynamic_network
+from dynseg.dyngraph import Partition, load_dynamic_network
 from dynseg.objectives import FitMeasure, _segment_counts, segment_log_likelihood, snapshot_fit
-from label_graphs import clusters_of, edge_weights, restrict
+from label_graphs import (
+    Snapshot, assignment, clusters_of, edge_weights, network_of, restrict, snapshot_at,
+)
 
 LABELS = ["a", "b", "c", "d", "e", "f"]
 EXTRA = ["x", "y"]  # partition labels that no snapshot holds
@@ -26,10 +28,10 @@ def reference_counts(network, start, end, p):
     """Edge and node-pair counts keyed by pairs (a, b), a <= b, of p's codes."""
     edge_counts: dict[tuple[int, int], int] = {}
     pair_counts: dict[tuple[int, int], int] = {}
-    assign = p.assignment
+    assign = assignment(p)
     for j in range(start, end + 1):
-        g = network[j]
-        if not g.nodes <= p.domain:
+        g = snapshot_at(network, j)
+        if not g.nodes <= set(p.labels):
             raise ValueError(f"partition does not cover snapshot {j}")
         sizes: dict[int, int] = {}
         for u in g.nodes:
@@ -63,10 +65,10 @@ def reference_log_likelihood(network, start, end, p):
 
 def reference_cluster_stats(p, g):
     restricted = restrict(p, g.nodes)
-    if len(restricted.assignment) != len(g.nodes):
-        missing = sorted(g.nodes - restricted.domain)[:3]
+    if len(restricted.labels) != len(g.nodes):
+        missing = sorted(g.nodes - set(restricted.labels))[:3]
         raise ValueError(f"partition does not cover snapshot nodes, e.g. {missing}")
-    assign = restricted.assignment
+    assign = assignment(restricted)
     clusters = dict(enumerate(clusters_of(restricted)))
     m_c = {cid: 0 for cid in clusters}
     b_c = {cid: 0 for cid in clusters}
@@ -107,6 +109,7 @@ def reference_loss_fit(kind, p, g):
         return 0.0
     restricted, clusters, m_c, b_c = reference_cluster_stats(p, g)
     adj = reference_adjacency(g)
+    assign = assignment(restricted)
     total = 0.0
     for cid, members in clusters.items():
         n_c = len(members)
@@ -121,7 +124,7 @@ def reference_loss_fit(kind, p, g):
                 deg = len(adj[u])
                 if deg == 0:
                     continue
-                outside = sum(1 for v in adj[u] if restricted.assignment[v] != cid)
+                outside = sum(1 for v in adj[u] if assign[v] != cid)
                 acc += outside / deg
             total += acc / n_c
     return total / len(clusters)
@@ -136,7 +139,7 @@ def reference_snapshot_fit(fit, p, g):
 def reference_sum_graph(network, start, end):
     weights: dict[tuple[str, str], float] = {}
     for j in range(start, end + 1):
-        for e in network[j].edges:
+        for e in snapshot_at(network, j).edges:
             weights[e] = weights.get(e, 0.0) + 1.0
     return weights
 
@@ -161,7 +164,7 @@ def networks(draw):
         pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         snapshots.append(Snapshot(nodes, edges))
-    return DynamicNetwork(snapshots)
+    return network_of(snapshots)
 
 
 @st.composite
@@ -190,10 +193,10 @@ def test_counts_and_log_likelihood_match_reference(case):
 @given(cases(), st.data())
 def test_uncovered_snapshot_error_matches_reference(case, data):
     net, start, end, p = case
-    if not p.assignment:
+    if not assignment(p):
         return
-    dropped = data.draw(st.sampled_from(sorted(p.assignment)))
-    partial = Partition({u: c for u, c in p.assignment.items() if u != dropped})
+    dropped = data.draw(st.sampled_from(sorted(assignment(p))))
+    partial = Partition({u: c for u, c in assignment(p).items() if u != dropped})
     try:
         reference_counts(net, start, end, partial)
         expected = None
@@ -219,12 +222,12 @@ def test_uncovered_snapshot_error_matches_reference(case, data):
 @given(cases(), st.sampled_from(list(FitMeasure)))
 def test_snapshot_fit_matches_reference(case, fit):
     net, start, end, p = case
-    expected = [reference_snapshot_fit(fit, p, net[j]) for j in range(start, end + 1)]
+    expected = [reference_snapshot_fit(fit, p, snapshot_at(net, j)) for j in range(start, end + 1)]
     assert snapshot_fit(fit, net, start, end, p) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def segment_labels(network, start, end):
-    return frozenset().union(*(network[j].nodes for j in range(start, end + 1)))
+    return frozenset().union(*(snapshot_at(network, j).nodes for j in range(start, end + 1)))
 
 
 @settings(max_examples=300)
@@ -251,7 +254,10 @@ def test_hand_example_with_gaps_absent_nodes_and_extra_labels():
             )
             assert edge_weights(sum_graph(net, start, end)) == reference_sum_graph(net, start, end)
             for fit in FitMeasure:
-                expected = [reference_snapshot_fit(fit, p, net[j]) for j in range(start, end + 1)]
+                expected = [
+                    reference_snapshot_fit(fit, p, snapshot_at(net, j))
+                    for j in range(start, end + 1)
+                ]
                 assert snapshot_fit(fit, net, start, end, p) == pytest.approx(
                     expected, rel=1e-12, abs=1e-12
                 )

@@ -37,7 +37,7 @@ from dynseg.static_cluster import (
     _DIST_BLOCK,
     walktrap,
 )
-from label_graphs import from_clusters, label_graph, rows, singletons
+from label_graphs import assignment, from_clusters, label_graph, rows, singletons
 
 WALK_LENGTH = 4
 
@@ -311,7 +311,7 @@ def component_graphs(draw, weights=st.floats(0.01, 10.0, allow_nan=False, allow_
 @settings(max_examples=400)
 @given(component_graphs())
 def test_walktrap_matches_reference(graph):
-    assert walktrap(graph).assignment == reference_walktrap(graph).assignment
+    assert assignment(walktrap(graph)) == assignment(reference_walktrap(graph))
 
 
 @pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (60, 1), (60, 2)])
@@ -321,7 +321,8 @@ def test_walktrap_matches_reference_on_sum_graphs(n, seed):
     for start in range(network.k):
         for end in range(start, min(start + 4, network.k)):
             graph = sum_graph(network, start, end)
-            assert walktrap(graph).assignment == reference_walktrap(graph).assignment, (start, end)
+            got, expected = walktrap(graph), reference_walktrap(graph)
+            assert assignment(got) == assignment(expected), (start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ def test_walktrap_matches_heap_reference_on_tie_graphs(n, edges):
         _ids_graph(n, edges, seed=2),
         _ids_graph(n, edges, isolated=3, seed=3),
     ):
-        assert walktrap(graph).assignment == heap_walktrap(graph).assignment
+        assert assignment(walktrap(graph)) == assignment(heap_walktrap(graph))
 
 
 @pytest.mark.parametrize("n, edges", TIE_GRAPHS)
@@ -405,7 +406,7 @@ def test_walktrap_matches_heap_reference_on_counts(n, edges):
     counts = np.random.default_rng(len(edges)).integers(1, 4, len(edges))
     for seed in (None, 4):
         graph = _ids_graph(n, edges, counts, isolated=2 if seed else 0, seed=seed)
-        assert walktrap(graph).assignment == heap_walktrap(graph).assignment
+        assert assignment(walktrap(graph)) == assignment(heap_walktrap(graph))
 
 
 def test_walktrap_matches_heap_reference_on_sparse_graph():
@@ -415,10 +416,10 @@ def test_walktrap_matches_heap_reference_on_sparse_graph():
     pairs = {tuple(sorted(e)) for e in rng.integers(0, n, (2500, 2)).tolist() if e[0] != e[1]}
     edges = sorted(pairs)
     graph = _ids_graph(n, edges, rng.integers(1, 4, len(edges)), isolated=5, seed=8)
-    assert walktrap(graph).assignment == heap_walktrap(graph).assignment
+    assert assignment(walktrap(graph)) == assignment(heap_walktrap(graph))
 
 
 @settings(max_examples=300)
 @given(component_graphs(st.integers(1, 3)))
 def test_walktrap_matches_heap_reference(graph):
-    assert walktrap(graph).assignment == heap_walktrap(graph).assignment
+    assert assignment(walktrap(graph)) == assignment(heap_walktrap(graph))
