@@ -99,6 +99,9 @@ class DynamicNetwork:
             self.segment_node_ids(j, j), np.column_stack(self.segment_edges(j, j))
         )
 
+    # Not iterable: __getitem__ alone lets iter(), list() and `in` walk the snapshots.
+    __iter__ = None
+
     def __eq__(self, other) -> bool:
         return isinstance(other, DynamicNetwork) and self.labels == other.labels and all(
             np.array_equal(getattr(self, name), getattr(other, name))

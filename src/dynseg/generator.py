@@ -130,8 +130,6 @@ def _split_hosts_needed(caps_desc: list[int], extras: int) -> int:
 
 
 def _churn_feasible(p: int, caps: list[int], extra_rights: int, extra_lefts: int) -> bool:
-    if extra_rights == 0 and extra_lefts == 0:
-        return True
     caps_desc = sorted((c for c in caps if c > 0), reverse=True)
     left_budget = p - extra_lefts - (1 if extra_lefts else 0)
     if extra_rights > 0:

@@ -12,10 +12,11 @@ splitting, and at most 4k-5 for bottom-up merging.  Tables built under
 several objectives on one store cluster each shared segment once.  The
 exhaustive program fills the store with all its segments up front, in
 worker processes when the store may use more than one and the segments
-hold enough edges to repay starting them; each process clusters its
-segments together (``consensus.segment_partitions``), which runs sum-lpa's
-label propagation in lockstep batches.  A table whose peak would outgrow
-``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
+hold enough edges to repay starting them: a ``ProcessPoolExecutor(workers)``
+maps one interleaved chunk per worker, the network pickled with it.  Each
+process clusters its segments together (``consensus.segment_partitions``),
+which runs sum-lpa's label propagation in lockstep batches.  A table whose
+peak would outgrow ``EXHAUSTIVE_MAX_STORE_BYTES`` is refused before that.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from .dyngraph import DynamicNetwork, Partition, ScdOutput
 from .objectives import Criterion, FitMeasure
 
 STRATEGIES = ("exhaustive", "topdown", "bottomup")
-
-# Chunks per worker in a parallel fill: segments are dealt out in turn, so
-# each chunk holds short and long ones, and a few chunks per worker even out
-# what is left when one worker finishes early.
-_CHUNKS_PER_WORKER = 4
 
 # Edge records the missing segments of a fill must read (the sum over the
 # segments of their snapshots' edge counts) before a pool starts.  Below it,
@@ -166,8 +162,8 @@ def _segment_terms(
 
 
 def _segments_terms(
-    network: DynamicNetwork, consensus: Consensus, seed: int,
-    segments: list[tuple[int, int]], with_ll: bool,
+    network: DynamicNetwork, consensus: Consensus, seed: int, with_ll: bool,
+    segments: list[tuple[int, int]],
 ) -> list[_Segment]:
     """The terms of each segment, clustered together by ``segment_partitions``.
 
@@ -176,23 +172,6 @@ def _segments_terms(
     """
     parts = segment_partitions(network, segments, consensus, seed)
     return [_segment_terms(network, s, p, with_ll) for s, p in zip(segments, parts)]
-
-
-_worker_network: DynamicNetwork | None = None
-
-
-def _init_worker(network: DynamicNetwork) -> None:
-    """Pool initializer: the worker's network, inherited under fork and
-    unpickled under spawn."""
-    global _worker_network
-    _worker_network = network
-
-
-def _worker_terms(
-    consensus: Consensus, seed: int, with_ll: bool, chunk: list[tuple[int, int]]
-) -> list[_Segment]:
-    """A worker's terms of a chunk of segments."""
-    return _segments_terms(_worker_network, consensus, seed, chunk, with_ll)
 
 
 class SegmentStore:
@@ -233,10 +212,13 @@ class SegmentStore:
     ) -> None:
         """Compute the terms of every segment not yet in the memo.
 
-        When the missing segments hold at least ``MIN_PARALLEL_EDGE_VISITS``
-        edge records and more than one worker may run, a process pool opened
-        for this call maps interleaved chunks of the segments; the network
-        reaches the workers through the pool's initializer.
+        The missing segments are dealt into one interleaved chunk per worker,
+        so each chunk holds short and long ones.  When they hold at least
+        ``MIN_PARALLEL_EDGE_VISITS`` edge records and more than one worker may
+        run, a ``ProcessPoolExecutor(workers)`` opened for this call maps
+        ``_segments_terms`` over the chunks, and each worker receives the
+        network pickled with its chunk; otherwise the one chunk is computed
+        in-process.
         """
         missing = [s for s in segments if (consensus, seed, *s) not in self._memo]
         if not missing:
@@ -246,21 +228,18 @@ class SegmentStore:
         workers = 1
         if visits >= MIN_PARALLEL_EDGE_VISITS:
             workers = worker_count(self.jobs, len(missing))
+        chunks = [missing[i::workers] for i in range(workers)]
+        terms = partial(_segments_terms, self.network, consensus, seed, with_ll)
         if workers == 1:
-            segs = _segments_terms(self.network, consensus, seed, missing, with_ll)
-            self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(missing, segs))
-            return
-        # Imported here: the import costs about 30 ms that serial runs skip.
-        from concurrent.futures import ProcessPoolExecutor
+            results = list(map(terms, chunks))
+        else:
+            # Imported here: the import costs about 30 ms that serial runs skip.
+            from concurrent.futures import ProcessPoolExecutor
 
-        n_chunks = min(len(missing), _CHUNKS_PER_WORKER * workers)
-        chunks = [missing[i::n_chunks] for i in range(n_chunks)]
-        with ProcessPoolExecutor(
-            workers, initializer=_init_worker, initargs=(self.network,)
-        ) as pool:
-            results = pool.map(partial(_worker_terms, consensus, seed, with_ll), chunks)
-            for chunk, segs in zip(chunks, results):
-                self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(chunk, segs))
+            with ProcessPoolExecutor(workers) as pool:
+                results = list(pool.map(terms, chunks))
+        for chunk, segs in zip(chunks, results):
+            self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(chunk, segs))
 
 
 class _SegmentScorer:

@@ -161,8 +161,18 @@ class TestIdArrays:
         assert again == net and hash(again) == hash(net)
         assert net != load_dynamic_network("0 b a\n0 c\n1 c b\n3 a b\n")
 
+    def test_not_iterable(self):
+        # __getitem__ stays, but the old sequence protocol must not walk it
+        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
+        for walk in (iter, list, lambda n: 0 in n):
+            with pytest.raises(TypeError):
+                walk(net)
+        first = net[0]
+        assert first.nodes.tolist() == [0, 1, 2]
+        assert first.edges.tolist() == [[0, 1]]
+
     def test_pickles(self):
-        # a spawned worker process receives its network pickled
+        # every fill worker receives its network pickled with its chunk
         net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
         copy = pickle.loads(pickle.dumps(net))
         assert copy == net and copy.label_index == net.label_index

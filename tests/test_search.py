@@ -446,8 +446,8 @@ class TestParallelFill:
 
     @pytest.mark.parametrize("with_ll", [True, False])
     def test_parallel_fill_equals_serial(self, monkeypatch, two_workers, with_ll):
-        # sum-lpa fills run label_propagation_many: in lockstep over the serial
-        # fill's 36 segments, graph by graph over the workers' chunks of 4-5
+        # sum-lpa fills run label_propagation_many: in lockstep batches over the
+        # serial fill's 36 segments and over each worker's one chunk of 18
         net = _network(k=8, seed=3, l=3, n=20)
         segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
         methods = (Consensus.SUM_LOUVAIN, Consensus.SUM_LPA)
@@ -495,6 +495,23 @@ class TestParallelFill:
         store.fill(self.CONSENSUS, self.SEED, segments, with_ll=True)
         last = store.segment(self.CONSENSUS, self.SEED, 0, net.k - 1, with_ll=True)
         assert last.log_likelihood < 0
+
+    def test_one_interleaved_chunk_per_worker(self, monkeypatch, two_workers):
+        net = _network(k=5, seed=4)
+        segments = [(t, i) for i in range(net.k) for t in range(i + 1)]
+        mapped = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, chunks, **kwargs):
+                mapped.append(list(chunks))
+                return super().map(fn, mapped[-1], **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        store = SegmentStore(net, jobs=2)
+        store.fill(self.CONSENSUS, self.SEED, segments)
+        assert mapped == [[segments[0::2], segments[1::2]]]
+        for s in segments:
+            assert (self.CONSENSUS, self.SEED, *s) in store._memo
 
     def test_pool_starts_at_the_edge_visit_threshold(self, monkeypatch, set_cpus):
         # the missing segments' edge records decide; memoized ones count for nothing
