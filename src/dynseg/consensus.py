@@ -3,9 +3,9 @@
 Three ways to reconcile the snapshots of a segment into a single partition:
 
 * sum graph: cluster the weighted union graph whose edge weights count how
-  many snapshots of the segment contain each edge;
+  many snapshots of the segment contain each edge, one bincount of pair ids;
 * average-Louvain: Louvain where every move is scored by its mean
-  modularity gain across the segment's snapshots;
+  modularity gain across the segment's snapshots, summed by pair id;
 * consensus matrix: cluster each snapshot, then cluster the co-occurrence
   graph whose weights are the fraction of shared snapshots in which two
   nodes land in one cluster.
@@ -49,27 +49,25 @@ class Consensus(str, Enum):
     CMATRIX_LPA = "cmatrix-lpa"
 
 
-def _segment_edges(
+def _segment_nodes(
     network: DynamicNetwork, start: int, end: int
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The segment's sorted labels and its edges (u < v) in segment-local ids, in time order."""
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The segment's sorted labels, and the id within the segment of every network id."""
     present = np.zeros(len(network.labels), dtype=bool)
     present[network.segment_node_ids(start, end)] = True
-    local = np.cumsum(present) - 1  # global id -> id within the segment
-    u, v = network.segment_edges(start, end)
     labels = network.labels
-    return tuple(labels[i] for i in np.flatnonzero(present).tolist()), local[u], local[v]
+    return tuple(labels[i] for i in present.nonzero()[0].tolist()), present.cumsum() - 1
 
 
 def sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
-    """Weighted union of the segment's snapshots; weight = occurrence count."""
-    labels, u, v = _segment_edges(network, start, end)
-    n = len(labels)
-    keys = np.sort(u * n + v)
-    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
-    counts = np.diff(firsts, append=len(keys)).astype(float)
-    a, b = np.divmod(keys[firsts], n)
-    return WeightedGraph(labels, a, b, counts)
+    """Weighted union of the segment's snapshots; weight = occurrence count,
+    from one bincount of the segment's pair ids, so edges ascend by (u, v)."""
+    labels, local = _segment_nodes(network, start, end)
+    lo, hi = network.edge_offsets[start], network.edge_offsets[end + 1]
+    counts = np.bincount(network.edge_pair[lo:hi])
+    pairs = counts.nonzero()[0]
+    a, b = local[network.pair_u[pairs]], local[network.pair_v[pairs]]
+    return WeightedGraph(labels, a, b, counts[pairs].astype(float))
 
 
 def _pair_keys(member: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
@@ -99,8 +97,8 @@ def co_occurrence_graph(
     order within one, because the final clusterer's float sums follow it.
     """
     start, end = segment
-    seg_ids = np.unique(network.segment_node_ids(start, end))
-    n = len(seg_ids)
+    labels, local_of = _segment_nodes(network, start, end)
+    n = len(labels)
     present = np.zeros((end - start + 1, n), dtype=bool)
     keys = []  # u * n + v of each pair placed together, snapshot by snapshot
     prev: Partition | None = None
@@ -111,7 +109,7 @@ def co_occurrence_graph(
         graph = sum_graph(network, j, j)  # the snapshot's edges in stored order
         # the initialized variant chains each snapshot from its predecessor
         prev = cluster(graph, kind, derive_seed(seed, "cm-snapshot", j), init=prev)
-        local = np.searchsorted(seg_ids, ids)
+        local = local_of[ids]
         present[j - start, local] = True
         keys.append(_pair_keys(prev.codes, local, n))
     pairs, first, together = np.unique(
@@ -120,7 +118,6 @@ def co_occurrence_graph(
     order = np.argsort(first)
     a, b = np.divmod(pairs[order], n)
     shared = np.count_nonzero(present[:, a] & present[:, b], axis=0)
-    labels = tuple(network.labels[i] for i in seg_ids.tolist())
     return WeightedGraph(labels, a, b, together[order] / shared)
 
 
@@ -140,9 +137,11 @@ def segment_partition(
     if method == "sum":
         return cluster(sum_graph(network, start, end), kind, seg_seed)
     if method == "avg":
-        labels, u, v = _segment_edges(network, start, end)
+        labels, local = _segment_nodes(network, start, end)
         offsets = network.edge_offsets[start:end + 2]
-        level = LevelGraph.of_snapshots(len(labels), u, v, offsets - offsets[0])
+        a, b = local[network.pair_u], local[network.pair_v]
+        pair = network.edge_pair[offsets[0]:offsets[-1]]
+        level = LevelGraph.of_snapshots(len(labels), a, b, pair, offsets - offsets[0])
         return louvain_multi(labels, level, seg_seed)
     graph = co_occurrence_graph(network, segment, kind, seg_seed)
     return cluster(graph, kind, derive_seed(seg_seed, "cm-final"))

@@ -43,11 +43,15 @@ class DynamicNetwork:
     u < v; within a snapshot both are in ascending order.  A segment's nodes
     and edges are therefore one contiguous slice, and an empty snapshot
     costs one entry per offset array.
+
+    The pair index numbers the distinct edges of all snapshots by ascending
+    (u, v): pair p joins ``pair_u[p]`` and ``pair_v[p]``, and edge record i
+    is pair ``edge_pair[i]``.  Every array is read-only.
     """
 
     __slots__ = (
-        "labels", "label_index",
-        "node_ids", "node_offsets", "edge_u", "edge_v", "edge_offsets",
+        "labels", "label_index", "node_ids", "node_offsets",
+        "edge_u", "edge_v", "edge_offsets", "edge_pair", "pair_u", "pair_v",
     )
 
     def __init__(self, k: int, labels: Sequence[str], nodes, edges):
@@ -78,6 +82,13 @@ class DynamicNetwork:
         self.node_offsets, self.node_ids = _sorted_records(
             k, np.concatenate([nt, et, et]), np.concatenate([rank[nid], eu, ev])
         )
+        key = self.edge_u * len(labels) + self.edge_v
+        pairs = np.sort(key)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        self.pair_u, self.pair_v = np.divmod(pairs, len(labels))
+        self.edge_pair = np.searchsorted(pairs, key)
+        for a in (self.edge_pair, self.pair_u, self.pair_v):
+            a.flags.writeable = False
 
     def segment_node_ids(self, start: int, end: int) -> np.ndarray:
         """Node ids of snapshots start..end, snapshot by snapshot."""

@@ -98,27 +98,25 @@ class LevelGraph(NamedTuple):
 
     @classmethod
     def of_snapshots(
-        cls, n: int, u: np.ndarray, v: np.ndarray, offsets: np.ndarray
+        cls, n: int, a: np.ndarray, b: np.ndarray, pair: np.ndarray, offsets: np.ndarray
     ) -> "LevelGraph":
         """Mean modularity over G snapshots on nodes 0..n-1.
 
-        Snapshot g's edges are ``(u[i], v[i])``, u < v, for i in
-        ``offsets[g]:offsets[g + 1]``; an edgeless snapshot adds nothing.
+        Pair p joins ``a[p] < b[p]`` and pairs ascend by (a, b); snapshot g
+        holds pairs ``pair[offsets[g]:offsets[g + 1]]``, each once.  A pair no
+        snapshot holds, whatever its ends, and an edgeless snapshot add nothing.
         """
         num_snaps = len(offsets) - 1
         m = np.diff(offsets)
         snap = np.repeat(np.arange(num_snaps), m)
         inv_m = np.divide(1.0, m, out=np.zeros(num_snaps), where=m > 0)
-        # distinct edges with their snapshots in time order; a_g = 1 / (G m_g)
-        keys = np.sort((u * n + v) * num_snaps + snap)
-        edge, snap_of = np.divmod(keys, num_snaps)
-        first = np.diff(edge, prepend=-1) != 0
-        weight = np.bincount(np.cumsum(first) - 1, weights=inv_m[snap_of] / num_snaps)
-        a, b = np.divmod(edge[first], n)
-        deg = np.bincount(u * num_snaps + snap, minlength=n * num_snaps)
-        deg += np.bincount(v * num_snaps + snap, minlength=n * num_snaps)
+        # a_g = 1 / (G m_g), summed per pair in time order; held pairs weigh > 0
+        weight = np.bincount(pair, weights=inv_m[snap] / num_snaps, minlength=len(a))
+        held = np.flatnonzero(weight)
+        deg = np.bincount(a[pair] * num_snaps + snap, minlength=n * num_snaps)
+        deg += np.bincount(b[pair] * num_snaps + snap, minlength=n * num_snaps)
         x = deg.reshape(n, num_snaps) * (math.sqrt(2.0 / num_snaps) / 2.0 * inv_m)
-        return cls(_rows(n, a, b, weight), x, 1.0)
+        return cls(_rows(n, a[held], b[held], weight[held]), x, 1.0)
 
 
 def _one_level(lg: LevelGraph, comm: list[int], rng: np.random.Generator) -> bool:

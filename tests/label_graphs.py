@@ -17,6 +17,11 @@ partition cut down to a node set, for the label-keyed reference loops.
 ``from_clusters``, ``singletons`` and ``clusters_of`` state partitions by
 their member sets, and ``is_canonical`` checks the code order.
 
+``sorted_sum_graph`` and ``sorted_level_graph`` are the segment graph
+builders as the library wrote them before the network had its pair index:
+one sort of the segment's local edge keys each.  The builders that read the
+pair index must equal them bit for bit.
+
 ``segments_of`` turns change points into segment ranges, and
 ``output_of`` builds an output from change points.
 
@@ -35,6 +40,7 @@ dropped scipy: one cluster pair at a time, with ``scipy.special.gammaln``.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +50,7 @@ from dynseg._seeds import derive_seed
 from dynseg.dyngraph import DynamicNetwork, Partition, ScdOutput
 from dynseg.evaluation import PartitionMetric, _contingency, _information, _similarity
 from dynseg.objectives import Criterion, FitMeasure
-from dynseg.static_cluster import WeightedGraph, cluster
+from dynseg.static_cluster import LevelGraph, WeightedGraph, cluster
 
 
 class Snapshot:
@@ -178,6 +184,52 @@ def edge_weights(graph: WeightedGraph) -> dict[tuple[str, str], float]:
         (labels[min(u, v)], labels[max(u, v)]): w
         for u, v, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist())
     }
+
+
+def _local_edges(
+    network: DynamicNetwork, start: int, end: int
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The segment's sorted labels and its edges (u < v) in segment-local ids, in time order."""
+    present = np.zeros(len(network.labels), dtype=bool)
+    present[network.segment_node_ids(start, end)] = True
+    local = np.cumsum(present) - 1
+    u, v = network.segment_edges(start, end)
+    labels = network.labels
+    return tuple(labels[i] for i in np.flatnonzero(present).tolist()), local[u], local[v]
+
+
+def sorted_sum_graph(network: DynamicNetwork, start: int, end: int) -> WeightedGraph:
+    """The sum graph from one sort of the segment's ``u * n + v`` keys."""
+    labels, u, v = _local_edges(network, start, end)
+    n = len(labels)
+    keys = np.sort(u * n + v)
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # first entry of each distinct edge
+    counts = np.diff(firsts, append=len(keys)).astype(float)
+    a, b = np.divmod(keys[firsts], n)
+    return WeightedGraph(labels, a, b, counts)
+
+
+def sorted_level_graph(
+    network: DynamicNetwork, start: int, end: int
+) -> tuple[tuple[str, ...], LevelGraph]:
+    """The segment's labels and its avg-Louvain level graph, from one sort of
+    (edge, snapshot) keys."""
+    labels, u, v = _local_edges(network, start, end)
+    n = len(labels)
+    offsets = network.edge_offsets[start:end + 2]
+    num_snaps = len(offsets) - 1
+    m = np.diff(offsets)
+    snap = np.repeat(np.arange(num_snaps), m)
+    inv_m = np.divide(1.0, m, out=np.zeros(num_snaps), where=m > 0)
+    keys = np.sort((u * n + v) * num_snaps + snap)
+    edge, snap_of = np.divmod(keys, num_snaps)
+    first = np.diff(edge, prepend=-1) != 0
+    weight = np.bincount(np.cumsum(first) - 1, weights=inv_m[snap_of] / num_snaps)
+    a, b = np.divmod(edge[first], n)
+    deg = np.bincount(u * num_snaps + snap, minlength=n * num_snaps)
+    deg += np.bincount(v * num_snaps + snap, minlength=n * num_snaps)
+    x = deg.reshape(n, num_snaps) * (math.sqrt(2.0 / num_snaps) / 2.0 * inv_m)
+    return labels, LevelGraph(rows(WeightedGraph(labels, a, b, weight)), x, 1.0)
 
 
 def co_occurrence_weights(

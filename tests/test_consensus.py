@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynseg import consensus
 from dynseg.consensus import (
     Consensus,
     _pair_keys,
@@ -16,7 +17,8 @@ from dynseg._seeds import derive_seed
 from dynseg.static_cluster import KINDS, cluster
 from label_graphs import (
     Snapshot, assignment, edge_weights, from_clusters, label_graph, network_of,
-    reference_co_occurrence_graph, rows, snapshot_at, snapshot_graph,
+    reference_co_occurrence_graph, rows, snapshot_at, snapshot_graph, sorted_level_graph,
+    sorted_sum_graph,
 )
 
 TRI_EDGES = [("a", "b"), ("b", "c"), ("a", "c"),
@@ -220,6 +222,54 @@ def test_single_snapshot_sum_graph_is_the_stored_snapshot(case):
         assert graph.a.tolist() == np.searchsorted(ids, u).tolist()
         assert graph.b.tolist() == np.searchsorted(ids, v).tolist()
         assert graph.w.dtype == float and graph.w.tolist() == [1.0] * len(u)
+
+
+@st.composite
+def long_segments(draw):
+    """A network of up to 12 snapshots over six labels, so that edges repeat
+    across many snapshots, with gaps and absent nodes, and a segment."""
+    k = draw(st.integers(1, 12))
+    snapshots = []
+    for _ in range(k):
+        nodes = draw(st.lists(st.sampled_from(LABELS[:6]), unique=True, max_size=6))
+        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        snapshots.append(Snapshot(nodes, edges))
+    start = draw(st.integers(0, k - 1))
+    return network_of(snapshots), (start, draw(st.integers(start, k - 1)))
+
+
+@settings(max_examples=300)
+@given(long_segments())
+def test_sum_graph_equals_the_sort_oracle(case):
+    """The pair-index sum graph has the sort-built one's labels, and its
+    edges and weights with their dtypes, in the same order."""
+    net, (start, end) = case
+    got, expected = sum_graph(net, start, end), sorted_sum_graph(net, start, end)
+    assert got.labels == expected.labels
+    for x, y in zip(got[1:], expected[1:]):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=300)
+@given(long_segments())
+def test_avg_level_graph_equals_the_sort_oracle(case):
+    """avg-Louvain clusters the sort-built level graph: bit-equal ``x`` and
+    the same adjacency rows, entry by entry in order."""
+    net, (start, end) = case
+    if not net.segment_node_ids(start, end).size:
+        return
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "louvain_multi", lambda *args: seen.append(args) or Partition({}))
+        segment_partition(net, (start, end), Consensus.AVG_LOUVAIN, 0)
+    [(labels, level, _)] = seen
+    expected_labels, expected = sorted_level_graph(net, start, end)
+    assert labels == expected_labels and level.scale == expected.scale
+    assert level.x.dtype == expected.x.dtype and level.x.tobytes() == expected.x.tobytes()
+    assert [[(v, w.hex()) for v, w in row.items()] for row in level.adj] == [
+        [(v, w.hex()) for v, w in row.items()] for row in expected.adj
+    ]
 
 
 @settings(max_examples=300)

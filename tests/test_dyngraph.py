@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynseg.consensus import sum_graph
 from dynseg.dyngraph import (
     MAX_TIME_INDEX,
     DynamicNetwork,
@@ -172,13 +173,25 @@ class TestIdArrays:
         assert first.edges.tolist() == [[0, 1]]
 
     def test_pickles(self):
-        # every fill worker receives its network pickled with its chunk
-        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
+        # every fill worker receives its network pickled with its chunk and
+        # builds its sum graphs from the copy
+        net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n3 b a\n")
         copy = pickle.loads(pickle.dumps(net))
         assert copy == net and copy.label_index == net.label_index
         assert [snapshot_at(copy, j) for j in range(copy.k)] == [
             snapshot_at(net, j) for j in range(net.k)
         ]
+        for start, end in itertools.combinations_with_replacement(range(net.k), 2):
+            graph, original = sum_graph(copy, start, end), sum_graph(net, start, end)
+            assert graph.labels == original.labels
+            for x, y in zip(graph[1:], original[1:]):
+                assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+    def test_pair_index(self):
+        # snapshot 1 is empty, and pairs a-b and b-c come back later
+        net = load_dynamic_network("0 a b\n0 b c\n2 b a\n2 a c\n3 c b\n")
+        assert (net.pair_u.tolist(), net.pair_v.tolist()) == ([0, 0, 1], [1, 2, 2])
+        assert net.edge_pair.tolist() == [0, 2, 0, 1, 2]
 
     def test_snapshots_and_loader_build_the_same_arrays(self):
         # labels sort as strings, so ids follow "10" < "9"; edges given
@@ -255,6 +268,11 @@ class TestRecords:
         assert [(t, u, v) for t in range(k) for u, v in zip(*net.segment_edges(t, t))] == [
             tuple(e) for e in canon_edges
         ]
+        # the pair index: distinct (u, v) strictly ascending, one id per record
+        pairs = list(zip(net.pair_u.tolist(), net.pair_v.tolist()))
+        assert pairs == sorted({(u, v) for _, u, v in canon_edges})
+        assert net.pair_u[net.edge_pair].tolist() == net.edge_u.tolist()
+        assert net.pair_v[net.edge_pair].tolist() == net.edge_v.tolist()
         if net.node_offsets[-1] > net.node_offsets[-2]:
             assert load_dynamic_network(dump_dynamic_network(net)) == net
 

@@ -189,15 +189,16 @@ class TestLevelGraph:
     def test_snapshots_fold_into_scaled_union(self):
         # G = 2 over nodes 0..2: snapshot 0 is {0-1} (m = 1), snapshot 1 is
         # {0-1, 1-2} (m = 2); a_g = 1/(G m_g) and x[:, g] = sqrt(2/G) d^g / 2m_g
-        u, v = np.array([0, 0, 1]), np.array([1, 1, 2])
-        lg = LevelGraph.of_snapshots(3, u, v, np.array([0, 1, 3]))
+        # pairs 0-1 and 1-2; the snapshots hold pairs [0] and [0, 1]
+        a, b = np.array([0, 1]), np.array([1, 2])
+        lg = LevelGraph.of_snapshots(3, a, b, np.array([0, 0, 1]), np.array([0, 1, 3]))
         assert lg.scale == 1.0
         assert lg.adj == [{1: 0.75}, {0: 0.75, 2: 0.25}, {1: 0.25}]
         assert lg.x.tolist() == [[0.5, 0.25], [0.5, 0.5], [0.0, 0.25]]
 
     def test_empty_snapshot_adds_nothing(self):
-        u, v = np.array([0]), np.array([1])
-        lg = LevelGraph.of_snapshots(3, u, v, np.array([0, 0, 1]))
+        a, b = np.array([0]), np.array([1])
+        lg = LevelGraph.of_snapshots(3, a, b, np.array([0]), np.array([0, 0, 1]))
         assert lg.adj == [{1: 0.5}, {0: 0.5}, {}]
         assert lg.x[:, 0].tolist() == [0.0, 0.0, 0.0]
 
