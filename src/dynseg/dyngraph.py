@@ -38,20 +38,20 @@ class DynamicNetwork:
 
     ``labels`` is the sorted table of every node label and ``label_index``
     maps a label to its id, so ids order like labels.  Snapshot j's node ids
-    are ``node_ids[node_offsets[j]:node_offsets[j + 1]]`` and its edges are
-    the same slice of ``edge_u``/``edge_v`` under ``edge_offsets``, with
-    u < v; within a snapshot both are in ascending order.  A segment's nodes
-    and edges are therefore one contiguous slice, and an empty snapshot
-    costs one entry per offset array.
+    are ``node_ids[node_offsets[j]:node_offsets[j + 1]]``, ascending.
 
-    The pair index numbers the distinct edges of all snapshots by ascending
-    (u, v): pair p joins ``pair_u[p]`` and ``pair_v[p]``, and edge record i
-    is pair ``edge_pair[i]``.  Every array is read-only.
+    Edges are held once, as pairs: the distinct edges of all snapshots,
+    numbered by ascending (u, v), u < v, join ``pair_u[p]`` and
+    ``pair_v[p]``, and snapshot j's edges are the pairs
+    ``edge_pair[edge_offsets[j]:edge_offsets[j + 1]]``, ascending.  A
+    segment's nodes and edges are therefore one contiguous slice, and an
+    empty snapshot costs one entry per offset array.  Every array is
+    read-only.
     """
 
     __slots__ = (
         "labels", "label_index", "node_ids", "node_offsets",
-        "edge_u", "edge_v", "edge_offsets", "edge_pair", "pair_u", "pair_v",
+        "edge_offsets", "edge_pair", "pair_u", "pair_v",
     )
 
     def __init__(self, k: int, labels: Sequence[str], nodes, edges):
@@ -76,17 +76,16 @@ class DynamicNetwork:
         nt, nid = nodes.T
         et, eu, ev = edges.T
         eu, ev = rank[eu], rank[ev]
-        self.edge_offsets, self.edge_u, self.edge_v = _sorted_records(
-            k, et, np.minimum(eu, ev), np.maximum(eu, ev)
+        self.edge_offsets, keys = _sorted_records(
+            k, et, np.minimum(eu, ev) * len(labels) + np.maximum(eu, ev)
         )
         self.node_offsets, self.node_ids = _sorted_records(
             k, np.concatenate([nt, et, et]), np.concatenate([rank[nid], eu, ev])
         )
-        key = self.edge_u * len(labels) + self.edge_v
-        pairs = np.sort(key)
+        pairs = np.sort(keys)
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         self.pair_u, self.pair_v = np.divmod(pairs, len(labels))
-        self.edge_pair = np.searchsorted(pairs, key)
+        self.edge_pair = np.searchsorted(pairs, keys)
         for a in (self.edge_pair, self.pair_u, self.pair_v):
             a.flags.writeable = False
 
@@ -95,9 +94,9 @@ class DynamicNetwork:
         return self.node_ids[self.node_offsets[start]:self.node_offsets[end + 1]]
 
     def segment_edges(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint ids (u, v), u < v, of every edge of snapshots start..end."""
-        lo, hi = self.edge_offsets[start], self.edge_offsets[end + 1]
-        return self.edge_u[lo:hi], self.edge_v[lo:hi]
+        """Endpoint ids (u, v), u < v, of every edge of snapshots start..end, as new arrays."""
+        p = self.edge_pair[self.edge_offsets[start]:self.edge_offsets[end + 1]]
+        return self.pair_u[p], self.pair_v[p]
 
     @property
     def k(self) -> int:
@@ -140,17 +139,16 @@ def _check_records(k: int, labels: Sequence[str], nodes: np.ndarray, edges: np.n
         raise ValueError(f"edge record {(t, u, u)}: self-loop on node {labels[u]!r}")
 
 
-def _sorted_records(k: int, t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-    """Offsets per snapshot, then the columns, of records sorted by (t, *columns)
-    with repeats dropped; every array is read-only."""
-    order = np.lexsort((*columns[::-1], t))
-    t, *columns = (c[order] for c in (t, *columns))
+def _sorted_records(k: int, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets per snapshot, then the values, of (t, x) records sorted by
+    (t, x) with repeats dropped; both arrays are read-only."""
+    order = np.lexsort((x, t))
+    t, x = t[order], x[order]
     keep = np.ones(len(t), dtype=bool)
-    keep[1:] = np.any([c[1:] != c[:-1] for c in (t, *columns)], axis=0)
-    out = [np.searchsorted(t[keep], np.arange(k + 1))] + [c[keep] for c in columns]
-    for a in out:
-        a.flags.writeable = False
-    return out
+    keep[1:] = (t[1:] != t[:-1]) | (x[1:] != x[:-1])
+    offsets, x = np.searchsorted(t[keep], np.arange(k + 1)), x[keep]
+    offsets.flags.writeable = x.flags.writeable = False
+    return offsets, x
 
 
 def dense_codes(ids: Iterable[int]) -> np.ndarray:

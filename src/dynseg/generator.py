@@ -309,23 +309,53 @@ def _layer_partition(members: list[list[int]]) -> Partition:
     )
 
 
+# Node pairs drawn per block: a snapshot's pairs are walked in row blocks of
+# at most this many (or one row), so a draw holds O(PAIR_BLOCK + n) working
+# memory at any n; up to 1,024 nodes (523,776 pairs) a snapshot is one block.
+PAIR_BLOCK = 1 << 19
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the upper triangle of n nodes, in order, each
+    holding at most PAIR_BLOCK pairs or a single row."""
+    blocks, lo, pairs = [], 0, 0
+    for row in range(n - 1):
+        if pairs and pairs + n - 1 - row > PAIR_BLOCK:
+            blocks.append((lo, row))
+            lo, pairs = row, 0
+        pairs += n - 1 - row
+    return blocks + [(lo, max(lo, n - 1))]
+
+
+def _upper_pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (u, v), u < v, of rows lo..hi-1, masked out as np.triu_indices
+    does, so in its order."""
+    upper = ~np.tri(hi - lo, n, lo, dtype=bool)
+    rows, cols = np.indices(upper.shape, sparse=True)
+    return tuple(np.broadcast_to(a, upper.shape)[upper] for a in (rows + lo, cols))
+
+
 def generate_snapshots(
     output: ScdOutput, cfg: GeneratorConfig, rng: np.random.Generator
 ) -> DynamicNetwork:
-    """Independent blockmodel draws, one per snapshot, under the segment partitions."""
+    """Independent blockmodel draws, one per snapshot, under the segment
+    partitions; each snapshot draws one uniform per node pair, row block by
+    row block, which continues one stream, so the blocks do not change it."""
     n, k = cfg.n, cfg.k
     p_in = cfg.c_in / n
     p_out = cfg.c_out / n
-    iu, iv = np.triu_indices(n, k=1)
     index = {str(u): u for u in range(n)}  # node u is labelled str(u)
+    blocks = _row_blocks(n)
     edges: list[np.ndarray] = []
     for p, (start, end) in zip(output.partitions, output.segments):
         memb = p.codes_by_id(index)
-        same = memb[iu] == memb[iv]
-        probs = np.where(same, p_in, p_out)
         for t in range(start, end + 1):
-            hit = np.flatnonzero(rng.random(len(probs)) < probs)
-            edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
+            for lo, hi in blocks:
+                if t == start or len(blocks) > 1:  # one block serves the whole segment
+                    iu, iv = _upper_pairs(n, lo, hi)
+                    probs = np.where(memb[iu] == memb[iv], p_in, p_out)
+                hit = np.flatnonzero(rng.random(len(probs)) < probs)
+                edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
     # every snapshot holds every node
     nodes = np.column_stack([np.repeat(np.arange(k), n), np.tile(np.arange(n), k)])
     return DynamicNetwork(k, list(index), nodes, np.concatenate(edges))

@@ -56,9 +56,9 @@ MIN_PARALLEL_EDGE_VISITS = 100_000
 # (a partition's code array and label tuple).  The bound counts every node
 # of the network in every segment, plus one label-propagation batch
 # (static_cluster.LPA_BATCH_BYTES), which the fill holds while the store
-# grows; the network and its pair index grow with its records, not k^2, and
-# are not counted.  A larger table is rejected with a ValueError, which the
-# command line reports as exit 1; at 50 nodes the limit falls near
+# grows; the network, one pair id per edge record, grows with its records,
+# not k^2, and is not counted.  A larger table is rejected with a ValueError,
+# which the command line reports as exit 1; at 50 nodes the limit falls near
 # k = 1,140, and on a 2-node network near k = 1,560.
 EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
 _SEGMENT_BYTES, _LABEL_BYTES = 850, 16

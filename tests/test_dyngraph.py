@@ -91,7 +91,7 @@ class TestLoadDynamicNetwork:
         assert snapshot_at(net, 1) == snapshot_at(net, 199999) == Snapshot()
         assert net.node_offsets[1] == net.node_offsets[200000] == 2
         assert net.edge_offsets[199999] == net.edge_offsets[200000] == 1
-        assert len(net.node_ids) == 4 and len(net.edge_u) == 2
+        assert len(net.node_ids) == 4 and len(net.segment_edges(0, net.k - 1)[0]) == 2
 
     def test_round_trip(self):
         text = "0 a b\n0 zz\n1 a c\n3 b c\n"
@@ -138,14 +138,23 @@ class TestIdArrays:
         assert net.node_offsets.tolist() == [0, 3, 5, 5, 7]
         assert net.node_ids.tolist() == [0, 1, 2, 1, 2, 0, 2]
         assert net.edge_offsets.tolist() == [0, 1, 2, 2, 3]
-        assert list(zip(net.edge_u.tolist(), net.edge_v.tolist())) == [
+        assert list(zip(*(a.tolist() for a in net.segment_edges(0, 3)))) == [
             (0, 1), (1, 2), (0, 2),
         ]
         assert net.segment_node_ids(1, 2).tolist() == [1, 2]
         assert [a.tolist() for a in net.segment_edges(1, 3)] == [[1, 0], [2, 2]]
+        # each edge record is held once, as a pair id; no endpoint column
+        assert DynamicNetwork.__slots__ == (
+            "labels", "label_index", "node_ids", "node_offsets",
+            "edge_offsets", "edge_pair", "pair_u", "pair_v",
+        )
         for name in DynamicNetwork.__slots__[2:]:
             with pytest.raises(ValueError):
                 getattr(net, name)[0] = 2
+        # segment_edges gives fresh arrays, so writing to them leaves the network
+        u, v = net.segment_edges(0, 3)
+        u[:], v[:] = 7, 7
+        assert [a.tolist() for a in net.segment_edges(0, 3)] == [[0, 1, 0], [1, 2, 2]]
 
     def test_views_and_equality(self):
         net = load_dynamic_network("0 b a\n0 c\n1 c b\n3 a c\n")
@@ -182,6 +191,8 @@ class TestIdArrays:
             snapshot_at(net, j) for j in range(net.k)
         ]
         for start, end in itertools.combinations_with_replacement(range(net.k), 2):
+            for x, y in zip(copy.segment_edges(start, end), net.segment_edges(start, end)):
+                assert x.dtype == y.dtype and x.tolist() == y.tolist()
             graph, original = sum_graph(copy, start, end), sum_graph(net, start, end)
             assert graph.labels == original.labels
             for x, y in zip(graph[1:], original[1:]):
@@ -200,7 +211,7 @@ class TestIdArrays:
         net = network_of(snapshots)
         assert net.labels == ("10", "2", "9", "x")
         assert net.node_ids.tolist() == [0, 1, 2, 3]
-        assert (net.edge_u.tolist(), net.edge_v.tolist()) == ([0], [1])
+        assert [a.tolist() for a in net.segment_edges(0, 1)] == [[0], [1]]
         assert load_dynamic_network("0 2 10\n0 10 2\n0 9\n1 x\n") == net
         with pytest.raises(ValueError, match="at least one snapshot"):
             DynamicNetwork(0, [], [], [])
@@ -271,8 +282,9 @@ class TestRecords:
         # the pair index: distinct (u, v) strictly ascending, one id per record
         pairs = list(zip(net.pair_u.tolist(), net.pair_v.tolist()))
         assert pairs == sorted({(u, v) for _, u, v in canon_edges})
-        assert net.pair_u[net.edge_pair].tolist() == net.edge_u.tolist()
-        assert net.pair_v[net.edge_pair].tolist() == net.edge_v.tolist()
+        assert [pairs[p] for p in net.edge_pair.tolist()] == [(u, v) for _, u, v in canon_edges]
+        u, v = net.segment_edges(0, k - 1)
+        assert list(zip(u.tolist(), v.tolist())) == [(u, v) for _, u, v in canon_edges]
         if net.node_offsets[-1] > net.node_offsets[-2]:
             assert load_dynamic_network(dump_dynamic_network(net)) == net
 

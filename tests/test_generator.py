@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -253,6 +254,43 @@ class TestSnapshots:
         expected = {str(i) for i in range(50)}
         for g in (snapshot_at(net, j) for j in range(net.k)):
             assert g.nodes == expected
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("block", [1, 40, 300, 1224])
+    def test_blocks_do_not_change_the_network(self, monkeypatch, block):
+        # 1,225 pairs at n=50: one block by default, 2 to 49 blocks here,
+        # and a block below one row's width holds that row alone
+        cfg = GeneratorConfig(seed=5, **DEFAULT)
+        assert generator._row_blocks(cfg.n) == [(0, cfg.n - 1)]
+        net, truth = generate(cfg)
+        monkeypatch.setattr(generator, "PAIR_BLOCK", block)
+        assert len(generator._row_blocks(cfg.n)) > 1
+        again, truth_again = generate(cfg)
+        assert dump_dynamic_network(again) == dump_dynamic_network(net)
+        assert dump_output(truth_again) == dump_output(truth)
+
+    def test_blocks_cover_the_upper_triangle_in_order(self, monkeypatch):
+        monkeypatch.setattr(generator, "PAIR_BLOCK", 7)
+        for n in (1, 2, 3, 5, 9):
+            blocks = generator._row_blocks(n)
+            pairs = [generator._upper_pairs(n, lo, hi) for lo, hi in blocks]
+            assert [(u, v) for iu, iv in pairs for u, v in zip(iu.tolist(), iv.tolist())] == [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+            ]
+            assert all(len(iu) <= 7 or hi - lo == 1 for (lo, hi), (iu, _) in zip(blocks, pairs))
+
+    def test_memory_stays_bounded_at_2000_nodes(self):
+        # drawing all 1,999,000 pairs of a snapshot at once peaked near 81 MB
+        cfg = GeneratorConfig(k=4, l=2, n=2000, c_min=50, c_in=20, c_out=4, seed=3)
+        tracemalloc.start()
+        try:
+            net, _ = generate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.k == 4 and len(net.labels) == 2000
+        assert peak < 40 * 2**20
 
 
 class TestDeterminism:
