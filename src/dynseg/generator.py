@@ -63,14 +63,13 @@ class GeneratorConfig:
 class PartitionGraph:
     """Layered cluster-evolution plan.
 
-    Layer i has layer_sizes[i] supernodes, one per cluster of segment i.
-    transitions[i] holds the directed edges from layer i to layer i+1 as
-    (left, right, members) triples: each edge moves `members` nodes from
-    the left cluster into the right cluster.  Every edge belongs to exactly
-    one merge, split, or continuation event.
+    Layer i has one supernode per cluster of segment i, with the planned
+    sizes cluster_sizes[i].  transitions[i] holds the directed edges from
+    layer i to layer i+1 as (left, right, members) triples: each edge moves
+    `members` nodes from the left cluster into the right cluster.  Every
+    edge belongs to exactly one merge, split, or continuation event.
     """
 
-    layer_sizes: tuple[int, ...]
     cluster_sizes: tuple[tuple[int, ...], ...]
     transitions: tuple[tuple[tuple[int, int, int], ...], ...]
 
@@ -253,7 +252,6 @@ def build_partition_graph(cfg: GeneratorConfig, rng: np.random.Generator) -> Par
         sizes = _random_sizes(cfg.n, r0, cfg.c_min, rng)
         if cfg.l == 1 or _feasible_next_sizes(sizes, cfg.c_min, max_r):
             break
-    layer_sizes = [r0]
     cluster_sizes = [tuple(sizes)]
     transitions: list[tuple[tuple[int, int, int], ...]] = []
     for i in range(1, cfg.l):
@@ -265,10 +263,9 @@ def build_partition_graph(cfg: GeneratorConfig, rng: np.random.Generator) -> Par
             )
         q = int(feasible[rng.integers(0, len(feasible))])
         edges, sizes = _sample_transition(sizes, q, cfg.c_min, rng)
-        layer_sizes.append(q)
         cluster_sizes.append(tuple(sizes))
         transitions.append(tuple(edges))
-    return PartitionGraph(tuple(layer_sizes), tuple(cluster_sizes), tuple(transitions))
+    return PartitionGraph(tuple(cluster_sizes), tuple(transitions))
 
 
 def derive_segment_partitions(
@@ -286,7 +283,7 @@ def derive_segment_partitions(
     partitions = [_layer_partition(members)]
 
     for layer, edges in enumerate(graph.transitions):
-        incoming: list[list[int]] = [[] for _ in range(graph.layer_sizes[layer + 1])]
+        incoming: list[list[int]] = [[] for _ in graph.cluster_sizes[layer + 1]]
         by_left: dict[int, list[tuple[int, int]]] = {}
         for u, v, w in edges:
             by_left.setdefault(u, []).append((v, w))
@@ -309,53 +306,44 @@ def _layer_partition(members: list[list[int]]) -> Partition:
     )
 
 
-# Node pairs drawn per block: a snapshot's pairs are walked in row blocks of
-# at most this many (or one row), so a draw holds O(PAIR_BLOCK + n) working
-# memory at any n; up to 1,024 nodes (523,776 pairs) a snapshot is one block.
+# Uniforms drawn per block: a segment draws one uniform per snapshot and
+# node pair as one stream, this many at a time, so a draw holds
+# O(PAIR_BLOCK + n) working memory at any n.
 PAIR_BLOCK = 1 << 19
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of the upper triangle of n nodes, in order, each
-    holding at most PAIR_BLOCK pairs or a single row."""
-    blocks, lo, pairs = [], 0, 0
-    for row in range(n - 1):
-        if pairs and pairs + n - 1 - row > PAIR_BLOCK:
-            blocks.append((lo, row))
-            lo, pairs = row, 0
-        pairs += n - 1 - row
-    return blocks + [(lo, max(lo, n - 1))]
-
-
-def _upper_pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u, v), u < v, of rows lo..hi-1, masked out as np.triu_indices
-    does, so in its order."""
-    upper = ~np.tri(hi - lo, n, lo, dtype=bool)
-    rows, cols = np.indices(upper.shape, sparse=True)
-    return tuple(np.broadcast_to(a, upper.shape)[upper] for a in (rows + lo, cols))
 
 
 def generate_snapshots(
     output: ScdOutput, cfg: GeneratorConfig, rng: np.random.Generator
 ) -> DynamicNetwork:
     """Independent blockmodel draws, one per snapshot, under the segment
-    partitions; each snapshot draws one uniform per node pair, row block by
-    row block, which continues one stream, so the blocks do not change it."""
+    partitions.
+
+    A segment draws one uniform per snapshot and node pair, snapshot by
+    snapshot and pairs in np.triu_indices order, as one stream, so the
+    block size does not change the draws.  A uniform below c_in/n is a
+    candidate, and its index gives its snapshot and pair.  Since
+    c_out <= c_in, a candidate is an edge when its pair shares a cluster or
+    its uniform is below c_out/n.
+    """
     n, k = cfg.n, cfg.k
     p_in = cfg.c_in / n
     p_out = cfg.c_out / n
+    pairs = n * (n - 1) // 2
+    rows = np.arange(n)
+    first = rows * (2 * n - 1 - rows) // 2  # index of pair (u, u + 1)
     index = {str(u): u for u in range(n)}  # node u is labelled str(u)
-    blocks = _row_blocks(n)
     edges: list[np.ndarray] = []
     for p, (start, end) in zip(output.partitions, output.segments):
         memb = p.codes_by_id(index)
-        for t in range(start, end + 1):
-            for lo, hi in blocks:
-                if t == start or len(blocks) > 1:  # one block serves the whole segment
-                    iu, iv = _upper_pairs(n, lo, hi)
-                    probs = np.where(memb[iu] == memb[iv], p_in, p_out)
-                hit = np.flatnonzero(rng.random(len(probs)) < probs)
-                edges.append(np.column_stack([np.full(len(hit), t), iu[hit], iv[hit]]))
+        draws = (end - start + 1) * pairs
+        for lo in range(0, draws, PAIR_BLOCK):
+            x = rng.random(min(PAIR_BLOCK, draws - lo))
+            hit = np.flatnonzero(x < p_in)
+            t, i = np.divmod(hit + lo, pairs)
+            u = np.searchsorted(first, i, "right") - 1
+            v = i - first[u] + u + 1
+            edge = (memb[u] == memb[v]) | (x[hit] < p_out)
+            edges.append(np.column_stack([t[edge] + start, u[edge], v[edge]]))
     # every snapshot holds every node
     nodes = np.column_stack([np.repeat(np.arange(k), n), np.tile(np.arange(n), k)])
     return DynamicNetwork(k, list(index), nodes, np.concatenate(edges))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -60,7 +61,7 @@ class TestConfig:
             for seed in range(12):
                 cfg = GeneratorConfig(k=8, l=l, n=n, c_min=c_min, c_in=1, c_out=0.5, seed=seed)
                 graph = build_partition_graph(cfg, rng_for(seed, "g"))
-                assert len(graph.layer_sizes) == l
+                assert len(graph.cluster_sizes) == l
                 assert all(min(sizes) >= c_min for sizes in graph.cluster_sizes)
 
 
@@ -101,23 +102,23 @@ class TestPartitionGraph:
     def test_single_layer_no_edges(self):
         cfg = GeneratorConfig(l=1, **{k: v for k, v in DEFAULT.items() if k != "l"})
         graph = build_partition_graph(cfg, rng_for(1, "g"))
-        assert len(graph.layer_sizes) == 1
+        assert len(graph.cluster_sizes) == 1
         assert graph.transitions == ()
 
     def test_layer_sizes_within_bounds(self):
         cfg = GeneratorConfig(**DEFAULT)
         for seed in range(20):
             graph = build_partition_graph(cfg, rng_for(seed, "g"))
-            for r in graph.layer_sizes:
-                assert 2 <= r <= cfg.n // cfg.c_min
+            for sizes in graph.cluster_sizes:
+                assert 2 <= len(sizes) <= cfg.n // cfg.c_min
 
     def test_degree_conditions(self):
         cfg = GeneratorConfig(**DEFAULT)
         for seed in range(20):
             graph = build_partition_graph(cfg, rng_for(seed, "g"))
             for layer, edges in enumerate(graph.transitions):
-                p = graph.layer_sizes[layer]
-                q = graph.layer_sizes[layer + 1]
+                p = len(graph.cluster_sizes[layer])
+                q = len(graph.cluster_sizes[layer + 1])
                 # every left supernode has an outgoing edge, every right an incoming
                 assert {u for u, _, _ in edges} == set(range(p))
                 assert {v for _, v, _ in edges} == set(range(q))
@@ -155,7 +156,7 @@ class TestDerivePartitions:
         sizes = sorted(len(m) for m in clusters_of(parts[0]))
         assert sum(sizes) == 50
         assert all(s >= 5 for s in sizes)
-        assert parts[0].num_clusters == graph.layer_sizes[0]
+        assert parts[0].num_clusters == len(graph.cluster_sizes[0])
 
     def test_continuation_keeps_members_and_merge_unions(self, monkeypatch):
         # the member list of every supernode, indexed by supernode id, as the
@@ -259,29 +260,37 @@ class TestSnapshots:
 class TestPairBlocks:
     @pytest.mark.parametrize("block", [1, 40, 300, 1224])
     def test_blocks_do_not_change_the_network(self, monkeypatch, block):
-        # 1,225 pairs at n=50: one block by default, 2 to 49 blocks here,
-        # and a block below one row's width holds that row alone
+        # 1,225 pairs at n=50: a segment of s snapshots draws 1,225·s
+        # uniforms, one block by default and several here
         cfg = GeneratorConfig(seed=5, **DEFAULT)
-        assert generator._row_blocks(cfg.n) == [(0, cfg.n - 1)]
         net, truth = generate(cfg)
+        pairs = cfg.n * (cfg.n - 1) // 2
+        assert all((end - start + 1) * pairs <= generator.PAIR_BLOCK
+                   for start, end in truth.segments)
         monkeypatch.setattr(generator, "PAIR_BLOCK", block)
-        assert len(generator._row_blocks(cfg.n)) > 1
+        assert all((end - start + 1) * pairs > block for start, end in truth.segments)
         again, truth_again = generate(cfg)
         assert dump_dynamic_network(again) == dump_dynamic_network(net)
         assert dump_output(truth_again) == dump_output(truth)
 
-    def test_blocks_cover_the_upper_triangle_in_order(self, monkeypatch):
-        monkeypatch.setattr(generator, "PAIR_BLOCK", 7)
-        for n in (1, 2, 3, 5, 9):
-            blocks = generator._row_blocks(n)
-            pairs = [generator._upper_pairs(n, lo, hi) for lo, hi in blocks]
-            assert [(u, v) for iu, iv in pairs for u, v in zip(iu.tolist(), iv.tolist())] == [
-                (u, v) for u in range(n) for v in range(u + 1, n)
-            ]
-            assert all(len(iu) <= 7 or hi - lo == 1 for (lo, hi), (iu, _) in zip(blocks, pairs))
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_every_pair_of_every_snapshot_once(self, monkeypatch, block):
+        # c_in = c_out = n puts every uniform below both probabilities, so
+        # each snapshot is the complete graph; a uniform mapped to the wrong
+        # pair or snapshot leaves a pair out and repeats another
+        if block is not None:
+            monkeypatch.setattr(generator, "PAIR_BLOCK", block)
+        for n, l in ((2, 1), (3, 1), (6, 2), (9, 3)):
+            cfg = GeneratorConfig(k=4, l=l, n=n, c_min=n // 3 or 1, c_in=n, c_out=n, seed=n)
+            net, _ = generate(cfg)
+            complete = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for t in range(cfg.k):
+                u, v = net.segment_edges(t, t)
+                assert list(zip(u.tolist(), v.tolist())) == complete
 
     def test_memory_stays_bounded_at_2000_nodes(self):
-        # drawing all 1,999,000 pairs of a snapshot at once peaked near 81 MB
+        # drawing all 1,999,000 pairs of a snapshot at once peaked near 81 MB;
+        # 16 MB is one float64 per pair of one snapshot
         cfg = GeneratorConfig(k=4, l=2, n=2000, c_min=50, c_in=20, c_out=4, seed=3)
         tracemalloc.start()
         try:
@@ -290,10 +299,39 @@ class TestPairBlocks:
         finally:
             tracemalloc.stop()
         assert net.k == 4 and len(net.labels) == 2000
-        assert peak < 40 * 2**20
+        assert peak < 16 * 2**20
+
+
+def _golden_grid():
+    """k=8 over n, c_min, l, c_out and two seeds, plus one k=2, n=1,100
+    network whose one segment spans several pair blocks."""
+    for n in (6, 24, 60):
+        for c_min in sorted({1, 2, 3, n // 4, n // 3}):
+            for l in (1, 2, 4):
+                if 3 * c_min > n:
+                    continue
+                c_in = min(20, n)
+                for c_out in (0, 4, c_in):
+                    for seed in (0, 1):
+                        yield GeneratorConfig(k=8, l=l, n=n, c_min=c_min, c_in=c_in,
+                                              c_out=c_out, seed=seed)
+    yield GeneratorConfig(k=2, l=1, n=1100, c_min=100, c_in=20, c_out=4, seed=0)
+
+
+# sha256 of every network and truth file of _golden_grid, in order; it
+# follows numpy's RNG streams, as the digests of test_golden.py do
+GRID_GOLDEN = "dd967824b6c7bc4f709f1a067e3cbc3a119e5a37ac54bea48c08ad39aa7c2de8"
 
 
 class TestDeterminism:
+    def test_grid_golden(self):
+        digest = hashlib.sha256()
+        for cfg in _golden_grid():
+            net, truth = generate(cfg)
+            digest.update(dump_dynamic_network(net).encode())
+            digest.update(dump_output(truth).encode())
+        assert digest.hexdigest() == GRID_GOLDEN
+
     def test_same_seed_identical_output(self):
         cfg = GeneratorConfig(seed=99, **DEFAULT)
         net1, truth1 = generate(cfg)
