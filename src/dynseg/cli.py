@@ -38,7 +38,15 @@ from .evaluation import (
 )
 from .generator import GenerationError, GeneratorConfig, generate
 from .objectives import Criterion, FitMeasure, num_observations, penalty_weight
-from .search import STRATEGIES, SearchSpec, SegmentStore, build_table, usable_cpus, worker_count
+from .search import (
+    STRATEGIES,
+    SearchSpec,
+    SegmentStore,
+    build_table,
+    process_pool,
+    usable_cpus,
+    worker_count,
+)
 
 OBJECTIVES = {m.value: m for m in (*Criterion, *FitMeasure)}
 
@@ -282,11 +290,7 @@ def cmd_benchmark(args) -> int:
     ]
     workers = worker_count(args.jobs, len(tasks))
     if workers > 1:
-        # Imported here: the import costs about 30 ms that other commands skip.
-        from concurrent.futures import ProcessPoolExecutor
-        import numpy.random  # noqa: F401 -- numpy loads it lazily; forked workers inherit it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with process_pool(workers) as pool:
             per_task = list(pool.map(_bench_instance, tasks))
     else:
         per_task = [_bench_instance(t) for t in tasks]

@@ -12,7 +12,7 @@ splitting, and at most 4k-5 for bottom-up merging.  Tables built under
 several objectives on one store cluster each shared segment once.  The
 exhaustive program fills the store with all its segments up front, in
 worker processes when the store may use more than one and the segments
-hold enough edges to repay starting them: a ``ProcessPoolExecutor(workers)``
+hold enough edges to repay starting them: a ``process_pool(workers)``
 maps one interleaved chunk per worker, the network pickled with it.  Each
 process clusters its segments together (``consensus.segment_partitions``),
 which runs sum-lpa's label propagation in lockstep batches.  A table whose
@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .consensus import Consensus, segment_partition, segment_partitions
 from .dyngraph import DynamicNetwork, Partition, ScdOutput
 from .objectives import Criterion, FitMeasure
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 STRATEGIES = ("exhaustive", "topdown", "bottomup")
 
 # Edge records the missing segments of a fill must read (the sum over the
@@ -39,12 +43,14 @@ STRATEGIES = ("exhaustive", "topdown", "bottomup")
 # starting the workers and sending the partitions back cost more than they
 # save.  Fill alone on two CPUs (median of six): sum-louvain and sum-walktrap
 # ran faster in a pool from 89,000 visits (k=12, n=50: 272 against 191 ms and
-# 289 against 250 ms), while sum-lpa, whose segments each process clusters in
-# lockstep batches, ran faster in-process up to about 270,000 (k=16, n=50:
-# 110 against 129 ms; k=24, n=20: 133 against 137 ms) and in a pool from
-# about 600,000 (k=32, n=20: 232 against 214 ms; k=32, n=50: 487 against
-# 377 ms).  One threshold serves every clusterer, so it stays near the
-# costlier ones' break-even.
+# 289 against 250 ms).  Sum-lpa, whose segments each process clusters in
+# lockstep batches, on networks generated as the benchmark's (median of
+# twelve, 16 MB batches): in-process faster up to about 100,000 (k=12, n=50,
+# 96,682 visits: 37.5 against 42.8 ms; k=16, n=20: 39.9 against 42.3 ms), in
+# a pool from about 240,000 (k=16, n=50: 71.2 against 55.4 ms; k=24, n=20:
+# 78.5 against 66.4 ms; k=32, n=20: 148.0 against 102.8 ms; k=32, n=50:
+# 230.5 against 171.6 ms).  One threshold serves every clusterer, so it
+# stays near the costlier ones' break-even.
 MIN_PARALLEL_EDGE_VISITS = 100_000
 
 # An exhaustive table holds (k^2+k)/2 entries in each of its store, score
@@ -59,7 +65,7 @@ MIN_PARALLEL_EDGE_VISITS = 100_000
 # grows; the network, one pair id per edge record, grows with its records,
 # not k^2, and is not counted.  A larger table is rejected with a ValueError,
 # which the command line reports as exit 1; at 50 nodes the limit falls near
-# k = 1,140, and on a 2-node network near k = 1,560.
+# k = 1,131, and on a 2-node network near k = 1,547.
 EXHAUSTIVE_MAX_STORE_BYTES = 1 << 30
 _SEGMENT_BYTES, _LABEL_BYTES = 850, 16
 
@@ -147,6 +153,21 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A ``ProcessPoolExecutor(workers)``, opened once this process has
+    loaded ``numpy.random``; every process pool of the package opens here.
+
+    Numpy loads ``numpy.random`` on first use, and a forked worker inherits
+    the modules its parent has loaded, so loading it here spares each worker
+    that import.  Both imports run inside the call, so runs that open no
+    pool skip them (about 30 ms for the pool's).
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    import numpy.random  # noqa: F401
+
+    return ProcessPoolExecutor(workers)
+
+
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` independent tasks under ``--jobs``: at
     most ``jobs``, capped by the task count and the usable CPUs; 1 runs them
@@ -216,7 +237,7 @@ class SegmentStore:
         The missing segments are dealt into one interleaved chunk per worker,
         so each chunk holds short and long ones.  When they hold at least
         ``MIN_PARALLEL_EDGE_VISITS`` edge records and more than one worker may
-        run, a ``ProcessPoolExecutor(workers)`` opened for this call maps
+        run, a ``process_pool(workers)`` opened for this call maps
         ``_segments_terms`` over the chunks, and each worker receives the
         network pickled with its chunk; otherwise the one chunk is computed
         in-process.
@@ -234,10 +255,7 @@ class SegmentStore:
         if workers == 1:
             results = list(map(terms, chunks))
         else:
-            # Imported here: the import costs about 30 ms that serial runs skip.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers) as pool:
+            with process_pool(workers) as pool:
                 results = list(pool.map(terms, chunks))
         for chunk, segs in zip(chunks, results):
             self._memo.update(((consensus, seed, *s), seg) for s, seg in zip(chunk, segs))

@@ -351,6 +351,27 @@ class TestParallelExhaustive:
         assert stdout == "" and not out.exists()
         assert pool_sizes == [2]
 
+    def test_fill_parent_loads_numpy_random_before_forking(self, scg_files):
+        # a detect that reads its network from a file never draws in the
+        # parent; a fill forked before numpy.random is loaded leaves every
+        # worker to import it again (14-20 ms each)
+        net, _ = scg_files
+        argv = ["detect", "--input", str(net), "--search", "exhaustive",
+                "--consensus", "sum-lpa", "--jobs", "2"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from dynseg import search\n"
+            "from dynseg.cli import main\n"
+            "search.MIN_PARALLEL_EDGE_VISITS = 0\n"
+            "search.usable_cpus = lambda: 2\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "sys.exit(int('numpy.random' not in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     @pytest.mark.parametrize("command", ["detect", "rank", "benchmark"])
     def test_jobs_defaults_to_the_usable_cpus(self, monkeypatch, set_cpus, command):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynseg import static_cluster
+from dynseg.consensus import Consensus, segment_partitions
 from dynseg.dyngraph import Partition
+from dynseg.generator import GeneratorConfig, generate
 from dynseg.static_cluster import (
     KINDS,
     LevelGraph,
@@ -386,6 +388,23 @@ def test_label_propagation_many_hands_stragglers_their_sweeps_left(monkeypatch, 
     monkeypatch.setattr(static_cluster, "MAX_SWEEPS", sweeps)
     seeds = range(12)
     assert label_propagation_many([path] * 12, seeds) == [label_propagation(path, s) for s in seeds]
+
+
+def test_one_lockstep_batch_per_fill_worker_chunk(monkeypatch):
+    """One of two fill workers' interleaved chunks of a k=32, n=50 exhaustive
+    fill (264 of its 528 sum graphs) runs as one lockstep batch."""
+    network = generate(GeneratorConfig(k=32, l=8, n=50, c_min=5, c_in=20, c_out=4, seed=401))[0]
+    segments = [(t, i) for i in range(network.k) for t in range(i + 1)]
+    batches = []
+    lockstep = static_cluster._lockstep
+
+    def counted(batch, nbr, wt):
+        batches.append(len(batch))
+        return lockstep(batch, nbr, wt)
+
+    monkeypatch.setattr(static_cluster, "_lockstep", counted)
+    segment_partitions(network, segments[0::2], Consensus.SUM_LPA, 0)
+    assert batches == [264]
 
 
 class TestWalktrap:
