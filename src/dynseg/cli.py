@@ -14,6 +14,7 @@ volatile content, so reruns are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -100,13 +101,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Jobs(argparse.Action):
+    """Stores ``--jobs``.  Its default is read each time a command line is
+    parsed, so it is the CPUs this process may use then, not when the parser
+    was built."""
+
+    default = property(lambda self: usable_cpus(), lambda self, value: None)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=OBJECTIVES, default="bic")
     p.add_argument("--consensus", choices=[c.value for c in Consensus], default="sum-walktrap")
     p.add_argument("--search", choices=STRATEGIES, default="bottomup")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--jobs", type=_positive_int, default=usable_cpus(),
+        "--jobs", type=_positive_int, action=_Jobs,
         help="at most this many worker processes, capped by the task count and "
         "the CPUs this process may use; 1 runs in-process (default: those CPUs)",
     )
@@ -373,9 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs about a millisecond, which
+# callers that run main many times in one process would pay on every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, GenerationError, ValueError, OSError) as exc:

@@ -68,26 +68,27 @@ class DynamicNetwork:
         if len(self.label_index) < len(order):
             twice = next(a for a, b in zip(self.labels, self.labels[1:]) if a == b)
             raise ValueError(f"label {twice!r} appears twice")
-        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
-        edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
+        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2).T.copy()
+        edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3).T.copy()
         _check_records(k, labels, nodes, edges)
-        rank = np.empty(len(labels), dtype=np.intp)
-        rank[order] = np.arange(len(labels))
-        nt, nid = nodes.T
-        et, eu, ev = edges.T
+        n = len(labels)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        (nt, nid), (et, eu, ev) = nodes, edges
         eu, ev = rank[eu], rank[ev]
-        self.edge_offsets, keys = _sorted_records(
-            k, et, np.minimum(eu, ev) * len(labels) + np.maximum(eu, ev)
-        )
-        self.node_offsets, self.node_ids = _sorted_records(
-            k, np.concatenate([nt, et, et]), np.concatenate([rank[nid], eu, ev])
-        )
+        # number the distinct pairs by their key u * n + v, u < v, so that
+        # each edge record sorts as (t, pair id)
+        keys = np.minimum(eu, ev) * n + np.maximum(eu, ev)
         pairs = np.sort(keys)
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        self.pair_u, self.pair_v = np.divmod(pairs, len(labels))
-        self.edge_pair = np.searchsorted(pairs, keys)
-        for a in (self.edge_pair, self.pair_u, self.pair_v):
-            a.flags.writeable = False
+        self.edge_offsets, self.edge_pair = _sorted_records(
+            k, et, np.searchsorted(pairs, keys), len(pairs)
+        )
+        self.node_offsets, self.node_ids = _sorted_records(
+            k, np.concatenate([nt, et, et]), np.concatenate([rank[nid], eu, ev]), n
+        )
+        self.pair_u, self.pair_v = np.divmod(pairs, n)
+        self.pair_u.flags.writeable = self.pair_v.flags.writeable = False
 
     def segment_node_ids(self, start: int, end: int) -> np.ndarray:
         """Node ids of snapshots start..end, snapshot by snapshot."""
@@ -124,29 +125,32 @@ class DynamicNetwork:
 
 def _check_records(k: int, labels: Sequence[str], nodes: np.ndarray, edges: np.ndarray) -> None:
     """Raise ValueError on the first (t, id) node record or (t, u, v) edge
-    record with t outside 0..k-1, an id that names no label, or u == v."""
+    record, held as columns, with t outside 0..k-1, an id that names no
+    label, or u == v."""
     for what, records in (("node", nodes), ("edge", edges)):
-        for problem, bad in (
-            (f"time index outside 0..{k - 1}", (records[:, 0] < 0) | (records[:, 0] >= k)),
-            (f"node id outside the {len(labels)} labels",
-             ((records[:, 1:] < 0) | (records[:, 1:] >= len(labels))).any(axis=1)),
+        for problem, values, bound in (
+            (f"time index outside 0..{k - 1}", records[:1], k),
+            (f"node id outside the {len(labels)} labels", records[1:], len(labels)),
         ):
-            if bad.any():
-                raise ValueError(f"{what} record {tuple(records[bad][0].tolist())}: {problem}")
-    loop = edges[:, 1] == edges[:, 2]
+            if values.size and (values.min() < 0 or values.max() >= bound):
+                first = ((values < 0) | (values >= bound)).any(axis=0).argmax()
+                raise ValueError(f"{what} record {tuple(records[:, first].tolist())}: {problem}")
+    loop = edges[1] == edges[2]
     if loop.any():
-        t, u, _ = edges[loop][0].tolist()
+        t, u, _ = edges[:, loop.argmax()].tolist()
         raise ValueError(f"edge record {(t, u, u)}: self-loop on node {labels[u]!r}")
 
 
-def _sorted_records(k: int, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets per snapshot, then the values, of (t, x) records sorted by
-    (t, x) with repeats dropped; both arrays are read-only."""
-    order = np.lexsort((x, t))
-    t, x = t[order], x[order]
-    keep = np.ones(len(t), dtype=bool)
-    keep[1:] = (t[1:] != t[:-1]) | (x[1:] != x[:-1])
-    offsets, x = np.searchsorted(t[keep], np.arange(k + 1)), x[keep]
+def _sorted_records(
+    k: int, t: np.ndarray, x: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets per snapshot, then the values, of (t, x) records with
+    0 <= t < k and 0 <= x < width, sorted by (t, x) with repeats dropped;
+    both arrays are read-only.  Each record sorts as one int64 key
+    ``t * width + x``, below ``k * width``."""
+    key = np.sort(t * width + x)
+    key = key[np.diff(key, prepend=-1) != 0]
+    offsets, x = np.searchsorted(key, np.arange(k + 1) * width), key % width
     offsets.flags.writeable = x.flags.writeable = False
     return offsets, x
 
@@ -302,24 +306,26 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
     index: dict[str, int] = {}  # label -> id, in order of first appearance
     nodes: list[int] = []  # t, id of each record, flattened
     edges: list[int] = []  # t, u, v of each record, flattened
+    times: dict[str, int] = {}  # each time field read so far -> its index
     k = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         if len(parts) not in (2, 3):
             raise FormatError(f"expected 2 or 3 fields, got {len(parts)}", line_no)
-        try:
-            t = int(parts[0])
-        except ValueError:
-            raise FormatError(f"bad time index {parts[0]!r}", line_no) from None
-        if t < 0:
-            raise FormatError(f"negative time index {t}", line_no)
-        if t > MAX_TIME_INDEX:
-            raise FormatError(f"time index {t} above {MAX_TIME_INDEX}", line_no)
-        if t >= k:
-            k = t + 1
+        t = times.get(parts[0])
+        if t is None:
+            try:
+                t = int(parts[0])
+            except ValueError:
+                raise FormatError(f"bad time index {parts[0]!r}", line_no) from None
+            if t < 0:
+                raise FormatError(f"negative time index {t}", line_no)
+            if t > MAX_TIME_INDEX:
+                raise FormatError(f"time index {t} above {MAX_TIME_INDEX}", line_no)
+            times[parts[0]] = t
+            k = max(k, t + 1)
         if len(parts) == 2:
             nodes += (t, index.setdefault(parts[1], len(index)))
             continue
@@ -332,22 +338,46 @@ def load_dynamic_network(source: TextIO | str) -> DynamicNetwork:
     return DynamicNetwork(k, list(index), nodes, edges)
 
 
+def _check_labels(labels: Iterable[str]) -> None:
+    """Raise ValueError on the first label that is empty or holds
+    whitespace: both text formats split their lines at whitespace."""
+    bad = next((u for u in labels if u.split() != [u]), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} is empty or holds whitespace; the format cannot hold it")
+
+
 def dump_dynamic_network(network: DynamicNetwork) -> str:
     """Canonical text form; loading it back reproduces the network.
 
-    The format holds no snapshot after the last record, so a network whose
-    last snapshot is empty cannot be written and raises ValueError.
+    The format holds no snapshot after the last record and splits lines at
+    whitespace, so a network whose last snapshot is empty, or with a label
+    that is empty or holds whitespace, cannot be written and raises
+    ValueError.
     """
     sizes = np.diff(network.node_offsets)
     if not sizes[-1]:
         raise ValueError("the last snapshot is empty; the format cannot express it")
-    labels = network.labels
+    labels, n, k = network.labels, len(network.labels), network.k
+    _check_labels(labels)
+    # a node record is isolated unless an edge endpoint's key t * n + id,
+    # searched in the node records' ascending keys, lands on it
+    keys = np.repeat(np.arange(k) * n, sizes) + network.node_ids
+    et = np.repeat(np.arange(k) * n, np.diff(network.edge_offsets))
+    u, v = network.segment_edges(0, k - 1)
+    isolated = np.ones(len(keys), dtype=bool)
+    isolated[np.searchsorted(keys, np.concatenate([et + u, et + v]))] = False
+    isolated = np.flatnonzero(isolated)
+    # every line is "t " and then words: snapshot t's isolated nodes, then its edges
+    node_words = [labels[i] for i in network.node_ids[isolated].tolist()]
+    pair_words = [f"{labels[a]} {labels[b]}"
+                  for a, b in zip(network.pair_u.tolist(), network.pair_v.tolist())]
+    edge_words = list(map(pair_words.__getitem__, network.edge_pair.tolist()))
+    at = np.searchsorted(isolated, network.node_offsets).tolist()
+    edge_at = network.edge_offsets.tolist()
     out: list[str] = []
     for t in np.flatnonzero(sizes).tolist():
-        u, v = network.segment_edges(t, t)
-        isolated = np.setdiff1d(network.segment_node_ids(t, t), np.concatenate([u, v]))
-        out += [f"{t} {labels[i]}" for i in isolated.tolist()]
-        out += [f"{t} {labels[a]} {labels[b]}" for a, b in zip(u.tolist(), v.tolist())]
+        words = node_words[at[t]:at[t + 1]] + edge_words[edge_at[t]:edge_at[t + 1]]
+        out.append(f"{t} " + f"\n{t} ".join(words))
     return "\n".join(out) + "\n"
 
 
@@ -364,8 +394,11 @@ def dump_dynamic_network(network: DynamicNetwork) -> str:
 # ---------------------------------------------------------------------------
 
 def dump_output(output: ScdOutput) -> str:
+    """Canonical text form; a label that is empty or holds whitespace
+    cannot be written and raises ValueError."""
     out: list[str] = []
     for p, (start, end) in zip(output.partitions, output.segments):
+        _check_labels(p.labels)
         out.append(f"segment {start} {end}")
         members: list[list[str]] = [[] for _ in range(p.num_clusters)]
         for u, c in zip(p.labels, p.codes.tolist()):

@@ -12,6 +12,7 @@ import dynseg
 from dynseg import cli, search, static_cluster
 from dynseg.cli import main
 from dynseg.dyngraph import (
+    DynamicNetwork,
     Partition,
     ScdOutput,
     dump_output,
@@ -78,6 +79,15 @@ class TestGenerate:
         header = net.read_text().splitlines()[0]
         assert header == "# k=16 l=4 n=50 c_min=5 c_in=20 c_out=4 seed=0"
         assert truth.read_text().count("segment ") == 4
+
+    def test_label_the_format_cannot_hold_exits_1(self, tmp_path, capsys, monkeypatch):
+        network = DynamicNetwork(1, ["x y", "z"], [(0, 0), (0, 1)], [])
+        truth = ScdOutput(((0, 0),), (Partition({"x y": 0, "z": 1}),))
+        monkeypatch.setattr(cli, "generate", lambda cfg: (network, truth))
+        code, stdout, err = run(capsys, "generate", "--output", str(tmp_path / "a.txt"),
+                                "--truth", str(tmp_path / "t.txt"))
+        assert code == 1 and stdout == "" and not (tmp_path / "a.txt").exists()
+        assert err == "error: label 'x y' is empty or holds whitespace; the format cannot hold it\n"
 
     def test_seed_changes_output(self, tmp_path, capsys):
         base = ["generate", "--output", str(tmp_path / "a.txt"),
@@ -285,6 +295,23 @@ class TestDetect:
         network = load_dynamic_network(net.read_text())
         expected = dynseg.solve_scd(network, dynseg.SearchSpec(consensus=consensus, seed=4))
         assert out.read_text() == dump_output(expected)
+
+    def test_default_detect_loads_no_pool_and_no_numpy_random(self, scg_files):
+        # the pool's modules and numpy.random, about 3 MB of peak resident
+        # memory between them, load only where a run needs them
+        net, _ = scg_files
+        code = (
+            "import contextlib, io, sys\n"
+            "from dynseg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['detect', '--input', {str(net)!r}]) == 0\n"
+            "loaded = {'concurrent.futures', 'multiprocessing', 'numpy.random'} & set(sys.modules)\n"
+            "sys.exit(sorted(loaded) or None)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.fixture
@@ -704,3 +731,57 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--input", "x", "--objective", "mdl"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_consecutive_calls_write_what_fresh_processes_write(self, tmp_path, capsys):
+        def argvs(d):
+            return [
+                ["generate", "--output", str(d / "net.txt"), "--truth", str(d / "truth.txt"),
+                 "--k", "6", "--l", "2", "--n", "20", "--cmin", "4", "--seed", "9"],
+                ["detect", "--input", str(d / "net.txt"), "--output", str(d / "sol.txt")],
+            ]
+
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "reused").mkdir()
+        src = os.path.dirname(os.path.dirname(dynseg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in argvs(tmp_path / "fresh"):
+            subprocess.run([sys.executable, "-m", "dynseg.cli", *argv], env=env,
+                           check=True, capture_output=True)
+        for argv in argvs(tmp_path / "reused"):
+            assert run(capsys, *argv)[0] == 0
+        for name in ("net.txt", "truth.txt", "sol.txt"):
+            assert (tmp_path / "reused" / name).read_bytes() == (
+                tmp_path / "fresh" / name).read_bytes()
+
+    def test_usage_error_does_not_affect_the_next_call(self, scg_files, tmp_path, capsys):
+        net, _ = scg_files
+        argv = ["detect", "--input", str(net), "--output", str(tmp_path / "a.txt")]
+        assert run(capsys, *argv)[0] == 0
+        for bad in (["frobnicate"], [*argv, "--jobs", "0"], [*argv, "--objective", "mdl"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        argv[-1] = str(tmp_path / "b.txt")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and kv(stdout)["objective"] == ["bic"]
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+
+    def test_jobs_follow_the_cpus_usable_at_each_call(self, scg_files, monkeypatch, capsys):
+        net, _ = scg_files
+        jobs = []
+
+        def store(network, n):
+            jobs.append(n)
+            return search.SegmentStore(network, n)
+
+        monkeypatch.setattr(cli, "SegmentStore", store)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        assert run(capsys, "detect", "--input", str(net))[0] == 0
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 5)
+        assert run(capsys, "detect", "--input", str(net))[0] == 0
+        assert run(capsys, "detect", "--input", str(net), "--jobs", "2")[0] == 0
+        assert jobs == [3, 5, 2]

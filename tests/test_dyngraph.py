@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from dynseg.dyngraph import (
     FormatError,
     Partition,
     ScdOutput,
+    _sorted_records,
     dump_dynamic_network,
     dump_output,
     load_dynamic_network,
@@ -129,6 +131,15 @@ class TestLoadDynamicNetwork:
         with pytest.raises(ValueError):
             dump_dynamic_network(network_of([Snapshot(), Snapshot()]))
 
+    @pytest.mark.parametrize("labels, bad", [
+        (["x y", "z"], "x y"), (["a", ""], ""), (["a", "b\tc"], "b\tc"), (["a\u2028", "b"], "a\u2028"),
+    ], ids=["space", "empty", "tab", "line-separator"])
+    def test_labels_the_format_cannot_hold_are_not_dumped(self, labels, bad):
+        # "0 x y" would load back as an edge between x and y
+        net = DynamicNetwork(1, labels, [(0, 0), (0, 1)], [])
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is empty or holds whitespace")):
+            dump_dynamic_network(net)
+
 
 class TestIdArrays:
     def test_layout(self):
@@ -218,6 +229,26 @@ class TestIdArrays:
 
 
 class TestRecords:
+    def test_record_sort_matches_lexsort_where_pair_keys_would_overflow(self):
+        # one key t * width + x per record stays below 2**60 here, while a
+        # key t * n * n with n = width would overflow int64
+        k, width = MAX_TIME_INDEX + 1, 2**40
+        assert k * width < 2**63 < MAX_TIME_INDEX * width * width
+        rng = np.random.default_rng(3)
+        t = np.concatenate([rng.integers(0, k, 400), [0, 0, MAX_TIME_INDEX, MAX_TIME_INDEX]])
+        x = np.concatenate([rng.integers(0, width, 400), [width - 1, 0, width - 1, 0]])
+        t, x = np.concatenate([t, t[::3]]), np.concatenate([x, x[::3]])  # repeats
+        order = rng.permutation(len(t))
+        offsets, values = _sorted_records(k, t[order], x[order], width)
+
+        order = np.lexsort((x, t))
+        t, x = t[order], x[order]
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:] = (t[1:] != t[:-1]) | (x[1:] != x[:-1])
+        assert values.tolist() == x[keep].tolist() and len(values) == 404
+        assert np.array_equal(offsets, np.searchsorted(t[keep], np.arange(k + 1)))
+        assert not offsets.flags.writeable and not values.flags.writeable
+
     def test_edge_endpoints_join_their_snapshot(self):
         net = DynamicNetwork(2, ["x", "b", "a"], [(0, 0)], [(1, 1, 2)])
         assert snapshot_at(net, 0) == Snapshot(["x"])
@@ -283,6 +314,9 @@ class TestRecords:
         pairs = list(zip(net.pair_u.tolist(), net.pair_v.tolist()))
         assert pairs == sorted({(u, v) for _, u, v in canon_edges})
         assert [pairs[p] for p in net.edge_pair.tolist()] == [(u, v) for _, u, v in canon_edges]
+        assert net.edge_offsets.tolist() == [
+            sum(1 for t, *_ in canon_edges if t < j) for j in range(k + 1)
+        ]
         u, v = net.segment_edges(0, k - 1)
         assert list(zip(u.tolist(), v.tolist())) == [(u, v) for _, u, v in canon_edges]
         if net.node_offsets[-1] > net.node_offsets[-2]:
@@ -503,6 +537,13 @@ class TestScdOutput:
         out = self._output()
         again = load_output(dump_output(out))
         assert again == out
+
+    @pytest.mark.parametrize("bad", ["a b", "", "a\x1cb"])
+    def test_labels_the_format_cannot_hold_are_not_dumped(self, bad):
+        # "cluster 0: a b c" would load back as a cluster of three nodes
+        out = ScdOutput(((0, 0), (1, 1)), (Partition({"c": 0}), Partition({bad: 0, "c": 0})))
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is empty or holds whitespace")):
+            dump_output(out)
 
     @settings(max_examples=200)
     @given(solutions())
